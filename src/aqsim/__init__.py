@@ -6,7 +6,7 @@ from .engine import (Engine, ExecutionTrace, FailureEvent, Injection,
                      RecoveryEvent, ScenarioConfig, run, validate_recovery)
 from .errors import ContractViolation, ModelViolation, ScenarioError
 from .netmodel import Edge, Network, Packet, shortest_path_avoiding, validate_path
-from .policies import PacketView, Prioritized, parse_policy, select
+from .policies import Prioritized, parse_policy
 
 __all__ = [
     "AdversaryType",
@@ -20,14 +20,12 @@ __all__ = [
     "ModelViolation",
     "Network",
     "Packet",
-    "PacketView",
     "Prioritized",
     "RecoveryEvent",
     "ScenarioConfig",
     "ScenarioError",
     "parse_policy",
     "run",
-    "select",
     "shortest_path_avoiding",
     "validate_path",
     "validate_recovery",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .buckets import AdversaryType
 from .engine import Engine, ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
-from .errors import ScenarioError
+from .errors import ModelViolation, ScenarioError
 from .netmodel import Edge, Network
 
 BOUNDED = "bounded-within-horizon"
@@ -134,11 +134,6 @@ def rerouting_gadget(branches: int = 2, burst: int = 10, fail_duration: int = 10
     # send every re-route over the lexicographically first one.
     return ReroutingGadget(branches, burst, fail_duration, cycles, warmup,
                            cycle, "g1", config)
-
-
-def build_rerouting_gadget(branches: int = 2, burst: int = 10,
-                           fail_duration: int = 10, cycles: int = 200) -> ScenarioConfig:
-    return rerouting_gadget(branches, burst, fail_duration, cycles).config
 
 
 # -- re-route accounting -------------------------------------------------------
@@ -341,7 +336,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
                                       orig.head, orig.slowness))
                 chosen.append(eid)
             net = Network(net.nodes, edge_list)
-            assert strongly_connected(net, frozenset(chosen))
+            if not strongly_connected(net, frozenset(chosen)):
+                raise ModelViolation("twinned failure victims left the network "
+                                     "not strongly connected")
         lo, hi = max(1, horizon // 4), max(1, horizon // 2)
         for eid in sorted(chosen):
             fail_events.append(

@@ -83,18 +83,18 @@ def cmd_check(args) -> int:
         inj = feedback.derive_injection_trace(trace)
         reactive = feedback.reactive_for_trace(trace)
         result = feedback.check_admissibility(inj, reactive, adv.rate, adv.burst,
-                                              horizon, method=args.method)
+                                              horizon)
         return _print_check("admissibility", result)
     if args.mode == MODE_REGULAR:
         inj = feedback.derive_injection_trace(trace)
         result = feedback.check_regular_admissibility(inj, adv.rate, adv.burst,
-                                                      horizon, method=args.method)
+                                                      horizon)
         return _print_check("regular admissibility", result)
     if args.mode == MODE_STALL_BOUND:
         stalls = feedback.derive_stall_trace(trace)
         reactive = feedback.reactive_for_trace(trace)
         result = feedback.check_stall_reaction_bound(stalls, reactive, adv.delay,
-                                                     horizon, method=args.method)
+                                                     horizon)
         return _print_check("stall-reaction bound", result)
     verdict = validate_recovery(trace)
     if verdict.ok:
@@ -126,8 +126,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "rerouting-gadget":
-        config = analysis.build_rerouting_gadget(
-            args.branches, args.burst, args.fail_duration, args.cycles)
+        config = analysis.rerouting_gadget(
+            args.branches, args.burst, args.fail_duration, args.cycles).config
     else:
         config = analysis.gen_random_scenario(
             args.seed,
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", required=True,
                          choices=(MODE_ADMISSIBILITY, MODE_REGULAR,
                                   MODE_STALL_BOUND, MODE_RECOVERY))
-    p_check.add_argument("--method", choices=(feedback.FAST, feedback.QUADRATIC),
-                         default=feedback.FAST)
     p_check.set_defaults(func=cmd_check)
 
     p_reduce = sub.add_parser("reduce", help="two-priority reduction report")

@@ -16,33 +16,34 @@ blocks may overlap their predecessor's last mark) would lose marks and
 break the count-preservation the bound checks rely on, so the pointer
 always clears the block.
 
-The admissibility condition bounds, for every queue and every contiguous
-round interval T, the packets injected across the queue by
-rate * (|T| - marked rounds in T) + burstiness. All checks run in exact
-integer arithmetic scaled by the rate denominator.
+Every bound has one shape, checked by ``check_interval_bound``: for every
+queue and every contiguous round interval T, a count summed over T stays
+within a per-round allowance summed over T plus a constant slack.
+
+  admissibility    injections <= rate per round, 0 on reactive marks,
+                   plus burstiness
+  regular          injections <= rate per round, plus burstiness
+  stall/reaction   stalls <= 1 on reactive marks, 0 elsewhere, plus delay
+  reduction        low injections + stalls <= rate' per round,
+                   plus burst' + tau (see ``reduction``)
+
+The check scales by the lcm of the denominators and runs a linear
+maximum-subarray (Kadane) scan per queue in exact integer arithmetic. The
+exhaustive quadratic scan is kept only as the oracle tests compare it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ModelViolation
-
-FAST = "fast"
-QUADRATIC = "quadratic"
 
 
 @dataclass
 class StallTrace:
     rounds: dict[str, list[int]]  # queue -> sorted stalled rounds
-
-    def indicator(self, queue: str, horizon: int) -> list[int]:
-        w = [0] * (horizon + 1)  # 1-based; w[0] unused
-        for t in self.rounds.get(queue, ()):
-            if t <= horizon:
-                w[t] = 1
-        return w
 
 
 @dataclass
@@ -58,17 +59,6 @@ class DelayedCountTrace:
 @dataclass
 class ReactiveTrace:
     marks: dict[str, tuple[int, ...]]  # queue -> sorted marked rounds (may pass horizon)
-    horizon: int
-
-    def indicator(self, queue: str, horizon: int) -> list[int]:
-        s = [0] * (horizon + 1)
-        for t in self.marks.get(queue, ()):
-            if t <= horizon:
-                s[t] = 1
-        return s
-
-    def total_marks(self, queue: str) -> int:
-        return len(self.marks.get(queue, ()))
 
 
 @dataclass
@@ -129,7 +119,7 @@ def delayed_counts(schedule: NotificationSchedule) -> DelayedCountTrace:
     return DelayedCountTrace(counts)
 
 
-def compute_reactive(wd: DelayedCountTrace, horizon: int) -> ReactiveTrace:
+def compute_reactive(wd: DelayedCountTrace) -> ReactiveTrace:
     """Spread notification counts onto distinct reactive rounds."""
     marks: dict[str, tuple[int, ...]] = {}
     for queue, per_round in wd.counts.items():
@@ -143,13 +133,13 @@ def compute_reactive(wd: DelayedCountTrace, horizon: int) -> ReactiveTrace:
             out.extend(range(pointer, pointer + count))
             pointer += count
         marks[queue] = tuple(out)
-    return ReactiveTrace(marks, horizon)
+    return ReactiveTrace(marks)
 
 
 def reactive_for_trace(trace) -> ReactiveTrace:
     """Pipeline shortcut: stall feedback of a run as a reactive trace."""
     schedule = derive_notification_schedule(trace)
-    return compute_reactive(delayed_counts(schedule), trace.horizon)
+    return compute_reactive(delayed_counts(schedule))
 
 
 # -- interval checks -----------------------------------------------------------
@@ -165,12 +155,6 @@ class CheckResult:
 
     def __bool__(self):
         return self.ok
-
-    @property
-    def slack(self):
-        if self.lhs is None:
-            return None
-        return self.rhs - self.lhs
 
 
 def _max_interval_fast(values):
@@ -193,7 +177,7 @@ def _max_interval_fast(values):
 
 
 def _max_interval_quadratic(values):
-    """Exhaustive interval scan; the oracle the fast form is checked against."""
+    """Exhaustive interval scan; the test oracle for the Kadane scan."""
     horizon = len(values) - 1
     prefix = [0] * (horizon + 1)
     for t in range(1, horizon + 1):
@@ -210,85 +194,69 @@ def _max_interval_quadratic(values):
     return best, best_span
 
 
-_SCANNERS = {FAST: _max_interval_fast, QUADRATIC: _max_interval_quadratic}
+def check_interval_bound(counts: dict[str, dict[int, int]], allowance: Fraction,
+                         slack: Fraction, horizon: int,
+                         overrides: dict[str, dict[int, Fraction]]) -> CheckResult:
+    """The one interval inequality every bound of the model instantiates.
 
+    For every queue in ``counts`` and every interval T within [1, horizon]:
+    the counts summed over T stay at or below the per-round allowance
+    summed over T, plus ``slack``. The allowance is ``allowance`` in every
+    round except those a queue's ``overrides`` give their own value.
 
-def _scan_queues(per_queue_values, threshold, method):
-    """Worst interval across queues against a shared integer threshold."""
-    scan = _SCANNERS[method]
-    worst = None  # (margin, queue, span, total)
-    for queue in sorted(per_queue_values):
-        total, span = scan(per_queue_values[queue])
-        if total is None:
-            continue
-        margin = total - threshold
-        if worst is None or margin > worst[0]:
-            worst = (margin, queue, span, total)
-    return worst
+    Each round contributes scale * (count - allowance), with scale the lcm
+    of all denominators, so the scan runs on integers. A positive scale
+    keeps every comparison, hence the worst interval, of the rational scan.
+    """
+    scale = lcm(Fraction(allowance).denominator, Fraction(slack).denominator,
+                *(Fraction(v).denominator
+                  for per_round in overrides.values() for v in per_round.values()))
+    base = -int(allowance * scale)
+    worst = None  # (total, queue, span)
+    for queue in sorted(counts):
+        values = [base] * (horizon + 1)
+        for t, v in overrides.get(queue, {}).items():
+            if 1 <= t <= horizon:
+                values[t] = -int(v * scale)
+        for t, count in counts[queue].items():
+            if 1 <= t <= horizon:
+                values[t] += scale * count
+        total, span = _max_interval_fast(values)
+        if total is not None and (worst is None or total > worst[0]):
+            worst = (total, queue, span)
+    if worst is None:
+        return CheckResult(True)
+    total, queue, (t1, t2) = worst
+    lhs = Fraction(sum(count for t, count in counts[queue].items() if t1 <= t <= t2))
+    rhs = lhs - Fraction(total, scale) + slack
+    return CheckResult(lhs <= rhs, queue, (t1, t2), lhs, rhs)
 
 
 def check_admissibility(inj: InjectionTrace, reactive: ReactiveTrace,
-                        rate: Fraction, burst: int, horizon: int,
-                        method: str = FAST) -> CheckResult:
+                        rate: Fraction, burst: int, horizon: int) -> CheckResult:
     """Verify the delayed-feedback admissibility inequality everywhere.
 
     For every queue and contiguous interval T within the horizon:
     injected packets crossing the queue during T stay at or below
     rate * (rounds of T not marked reactive) + burstiness.
     """
-    num, den = rate.numerator, rate.denominator
-    per_queue = {}
-    for queue, per_round in inj.counts.items():
-        values = [0] * (horizon + 1)
-        for t in range(1, horizon + 1):
-            values[t] = -num
-        for t in reactive.marks.get(queue, ()):
-            if t <= horizon:
-                values[t] = 0
-        for t, count in per_round.items():
-            values[t] += den * count
-        per_queue[queue] = values
-    worst = _scan_queues(per_queue, den * burst, method)
-    if worst is None:
-        return CheckResult(True)
-    margin, queue, (t1, t2), _total = worst
-    s = reactive.indicator(queue, horizon)
-    lhs = Fraction(sum(inj.counts[queue].get(t, 0) for t in range(t1, t2 + 1)))
-    rhs = rate * sum(1 - s[t] for t in range(t1, t2 + 1)) + burst
-    return CheckResult(margin <= 0, queue, (t1, t2), lhs, rhs)
+    marked = {queue: dict.fromkeys(marks, 0) for queue, marks in reactive.marks.items()}
+    return check_interval_bound(inj.counts, rate, burst, horizon, marked)
 
 
 def check_regular_admissibility(inj: InjectionTrace, rate: Fraction, burst: int,
-                                horizon: int, method: str = FAST) -> CheckResult:
+                                horizon: int) -> CheckResult:
     """Plain leaky-bucket admissibility: no reactive rounds at all."""
-    return check_admissibility(inj, ReactiveTrace({}, horizon), rate, burst,
-                               horizon, method)
+    return check_interval_bound(inj.counts, rate, burst, horizon, {})
 
 
 def check_stall_reaction_bound(stalls: StallTrace, reactive: ReactiveTrace,
-                               delay: int, horizon: int,
-                               method: str = FAST) -> CheckResult:
+                               delay: int, horizon: int) -> CheckResult:
     """Stalls never outrun reactions by more than the feedback delay.
 
     For every queue and interval T: stalled rounds in T never exceed
     reactive rounds in T plus the delay.
     """
-    per_queue = {}
-    for queue, rounds in stalls.rounds.items():
-        values = [0] * (horizon + 1)
-        for t in rounds:
-            if t <= horizon:
-                values[t] = 1
-        for t in reactive.marks.get(queue, ()):
-            if t <= horizon:
-                values[t] -= 1
-        per_queue[queue] = values
-    worst = _scan_queues(per_queue, delay, method)
-    if worst is None:
-        return CheckResult(True)
-    margin, queue, (t1, t2), _total = worst
-    w = stalls.indicator(queue, horizon)
-    s = reactive.indicator(queue, horizon)
-    lhs = Fraction(sum(w[t1:t2 + 1]))
-    rhs = Fraction(sum(s[t1:t2 + 1]) + delay)
-    return CheckResult(margin <= 0, queue, (t1, t2), lhs, rhs)
+    stalled = {queue: dict.fromkeys(rounds, 1) for queue, rounds in stalls.rounds.items()}
+    marked = {queue: dict.fromkeys(marks, 1) for queue, marks in reactive.marks.items()}
+    return check_interval_bound(stalled, 0, delay, horizon, marked)

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, ScenarioError
 
-LOW = 0
-HIGH = 1
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -49,13 +46,6 @@ class Network:
 
     def edge_ids(self):
         return sorted(self.edges)
-
-    def path_nodes(self, path):
-        """Node sequence visited by a path (len(path) + 1 nodes)."""
-        nodes = [self.edges[path[0]].tail]
-        for eid in path:
-            nodes.append(self.edges[eid].head)
-        return nodes
 
 
 # Error categories reported by validate_path.
@@ -119,7 +109,7 @@ class Packet:
         "prev_slowness",
     )
 
-    def __init__(self, pid, injected_at, path, priority=LOW):
+    def __init__(self, pid, injected_at, path, priority=0):
         self.id = pid
         self.injected_at = injected_at
         self.path = tuple(path)

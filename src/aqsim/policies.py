@@ -51,19 +51,6 @@ class Prioritized:
         return f"{self.base}+{self.levels}pri"
 
 
-@dataclass(frozen=True)
-class PacketView:
-    """The metadata a policy may key on, detached from engine state."""
-
-    id: int
-    arrival_round: int
-    injected_at: int
-    traversed: int
-    remaining: int
-    prev_slowness: int = 0
-    priority: int = 0
-
-
 def parse_policy(name: str, priorities: int | None = None):
     if name not in _KEYS:
         raise ContractViolation(f"unknown policy {name!r}")
@@ -83,8 +70,3 @@ def select_packet(policy, candidates):
     else:
         key = _KEYS[policy]
     return min(candidates, key=key)
-
-
-def select(policy, candidates) -> int:
-    """Like select_packet but returns the chosen packet id."""
-    return select_packet(policy, candidates).id

@@ -11,7 +11,11 @@ exactly the round the stall wasted. The reduced rate and burstiness are
 
 and the combined per-queue congestion obeys rate' * |T| + burst' + tau on
 every interval, the extra tau absorbing window alignment at finite
-horizons.
+horizons. That bound is one instance of ``feedback.check_interval_bound``.
+
+The replay keeps the source run's scripted failures and recoveries, so
+packets re-route exactly where they did in the source. Failures that
+``promote_after_tau`` creates during the source run are not replayed.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 from . import feedback
 from .engine import HIGH_ID_BASE, Engine, ExecutionTrace, Injection, ScenarioConfig
-from .errors import ScenarioError
+from .errors import ModelViolation, ScenarioError
 from .policies import Prioritized
 
 HIGH = 1
@@ -44,7 +48,8 @@ def compute_reduced_params(rate: Fraction, burst: int, delay: int, tau: int) -> 
         raise ScenarioError("burst, delay and tau must be positive")
     rate2 = (rate + tau) / Fraction(tau + 1)
     burst2 = rate * delay + burst
-    assert 0 < rate2 < 1
+    if not 0 < rate2 < 1:
+        raise ModelViolation(f"reduced rate {rate2} outside (0, 1)")
     return ReducedParams(rate2, burst2, rate, burst, delay, tau)
 
 
@@ -123,8 +128,6 @@ def _replay_config(src: ExecutionTrace, two: TwoPriorityTrace) -> ScenarioConfig
         injections=tuple(merged),
         stalls={},
         annihilation_delays={},
-        failures=(),
-        recoveries=(),
         promote_after_tau=False,
         enforce_buckets=False,
     )
@@ -186,36 +189,14 @@ def verify_reduction(src: ExecutionTrace) -> ReductionReport:
                            transmissions_equal, combined, divergence)
 
 
-def check_combined_congestion(src: ExecutionTrace, params: ReducedParams,
-                              method: str = feedback.FAST) -> feedback.CheckResult:
+def check_combined_congestion(src: ExecutionTrace,
+                              params: ReducedParams) -> feedback.CheckResult:
     """Low injections plus stalls against rate' |T| + burst' + tau."""
-    horizon = src.horizon
-    inj = feedback.derive_injection_trace(src)
-    stalls = feedback.derive_stall_trace(src)
-    num2 = params.rate2.numerator
-    den2 = params.rate2.denominator
-    bound = params.burst2 + params.tau
-    threshold_scaled = den2 * bound
-    assert threshold_scaled.denominator == 1
-    threshold = threshold_scaled.numerator
-    per_queue = {}
-    for queue in sorted(set(inj.counts) | set(stalls.rounds)):
-        values = [0] * (horizon + 1)
-        for t in range(1, horizon + 1):
-            values[t] = -num2
-        for t, count in inj.counts.get(queue, {}).items():
-            values[t] += den2 * count
-        for t in stalls.rounds.get(queue, ()):
-            if t <= horizon:
-                values[t] += den2
-        per_queue[queue] = values
-    worst = feedback._scan_queues(per_queue, threshold, method)
-    if worst is None:
-        return feedback.CheckResult(True)
-    margin, queue, (t1, t2), _total = worst
-    counts = inj.counts.get(queue, {})
-    w = stalls.indicator(queue, horizon)
-    lhs = Fraction(sum(counts.get(t, 0) for t in range(t1, t2 + 1))
-                   + sum(w[t1:t2 + 1]))
-    rhs = params.rate2 * (t2 - t1 + 1) + bound
-    return feedback.CheckResult(margin <= 0, queue, (t1, t2), lhs, rhs)
+    combined = {queue: dict(per_round)
+                for queue, per_round in feedback.derive_injection_trace(src).counts.items()}
+    for queue, rounds in feedback.derive_stall_trace(src).rounds.items():
+        per_round = combined.setdefault(queue, {})
+        for t in rounds:
+            per_round[t] = per_round.get(t, 0) + 1
+    return feedback.check_interval_bound(combined, params.rate2,
+                                         params.burst2 + params.tau, src.horizon, {})

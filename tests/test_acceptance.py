@@ -11,6 +11,7 @@ determinism criterion at the end.
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -98,12 +99,12 @@ def thousand():
             out["stall_bound_failures"].append((seed, bound))
         t3 = time.perf_counter()
         if seed <= 25:  # exhaustive-interval oracle cross-check
-            quad_a = feedback.check_admissibility(
-                inj, reactive, adv.rate, adv.burst, trace.horizon,
-                method=feedback.QUADRATIC)
-            quad_b = feedback.check_stall_reaction_bound(
-                stalls, reactive, adv.delay, trace.horizon,
-                method=feedback.QUADRATIC)
+            with mock.patch.object(feedback, "_max_interval_fast",
+                                   feedback._max_interval_quadratic):
+                quad_a = feedback.check_admissibility(
+                    inj, reactive, adv.rate, adv.burst, trace.horizon)
+                quad_b = feedback.check_stall_reaction_bound(
+                    stalls, reactive, adv.delay, trace.horizon)
             if quad_a.ok != result.ok or quad_b.ok != bound.ok:
                 out["oracle_disagreements"].append(seed)
         out["gen_run_seconds"] += t1 - t0

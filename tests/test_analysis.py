@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, build_rerouting_gadget,
-                            count_rerouted, gen_random_scenario,
-                            injections_after_notification, probe_stability,
-                            random_network, rerouting_gadget, strongly_connected)
+from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
+                            gen_random_scenario, injections_after_notification,
+                            probe_stability, random_network, rerouting_gadget,
+                            strongly_connected)
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (ExecutionTrace, FailureEvent, Injection,
                           ScenarioConfig, run)
@@ -56,7 +56,7 @@ def test_probe_parameters_validated():
 
 def test_gadget_topology_shape():
     for n in (1, 2, 4):
-        cfg = build_rerouting_gadget(branches=n, cycles=2)
+        cfg = rerouting_gadget(branches=n, cycles=2).config
         assert len(cfg.network.nodes) == 3 * n + 2
         assert len(cfg.network.edges) == 5 * n
 

@@ -1,7 +1,14 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 from aqsim.cli import main
 from aqsim.scenario_io import load_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHECK_MODES = ("admissibility", "regular", "stall-bound", "recovery")
 
 
 def gen(tmp_path, *extra):
@@ -114,3 +121,63 @@ def test_run_policy_override(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out_dir),
                  "--policy", "SIS"]) == 0
+
+
+def test_check_and_reduce_print_pinned_witnesses(tmp_path, capsys):
+    scenario = tmp_path / "s101.json"
+    assert main(["gen", "random", "--seed", "101", "--horizon", "2000",
+                 "--nodes-min", "8", "--nodes-max", "8", "--out", str(scenario)]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    trace = str(out_dir / "s101.trace.jsonl")
+    capsys.readouterr()
+    witnesses = {
+        "admissibility": "worst queue e000 interval [922, 922] lhs=2/1 rhs=2/1",
+        "regular": "worst queue e000 interval [6, 6] lhs=2/1 rhs=5/2",
+        "stall-bound": "worst queue e000 interval [364, 364] lhs=1/1 rhs=2/1",
+    }
+    for mode in CHECK_MODES:
+        assert main(["check", trace, "--mode", mode]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(": pass")
+        assert lines[1:] == ([f"  {witnesses[mode]}"] if mode in witnesses else [])
+    assert main(["reduce", trace]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "combined congestion: pass",
+        "  worst queue e000 interval [922, 922] lhs=3/1 rhs=19/4"]
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_wraps_check_and_reduce(tmp_path):
+    # The benchmark's traced run wraps program functions by name and reads
+    # their positional arguments; a rename or a changed signature must
+    # fail here, not only when the benchmark runs.
+    harness, tracer_module = load_perfbench("harness"), load_perfbench("tracer")
+    aq = SimpleNamespace(**{m: importlib.import_module(f"aqsim.{m}")
+                            for m in harness.MODULES})
+    scenario = gen(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    trace = str(out_dir / "scenario.trace.jsonl")
+    tracer = tracer_module.Tracer(aq)
+    tracer.install()
+    try:
+        for mode in CHECK_MODES:
+            assert main(["check", trace, "--mode", mode]) == 0
+        assert main(["reduce", trace]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: entry[0] for name, entry in tracer.totals().items()}
+    assert calls["cli.cmd_check"] == len(CHECK_MODES)
+    for name in ("feedback.check_admissibility", "feedback.check_regular_admissibility",
+                 "feedback.check_stall_reaction_bound",
+                 "reduction.check_combined_congestion", "reduction.replay"):
+        assert calls[name] >= 1, name
+    assert tracer.metrics()["feedback.scan_cells"] > 0

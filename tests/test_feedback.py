@@ -1,9 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqsim import feedback
+from aqsim import feedback, reduction
 from aqsim.buckets import AdversaryType
 from aqsim.engine import Injection, ScenarioConfig, run
 from aqsim.errors import ModelViolation
@@ -40,8 +41,6 @@ def test_single_stall_is_the_only_nonzero():
     trace = run(two_node(injections=(Injection(5, ("ab",)),), stalls={"ab": {5}}))
     stalls = derive_stall_trace(trace)
     assert stalls.rounds == {"ab": [5]}
-    w = stalls.indicator("ab", 8)
-    assert w[5] == 1 and sum(w) == 1
 
 
 def test_stall_trace_matches_group_creations():
@@ -96,31 +95,31 @@ def test_out_of_window_annihilation_is_a_model_violation():
 
 
 def test_reactive_of_nothing_is_nothing():
-    assert compute_reactive(DelayedCountTrace({}), 10).marks == {}
+    assert compute_reactive(DelayedCountTrace({})).marks == {}
 
 
 def test_reactive_spreads_a_burst_forward():
     wd = DelayedCountTrace({"q": {1: 3}})
-    assert compute_reactive(wd, 10).marks["q"] == (1, 2, 3)
+    assert compute_reactive(wd).marks["q"] == (1, 2, 3)
 
 
 def test_reactive_pointer_clears_each_block():
     wd = DelayedCountTrace({"q": {2: 2, 4: 1}})
     # Hand trace: pointer 1 -> max(2,1)=2, mark 2,3, pointer 5? no: 2+2=4;
     # at t=4 pointer max(4,4)=4, mark 4, pointer 5.
-    assert compute_reactive(wd, 10).marks["q"] == (2, 3, 4)
+    assert compute_reactive(wd).marks["q"] == (2, 3, 4)
 
 
 def test_reactive_mass_equals_notification_mass():
     wd = DelayedCountTrace({"q": {1: 2, 2: 3, 9: 1}})
-    reactive = compute_reactive(wd, 10)
-    assert reactive.total_marks("q") == 6
+    reactive = compute_reactive(wd)
+    assert len(reactive.marks["q"]) == 6
     assert reactive.marks["q"] == (1, 2, 3, 4, 5, 9)
 
 
 @given(st.dictionaries(st.integers(1, 30), st.integers(1, 4), max_size=10))
 def test_reactive_marks_are_distinct_and_never_early(counts):
-    reactive = compute_reactive(DelayedCountTrace({"q": counts}), 30)
+    reactive = compute_reactive(DelayedCountTrace({"q": counts}))
     marks = reactive.marks.get("q", ())
     assert len(set(marks)) == len(marks)
     assert len(marks) == sum(counts.values())
@@ -148,20 +147,20 @@ def brute_force_worst(values_by_queue, threshold):
 
 
 def test_empty_injections_are_admissible():
-    result = check_admissibility(InjectionTrace({}), ReactiveTrace({}, 10),
+    result = check_admissibility(InjectionTrace({}), ReactiveTrace({}),
                                  HALF, 2, 10)
     assert result.ok and result.queue is None
 
 
 def test_full_burst_in_one_round_sits_on_the_boundary():
     inj = InjectionTrace({"q": {5: 2}})
-    result = check_admissibility(inj, ReactiveTrace({}, 10), HALF, 2, 10)
+    result = check_admissibility(inj, ReactiveTrace({}), HALF, 2, 10)
     assert result.ok
 
 
 def test_burst_plus_one_violates_on_the_singleton_interval():
     inj = InjectionTrace({"q": {5: 3}})
-    result = check_admissibility(inj, ReactiveTrace({}, 10), HALF, 2, 10)
+    result = check_admissibility(inj, ReactiveTrace({}), HALF, 2, 10)
     assert not result.ok
     assert result.queue == "q"
     assert result.interval == (5, 5)
@@ -174,8 +173,8 @@ def test_reactive_rounds_tighten_the_bound():
     # over [4,5]: 2 <= 1/2*2 + 1 = 2; marking round 5 reactive drops the
     # allowance to 1/2 + 1 and the same injections now violate.
     inj = InjectionTrace({"q": {4: 1, 5: 1}})
-    assert check_admissibility(inj, ReactiveTrace({}, 10), HALF, 1, 10).ok
-    marked = ReactiveTrace({"q": (5,)}, 10)
+    assert check_admissibility(inj, ReactiveTrace({}), HALF, 1, 10).ok
+    marked = ReactiveTrace({"q": (5,)})
     result = check_admissibility(inj, marked, HALF, 1, 10)
     assert not result.ok and result.interval == (4, 5)
 
@@ -200,14 +199,14 @@ def test_double_burst_over_two_rounds_violates():
 
 def test_worst_interval_matches_brute_force_oracle():
     inj = InjectionTrace({"q": {1: 1, 4: 2, 5: 1}, "p": {2: 2, 3: 2}})
-    reactive = ReactiveTrace({"q": (2, 6), "p": (3,)}, 8)
+    reactive = ReactiveTrace({"q": (2, 6), "p": (3,)})
     rate, burst = Fraction(1, 3), 2
     result = check_admissibility(inj, reactive, rate, burst, 8)
     values = {}
     for queue in inj.counts:
-        s = reactive.indicator(queue, 8)
+        marks = reactive.marks[queue]
         values[queue] = [0] + [
-            3 * inj.counts[queue].get(t, 0) - 1 * (1 - s[t])
+            3 * inj.counts[queue].get(t, 0) - 1 * (t not in marks)
             for t in range(1, 9)]
     total, queue, span = brute_force_worst(values, 3 * burst)
     assert result.ok == (total <= 3 * burst)
@@ -219,7 +218,7 @@ def test_worst_interval_matches_brute_force_oracle():
 
 
 def test_stall_bound_trivial_when_no_stalls():
-    result = check_stall_reaction_bound(StallTrace({}), ReactiveTrace({}, 10), 2, 10)
+    result = check_stall_reaction_bound(StallTrace({}), ReactiveTrace({}), 2, 10)
     assert result.ok
 
 
@@ -227,8 +226,8 @@ def test_stall_bound_small_case_all_intervals():
     # w = [1,0,0], s = [0,0,1], delay 2: every one of the 6 intervals obeys
     # sum(w) <= sum(s) + 2; checked here by full enumeration.
     stalls = StallTrace({"q": [1]})
-    reactive = ReactiveTrace({"q": (3,)}, 3)
-    w, s = stalls.indicator("q", 3), reactive.indicator("q", 3)
+    reactive = ReactiveTrace({"q": (3,)})
+    w, s = [0, 1, 0, 0], [0, 0, 0, 1]
     for t1 in range(1, 4):
         for t2 in range(t1, 4):
             assert sum(w[t1:t2 + 1]) <= sum(s[t1:t2 + 1]) + 2
@@ -237,7 +236,7 @@ def test_stall_bound_small_case_all_intervals():
 
 def test_stall_bound_detects_unserved_backlog():
     stalls = StallTrace({"q": [1, 2, 3, 4]})
-    result = check_stall_reaction_bound(stalls, ReactiveTrace({}, 6), 2, 6)
+    result = check_stall_reaction_bound(stalls, ReactiveTrace({}), 2, 6)
     assert not result.ok
     assert result.interval == (1, 4)  # the maximal violation window
     assert result.lhs == 4 and result.rhs == 2
@@ -267,16 +266,29 @@ def pipeline_case(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_generated_runs_satisfy_both_bounds(seed):
+    # Both feedback bounds and the reduction's combined congestion, each
+    # run once with the Kadane scan and once with the quadratic oracle.
     _, trace = pipeline_case(seed)
     inj = derive_injection_trace(trace)
     reactive = reactive_for_trace(trace)
+    stalls = derive_stall_trace(trace)
     adv = trace.config.adversary
-    for method in (feedback.FAST, feedback.QUADRATIC):
-        assert check_admissibility(inj, reactive, adv.rate, adv.burst,
-                                   trace.horizon, method=method).ok
-        stalls = derive_stall_trace(trace)
-        assert check_stall_reaction_bound(stalls, reactive, adv.delay,
-                                          trace.horizon, method=method).ok
+    params = reduction.compute_reduced_params(adv.rate, adv.burst, adv.delay,
+                                              trace.config.tau)
+
+    def checks():
+        return [check_admissibility(inj, reactive, adv.rate, adv.burst, trace.horizon),
+                check_stall_reaction_bound(stalls, reactive, adv.delay, trace.horizon),
+                reduction.check_combined_congestion(trace, params)]
+
+    fast = checks()
+    with mock.patch.object(feedback, "_max_interval_fast",
+                           feedback._max_interval_quadratic):
+        oracle = checks()
+    for got, want in zip(fast, oracle):
+        assert got.ok and want.ok
+        # A tie may pick another witness interval, never another margin.
+        assert got.rhs - got.lhs == want.rhs - want.lhs
 
 
 def test_mass_conservation_on_a_real_run():
@@ -284,7 +296,7 @@ def test_mass_conservation_on_a_real_run():
     stalls = derive_stall_trace(trace)
     schedule = derive_notification_schedule(trace)
     wd = delayed_counts(schedule)
-    reactive = compute_reactive(wd, trace.horizon)
+    reactive = compute_reactive(wd)
     for queue, rounds in stalls.rounds.items():
         assert len(rounds) == sum(wd.counts.get(queue, {}).values())
-        assert reactive.total_marks(queue) == len(rounds)
+        assert len(reactive.marks.get(queue, ())) == len(rounds)

@@ -130,3 +130,16 @@ def test_randomized_tau_bounded_scenarios_verify(seed, tau, policy):
         horizon=80, nodes=(4, 7), stall_density=0.25, with_trace=True)
     report = verify_reduction(trace)
     assert report.ok, report.first_divergence
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reduction_replays_permanent_failures(seed):
+    # The replay must fail the same links, so its low packets re-route
+    # exactly where the source's did.
+    _, trace = gen_random_scenario(
+        seed, rate=HALF, burst=2, delay=2, tau=2, policy="FTG",
+        horizon=60, nodes=(4, 6), failures=2, with_trace=True)
+    assert list(trace.events_of("reroute"))
+    report = verify_reduction(trace)
+    assert report.transmissions_equal, report.first_divergence
+    assert report.ok

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqsim.analysis import build_rerouting_gadget, gen_random_scenario
+from aqsim.analysis import gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import FailureEvent, Injection, RecoveryEvent, ScenarioConfig, run
 from aqsim.netmodel import Edge, Network
@@ -66,7 +66,7 @@ def test_round_trip_of_generated_scenarios():
     for builder in (lambda: gen_random_scenario(
             4, rate=HALF, burst=2, delay=2, tau=2, policy="SIS", horizon=50,
             stall_density=0.2),
-                    lambda: build_rerouting_gadget(branches=1, cycles=3)):
+                    lambda: rerouting_gadget(branches=1, cycles=3).config):
         cfg = builder()
         assert dumps_scenario(loads_scenario(dumps_scenario(cfg))) == dumps_scenario(cfg)
 
