@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -28,6 +29,13 @@ MODE_ADMISSIBILITY = "admissibility"
 MODE_REGULAR = "regular"
 MODE_STALL_BOUND = "stall-bound"
 MODE_RECOVERY = "recovery"
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _fmt_fraction(value):
@@ -221,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="run every scenario in a directory")
     p_batch.add_argument("scenarios")
     p_batch.add_argument("--out", default="out")
-    p_batch.add_argument("--workers", type=int, default=4)
+    p_batch.add_argument("--workers", type=_positive_int,
+                         default=min(4, os.cpu_count() or 1))
     p_batch.set_defaults(func=cmd_batch)
     return parser
 

@@ -9,8 +9,11 @@ contract and tests depend on it:
   4. adversary injections (joint bucket feasibility, applied atomically)
   5. per live edge with a waiting packet: policy selection, then either a
      stall (antitoken group created) or a transmission; transit arrivals
-     are staged so no packet crosses two links in one round
-  6. re-routing of packets whose next edge is failed and visibly so
+     are staged so no packet crosses two links in one round. Each queue
+     is a heap on the policy's key, computed when the packet enters it,
+     so selection reads the top and a transmission pops it
+  6. re-routing of packets whose next edge is failed and visibly so, in
+     (arrival round, id) order; routes are looked up once per failure state
   7. queue-size snapshot
 
 Feedback (step 2/3) precedes injection so constraints bind the same round
@@ -22,11 +25,14 @@ no special scheduling treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .buckets import AdversaryType, BucketSystem
 from .errors import ModelViolation, ScenarioError
 from .netmodel import Network, Packet, shortest_path_avoiding, validate_path
-from .policies import POLICY_NAMES, Prioritized, select_packet
+# select_packet is imported, though unused here, so that perfbench's tracer
+# finds it where it looks for it (aqsim.engine.select_packet).
+from .policies import POLICY_NAMES, Prioritized, packet_key, select_packet  # noqa: F401
 
 HIGH_ID_BASE = 10 ** 9  # explicit ids at or above this never collide with auto ids
 
@@ -185,11 +191,12 @@ class Engine:
         config.validate()
         self.config = config
         self.net = config.network
-        self.policy = config.policy
         self.driver = driver
         self.buckets = BucketSystem(config.adversary, self.net.edges)
         self.trace = ExecutionTrace(config)
-        self.queues: dict[str, list[Packet]] = {}
+        self.queues: dict[str, list[tuple[tuple, Packet]]] = {}  # heaps of (key, packet)
+        self._key = packet_key(config.policy)
+        self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
         self.failed: set[str] = set()
         self.visible_failed: set[str] = set()
         self._active_failure: dict[str, int] = {}
@@ -243,23 +250,14 @@ class Engine:
     def _emit(self, *ev):
         self.trace.events.append(ev)
 
-    def _merge_arrivals(self, edge: str, packets: list[Packet], rnd: int):
-        """Insert same-round arrivals keeping (arrival round, id) order."""
-        queue = self.queues.get(edge)
-        if queue is None:
-            queue = self.queues[edge] = []
-        packets.sort(key=lambda p: p.id)
-        if not queue or queue[-1].arrival_round < rnd:
-            queue.extend(packets)
-            return
-        # Same-round tail already present (e.g. injected before a transit
-        # arrival with a smaller id): merge the tail by id.
-        tail_start = len(queue)
-        while tail_start > 0 and queue[tail_start - 1].arrival_round == rnd:
-            tail_start -= 1
-        tail = queue[tail_start:] + packets
-        tail.sort(key=lambda p: p.id)
-        queue[tail_start:] = tail
+    def _enqueue(self, pkt: Packet):
+        """Queue a packet at its next edge; its key fields hold until it leaves."""
+        heappush(self.queues.setdefault(pkt.path[pkt.idx], []), (self._key(pkt), pkt))
+
+    def waiting(self, edge: str) -> list[Packet]:
+        """The packets queued at edge, in (arrival round, id) order."""
+        return sorted((pkt for _, pkt in self.queues.get(edge, ())),
+                      key=lambda p: (p.arrival_round, p.id))
 
     def _destination(self, pkt: Packet) -> str:
         return self.net.edges[pkt.path[-1]].head
@@ -273,6 +271,7 @@ class Engine:
                     f"recovery of {rec.edge!r} in round {rnd} but it is not failed",
                     round=rnd, edge=rec.edge)
             self.failed.discard(rec.edge)
+            self._routes.clear()
             self.visible_failed.discard(rec.edge)
             self._active_failure.pop(rec.edge, None)
             self._emit("recover", rnd, rec.edge)
@@ -282,6 +281,7 @@ class Engine:
                     f"edge {ev.edge!r} fails in round {rnd} while already failed",
                     round=rnd, edge=ev.edge)
             self.failed.add(ev.edge)
+            self._routes.clear()
             self._active_failure[ev.edge] = ev.round
 
     def _deliver_notifications(self, rnd: int):
@@ -311,7 +311,6 @@ class Engine:
                     f"round {rnd}: buckets cannot afford the scripted injections, "
                     f"edge {result.insufficient_edge!r} is short",
                     round=rnd, edge=result.insufficient_edge)
-        per_edge: dict[str, list[Packet]] = {}
         for inj in requests:
             if inj.id is not None:
                 pid = inj.id
@@ -324,22 +323,20 @@ class Engine:
             self._packets[pid] = pkt
             self.trace.packets[pid] = PacketRecord(
                 pid, rnd, inj.priority, pkt.path, pkt.path)
-            per_edge.setdefault(inj.path[0], []).append(pkt)
+            self._enqueue(pkt)
             self._injected += 1
             self._emit("inject", rnd, pid, pkt.path, inj.priority)
             self.accepted_injections.append(
                 Injection(rnd, pkt.path, inj.priority, pid))
-        for edge, pkts in per_edge.items():
-            self._merge_arrivals(edge, pkts, rnd)
 
     def _transmit(self, rnd: int):
         stalled_edges = self._stalls_by_round.get(rnd, ())
-        staged: dict[str, list[Packet]] = {}
+        staged: list[Packet] = []
         for edge in sorted(self.queues):
             queue = self.queues[edge]
             if not queue or edge in self.failed:
                 continue
-            pkt = select_packet(self.policy, queue)
+            pkt = queue[0][1]
             self._emit("select", rnd, edge, pkt.id)
             if edge in stalled_edges:
                 group, inline = self.buckets.register_stall(
@@ -350,7 +347,7 @@ class Engine:
                 for how, g in inline:
                     self._emit("annihilate", rnd, g.gid, how)
             else:
-                queue.remove(pkt)
+                heappop(queue)
                 if not queue:
                     del self.queues[edge]
                 pkt.advance()
@@ -364,21 +361,22 @@ class Engine:
                     self._emit("absorb", rnd, pkt.id)
                 else:
                     pkt.arrival_round = rnd
-                    staged.setdefault(pkt.current_edge, []).append(pkt)
-        for edge in sorted(staged):
-            self._merge_arrivals(edge, staged[edge], rnd)
+                    staged.append(pkt)
+        for pkt in staged:
+            self._enqueue(pkt)
 
     def _reroute_blocked(self, rnd: int):
         for edge in sorted(self.visible_failed):
-            queue = self.queues.get(edge)
-            if not queue:
+            if edge not in self.queues:
                 continue
             fail_round = self._active_failure[edge]
             node = self.net.edges[edge].tail
-            moved: dict[str, list[Packet]] = {}
-            for pkt in queue:
+            for pkt in self.waiting(edge):
                 dest = self._destination(pkt)
-                suffix = shortest_path_avoiding(self.net, node, dest, self.failed)
+                if (node, dest) not in self._routes:
+                    self._routes[node, dest] = shortest_path_avoiding(
+                        self.net, node, dest, self.failed)
+                suffix = self._routes[node, dest]
                 if suffix is None:
                     raise ScenarioError(
                         f"round {rnd}: packet {pkt.id} at {edge!r} cannot reach "
@@ -398,10 +396,8 @@ class Engine:
                     self._emit("absorb", rnd, pkt.id)
                 else:
                     pkt.arrival_round = rnd
-                    moved.setdefault(pkt.path[pkt.idx], []).append(pkt)
+                    self._enqueue(pkt)
             del self.queues[edge]
-            for target in sorted(moved):
-                self._merge_arrivals(target, moved[target], rnd)
 
     def _snapshot(self, rnd: int):
         sizes = {e: len(q) for e, q in self.queues.items() if q}

@@ -59,14 +59,21 @@ def parse_policy(name: str, priorities: int | None = None):
     return Prioritized(name, priorities)
 
 
+def packet_key(policy):
+    """The total order the policy transmits in, as a key on one packet.
+
+    Every field it reads stays fixed while the packet waits in one queue,
+    and every key ends in the unique id, so a heap keyed on it serves the
+    queue exactly. Prioritized ranks the highest priority first.
+    """
+    if isinstance(policy, Prioritized):
+        base = _KEYS[policy.base]
+        return lambda p: (-p.priority, *base(p))
+    return _KEYS[policy]
+
+
 def select_packet(policy, candidates):
     """Pick the packet the policy transmits; candidates share one queue."""
     if not candidates:
         raise ContractViolation("cannot select from an empty queue")
-    if isinstance(policy, Prioritized):
-        top = max(c.priority for c in candidates)
-        candidates = [c for c in candidates if c.priority == top]
-        key = _KEYS[policy.base]
-    else:
-        key = _KEYS[policy]
-    return min(candidates, key=key)
+    return min(candidates, key=packet_key(policy))

@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
-from aqsim.cli import main
+import pytest
+
+from aqsim.cli import build_parser, main
 from aqsim.scenario_io import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -114,6 +117,24 @@ def test_batch_runs_every_scenario(tmp_path):
                  "--workers", "2"]) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "s1.trace.jsonl", "s2.trace.jsonl"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_batch_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    gen(scenarios)
+    with pytest.raises(SystemExit) as exit_:
+        main(["batch", str(scenarios), "--out", str(tmp_path / "traces"),
+              "--workers", workers])
+    assert exit_.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
+def test_batch_workers_default_fits_the_cores():
+    args = build_parser().parse_args(["batch", "scenarios"])
+    assert args.workers == min(4, os.cpu_count() or 1)
 
 
 def test_run_policy_override(tmp_path):

@@ -1,12 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from aqsim.analysis import gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, RecoveryEvent,
                           ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
+from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -114,10 +117,15 @@ def test_queue_order_is_arrival_then_id():
         enforce_buckets=False)
     engine = Engine(cfg)
     engine.step(1)
-    queue = engine.queues["cd"]
+    queue = engine.waiting("cd")
     assert [p.id for p in queue] == [0, 1, 2]
     assert [(p.arrival_round, p.id) for p in queue] == sorted(
         (p.arrival_round, p.id) for p in queue)
+    sent = []
+    for rnd in range(2, 9):
+        sent += [(ev[1], ev[3]) for ev in engine.step(rnd)
+                 if ev[0] == "transmit" and ev[2] == "cd"]
+    assert sent == [(4, 0), (5, 1), (6, 2)]
 
 
 def test_waiting_packets_sit_at_their_next_edge():
@@ -125,8 +133,8 @@ def test_waiting_packets_sit_at_their_next_edge():
     engine = Engine(cfg)
     for rnd in (1, 2):
         engine.step(rnd)
-    for edge, queue in engine.queues.items():
-        for pkt in queue:
+    for edge in engine.queues:
+        for pkt in engine.waiting(edge):
             assert pkt.path[pkt.idx] == edge
 
 
@@ -244,6 +252,85 @@ def test_second_failure_reroutes_again():
     assert trace.packets[0].absorbed_round == 4
     for _, _, _, _old, suffix, _, _ in reroutes:
         assert len(set(suffix)) == len(suffix)  # each new suffix is simple
+
+
+def test_reroutes_see_every_failure_and_recovery_since_the_last():
+    # Stalls at ab space three packets out; each meets bz failed, while the
+    # parallel bz2 fails, recovers and fails again between their arrivals.
+    net = Network(
+        ["a", "b", "c", "z"],
+        [Edge("ab", "a", "b"), Edge("bz", "b", "z"), Edge("bz2", "b", "z"),
+         Edge("bc", "b", "c"), Edge("cz", "c", "z")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(ONE, 4, 2), policy="FIFO",
+        horizon=12, tau_prime=1, enforce_buckets=False,
+        injections=tuple(Injection(1, ("ab", "bz")) for _ in range(3)),
+        stalls={"ab": {2, 3, 4, 6, 7, 8}},
+        failures=(FailureEvent("bz", 1, notify_delay=1),
+                  FailureEvent("bz2", 1, notify_delay=1),
+                  FailureEvent("bz2", 7, notify_delay=0)),
+        recoveries=(RecoveryEvent("bz2", 3),))
+    reroutes = run(cfg).events_of("reroute")
+    assert [(ev[1], ev[2], ev[4]) for ev in reroutes] == [
+        (2, 0, ("bc", "cz")), (5, 1, ("bz2",)), (9, 2, ("bc", "cz"))]
+
+
+def test_reroutes_follow_arrival_then_id_not_policy_order():
+    # Three packets wait at the failed bz. SIS would serve 4, 3, 5 and id
+    # order is 3, 4, 5; re-routing must take them by (arrival round, id).
+    cfg = detour_cfg(
+        policy=SIS,
+        injections=(Injection(1, ("bz",), id=5), Injection(2, ("bz",), id=3),
+                    Injection(3, ("bz",), id=4)),
+        failures=(FailureEvent("bz", 1, notify_delay=3),))
+    reroutes = run(cfg).events_of("reroute")
+    assert [(ev[1], ev[2]) for ev in reroutes] == [(4, 5), (4, 3), (4, 4)]
+
+
+def cross_check_configs():
+    gadget = rerouting_gadget(branches=3, cycles=20).config
+    random_cfg = gen_random_scenario(
+        3, rate=Fraction(9, 10), burst=4, delay=2, tau=2, policy="FIFO",
+        horizon=300, nodes=(4, 6), failures=2)
+    for name in POLICY_NAMES:
+        for policy in (name, Prioritized(name, 2)):
+            for cfg in (gadget, random_cfg):
+                injections = cfg.injections
+                if isinstance(policy, Prioritized):
+                    injections = tuple(replace(inj, priority=i % 2)
+                                       for i, inj in enumerate(injections))
+                # Another policy changes which packets the scripted stalls
+                # hit, and so the bucket levels: only selection is checked.
+                yield replace(cfg, policy=policy, injections=injections,
+                              enforce_buckets=False)
+
+
+@pytest.mark.parametrize("cfg", cross_check_configs(),
+                         ids=lambda cfg: f"{cfg.policy}-{len(cfg.network.nodes)}n")
+def test_heap_selection_matches_select_packet(cfg):
+    engine = Engine(cfg)
+    transmit = engine._transmit
+    expected = {}
+    choices = 0
+
+    def checked_transmit(rnd):
+        # The oracle sees the queues exactly as the transmit phase does.
+        nonlocal choices
+        expected.clear()
+        for edge in engine.queues:
+            if edge not in engine.failed:
+                waiting = engine.waiting(edge)
+                expected[edge] = select_packet(cfg.policy, waiting).id
+                choices += len(waiting) > 1
+        transmit(rnd)
+
+    engine._transmit = checked_transmit
+    reroutes = 0
+    for rnd in range(1, cfg.horizon + 1):
+        events = engine.step(rnd)
+        assert {ev[2]: ev[3] for ev in events if ev[0] == "select"} == expected
+        reroutes += sum(ev[0] == "reroute" for ev in events)
+    assert reroutes > 0 and choices >= 50
 
 
 def test_injections_over_notified_failures_abort():

@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import dataclass
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from aqsim.errors import ContractViolation
 from aqsim.policies import (FFS, FIFO, FTG, LIS, NFS, NTG, POLICY_NAMES,
-                            SIS, SPL_NFS, Prioritized, parse_policy,
-                            select_packet)
+                            SIS, SPL_NFS, Prioritized, packet_key,
+                            parse_policy, select_packet)
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,21 @@ def test_choice_is_permutation_invariant(policy, views, rng):
     shuffled = views[:]
     rng.shuffle(shuffled)
     assert select_packet(policy, views).id == select_packet(policy, shuffled).id
+
+
+@given(any_policy, views_strategy)
+def test_heap_on_packet_key_pops_in_selection_order(policy, views):
+    key = packet_key(policy)
+    heap = []
+    for v in views:
+        heapq.heappush(heap, (key(v), v))
+    popped = [heapq.heappop(heap)[1].id for _ in views]
+    left, picked = list(views), []
+    while left:
+        pick = select_packet(policy, left)
+        picked.append(pick.id)
+        left.remove(pick)
+    assert popped == picked
 
 
 @given(st.sampled_from(POLICY_NAMES), views_strategy)
