@@ -271,8 +271,11 @@ class GreedyDriver:
             return []
         want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
         if engine.config.enforce_buckets:
+            # Whole tokens floor the level where int() of the Fraction would
+            # truncate it; the two differ only below zero, and max(0, ...)
+            # clamps both to 0.
             afford = min(
-                (int(engine.buckets.level(edge)) for edge in path), default=0)
+                (engine.buckets.whole_tokens(edge) for edge in path), default=0)
             want = min(want, max(0, afford))
         if want < 1:
             return []

@@ -106,6 +106,10 @@ class BucketSystem:
         """Current exact bucket level (after this round's tick)."""
         return Fraction(self._accrue(edge), self._den)
 
+    def whole_tokens(self, edge) -> int:
+        """Whole tokens in the bucket: the level floored to an integer."""
+        return self._accrue(edge) // self._den
+
     def levels(self) -> dict[str, Fraction]:
         return {e: self.level(e) for e in sorted(self._lvl)}
 
@@ -186,6 +190,10 @@ class BucketSystem:
             raise ContractViolation(
                 f"group {gid} must be force-expired, value is no longer positive")
         return self._annihilate(group, VOLUNTARY)
+
+    def is_due(self, rnd: int) -> bool:
+        """Whether some group is scheduled to annihilate in round ``rnd``."""
+        return rnd in self._due
 
     def tick_antitokens(self):
         """Fire every group whose scheduled or forced round is now.

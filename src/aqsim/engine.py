@@ -3,20 +3,31 @@
 Every round runs a fixed pipeline; the order is part of the model
 contract and tests depend on it:
 
-  1. bucket tick (every level gains the rate, clamps at burst)
-  2. antitoken countdown: scheduled and forced group annihilations
-  3. delivery of due permanent-failure notifications
-  4. adversary injections (joint bucket feasibility, applied atomically)
-  5. per live edge with a waiting packet: policy selection, then either a
+  1. failures and recoveries scheduled for the round
+  2. bucket tick (every level gains the rate, clamps at burst)
+  3. antitoken countdown: scheduled and forced group annihilations
+  4. delivery of due permanent-failure notifications
+  5. adversary injections (joint bucket feasibility, applied atomically)
+  6. per live edge with a waiting packet: policy selection, then either a
      stall (antitoken group created) or a transmission; transit arrivals
      are staged so no packet crosses two links in one round. Each queue
      is a heap on the policy's key, computed when the packet enters it,
      so selection reads the top and a transmission pops it
-  6. re-routing of packets whose next edge is failed and visibly so, in
+  7. re-routing of packets whose next edge is failed and visibly so, in
      (arrival round, id) order; routes are looked up once per failure state
-  7. queue-size snapshot
+  8. queue total and the packet-conservation check
 
-Feedback (step 2/3) precedes injection so constraints bind the same round
+A phase runs only in rounds where it has work: faults, notifications and
+scripted injections on their scheduled rounds, the countdown when a group
+is due, transmission when a queue holds a packet, re-routing while a
+failure is visible. Steps 2 and 8 run every round. Without a driver the
+whole schedule is known up front, so ``Engine.run`` skips a round with
+empty queues and nothing scheduled: it only ticks the buckets and records
+the (zero) total. The trace records what happened, not the rounds: there
+is no per-round marker event, and per-edge queue lengths are derived from
+the events on demand.
+
+Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
 produce no stalls. Re-routed packets bypass token accounting and receive
 no special scheduling treatment.
@@ -162,21 +173,72 @@ class PacketRecord:
 
 
 class ExecutionTrace:
-    """Full per-round event log of a run, replayable bit for bit."""
+    """Full event log of a run plus the total queued after each round.
+
+    Every event is a tuple ``(kind, round, ...)``, appended in round order.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.horizon = config.horizon
         self.events: list[tuple] = []
         self.q_totals: list[int] = []
-        self.queue_sizes: list[dict[str, int]] = []
         self.packets: dict[int, PacketRecord] = {}
 
     def events_of(self, kind: str):
         return [ev for ev in self.events if ev[0] == kind]
 
+    def _fold_queues(self):
+        """Yield the non-empty queue lengths after each round 1..horizon.
+
+        Folds the inject, transmit and reroute events, tracking the edges
+        each packet has still to cross. The yielded dict is updated in
+        place from one round to the next.
+        """
+        sizes: dict[str, int] = {}
+        ahead: dict[int, tuple[str, ...]] = {}
+
+        def move(pid, edge, rest):
+            left = sizes[edge] - 1
+            if left:
+                sizes[edge] = left
+            else:
+                del sizes[edge]
+            if rest:
+                ahead[pid] = rest
+                sizes[rest[0]] = sizes.get(rest[0], 0) + 1
+            else:
+                del ahead[pid]
+
+        rnd = 1
+        for ev in self.events:
+            if ev[1] > rnd:
+                if ev[1] > self.horizon:
+                    break
+                while rnd < ev[1]:
+                    yield sizes
+                    rnd += 1
+            kind = ev[0]
+            if kind == "transmit":
+                _, _, edge, pid = ev
+                move(pid, edge, ahead[pid][1:])
+            elif kind == "inject":
+                _, _, pid, path, _pri = ev
+                ahead[pid] = path
+                sizes[path[0]] = sizes.get(path[0], 0) + 1
+            elif kind == "reroute":
+                _, _, pid, _old, new_suffix, edge, _fail = ev
+                move(pid, edge, new_suffix)
+        while rnd <= self.horizon:
+            yield sizes
+            rnd += 1
+
+    def queue_sizes(self) -> list[dict[str, int]]:
+        """Per round, the length of every non-empty queue after the round."""
+        return [dict(sizes) for sizes in self._fold_queues()]
+
     def queue_series(self, edge: str) -> list[int]:
-        return [sizes.get(edge, 0) for sizes in self.queue_sizes]
+        return [sizes.get(edge, 0) for sizes in self._fold_queues()]
 
     def digest(self) -> str:
         from .scenario_io import trace_digest
@@ -225,6 +287,9 @@ class Engine:
         self._recoveries_by_round: dict[int, list[RecoveryEvent]] = {}
         for rec in config.recoveries:
             self._recoveries_by_round.setdefault(rec.round, []).append(rec)
+        self._fault_rounds = set(self._failures_by_round) | set(self._recoveries_by_round)
+        self._scheduled_rounds = (self._fault_rounds | set(self._notify_by_round)
+                                  | set(self._injections_by_round))
 
     def _promotions(self):
         """A transient fault lasting tau consecutive rounds becomes permanent.
@@ -283,6 +348,7 @@ class Engine:
             self.failed.add(ev.edge)
             self._routes.clear()
             self._active_failure[ev.edge] = ev.round
+            self._emit("fail", rnd, ev.edge)
 
     def _deliver_notifications(self, rnd: int):
         for edge, fail_round in self._notify_by_round.get(rnd, ()):
@@ -333,11 +399,10 @@ class Engine:
         stalled_edges = self._stalls_by_round.get(rnd, ())
         staged: list[Packet] = []
         for edge in sorted(self.queues):
-            queue = self.queues[edge]
-            if not queue or edge in self.failed:
+            if edge in self.failed:
                 continue
+            queue = self.queues[edge]
             pkt = queue[0][1]
-            self._emit("select", rnd, edge, pkt.id)
             if edge in stalled_edges:
                 group, inline = self.buckets.register_stall(
                     edge, pkt.path[pkt.idx:], pkt.id,
@@ -399,42 +464,64 @@ class Engine:
                     self._enqueue(pkt)
             del self.queues[edge]
 
-    def _snapshot(self, rnd: int):
-        sizes = {e: len(q) for e, q in self.queues.items() if q}
-        total = sum(sizes.values())
-        self.trace.queue_sizes.append(sizes)
+    def _end_round(self, rnd: int):
+        total = sum(map(len, self.queues.values()))
         self.trace.q_totals.append(total)
         if self._injected != self._absorbed + total:
             raise ModelViolation(
                 f"round {rnd}: packet conservation broken "
                 f"({self._injected} injected, {self._absorbed} absorbed, {total} queued)")
 
-    def step(self, rnd: int):
-        """Run one round; returns the events it appended to the trace."""
-        start = len(self.trace.events)
-        self._apply_faults(rnd)
-        self.buckets.tick()
-        self._emit("tick", rnd)
+    def _annihilate_due(self, rnd: int):
         for how, group in self.buckets.tick_antitokens():
             self._emit("annihilate", rnd, group.gid, how)
-        self._deliver_notifications(rnd)
-        self._inject(rnd)
-        self._transmit(rnd)
-        self._reroute_blocked(rnd)
-        self._snapshot(rnd)
+
+    def step(self, rnd: int):
+        """Run one round; returns the events it appended to the trace.
+
+        Rounds must be stepped in order from 1; the queues stay non-empty
+        heaps between rounds, so an empty dict means nothing is queued.
+        """
+        start = len(self.trace.events)
+        if rnd in self._fault_rounds:
+            self._apply_faults(rnd)
+        self.buckets.tick()
+        if self.buckets.is_due(rnd):
+            self._annihilate_due(rnd)
+        if rnd in self._notify_by_round:
+            self._deliver_notifications(rnd)
+        if self.driver is not None or rnd in self._injections_by_round:
+            self._inject(rnd)
+        if self.queues:
+            self._transmit(rnd)
+        if self.visible_failed:
+            self._reroute_blocked(rnd)
+        self._end_round(rnd)
         return self.trace.events[start:]
 
+    def _idle(self, rnd: int) -> bool:
+        """Whether a round without a driver would change only the bucket clock."""
+        return not (self.queues or rnd in self._scheduled_rounds
+                    or self.buckets.is_due(rnd))
+
     def run(self) -> ExecutionTrace:
+        skip_idle = self.driver is None
         for rnd in range(1, self.config.horizon + 1):
-            self.step(rnd)
-        # Drain phase: groups created near the horizon still annihilate so
-        # every stall's feedback round is on record.
+            if skip_idle and self._idle(rnd):
+                self.buckets.tick()
+                self._end_round(rnd)
+            else:
+                self.step(rnd)
+        self._drain()
+        return self.trace
+
+    def _drain(self):
+        """Tick past the horizon so every stall's feedback round is on record."""
         for rnd in range(self.config.horizon + 1,
                          self.config.horizon + self.config.adversary.delay + 1):
             self.buckets.tick()
-            for how, group in self.buckets.tick_antitokens():
-                self._emit("annihilate", rnd, group.gid, how)
-        return self.trace
+            if self.buckets.is_due(rnd):
+                self._annihilate_due(rnd)
 
 
 def run(config: ScenarioConfig, driver=None) -> ExecutionTrace:

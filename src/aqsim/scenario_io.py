@@ -5,10 +5,19 @@ scenario file is an experiment record and a typo that parses silently
 corrupts results. Rationals travel as "num/den" strings and never pass
 through floating point.
 
-A trace file is line-delimited JSON: one header record binding the trace
-to the scenario (content hash plus the embedded scenario itself), one
-record per event, then the per-round queue statistics. The file carries
-everything needed to reproduce the run.
+A trace file (version 2) is line-delimited JSON: one header record
+binding the trace to the scenario (content hash plus the embedded
+scenario itself), one record per event, then the total queued after each
+round. The events are those the checkers and the packet audit read:
+inject, transmit, stall, group, annihilate, absorb, reroute, fail,
+fail_notify and recover. Per-edge queue lengths are not stored; they are
+a function of the events (``ExecutionTrace.queue_sizes``). The file
+carries everything needed to reproduce the run.
+
+Loading checks the file against itself: the running count of injections
+minus absorptions must equal the stored total after every round, so an
+edited total or a dropped event is refused with the first round where
+they disagree. Version 1 files are refused as an unsupported format.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -217,20 +226,17 @@ def _event_lines(trace: ExecutionTrace):
     for ev in trace.events:
         yield json.dumps({"event": ev}, separators=(",", ":"), default=list)
     yield json.dumps({"q_totals": trace.q_totals}, separators=(",", ":"))
-    yield json.dumps({"queue_sizes": trace.queue_sizes},
-                     separators=(",", ":"), sort_keys=True)
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
-    """Hash of the dynamic record: events plus per-round queue statistics.
+    """Hash of the dynamic record: events plus per-round queue totals.
 
-    Canonical over semantically equal traces (queue snapshots are hashed
-    in sorted key order), so a saved and reloaded trace keeps its digest.
+    Per-edge queue lengths are a function of the events, so the digest
+    covers them too. A saved and reloaded trace keeps its digest.
     """
     h = hashlib.sha256()
     h.update(repr(trace.events).encode())
     h.update(repr(trace.q_totals).encode())
-    h.update(repr([sorted(d.items()) for d in trace.queue_sizes]).encode())
     return h.hexdigest()
 
 
@@ -270,21 +276,50 @@ def load_trace(path) -> ExecutionTrace:
         if header["scenario_hash"] != scenario_hash(config):
             raise ParseError("trace header hash does not match its scenario")
         trace = ExecutionTrace(config)
+        net: dict[int, int] = {}  # round -> injections minus absorptions
+        q_totals = None
+        last_round = 0
         for lineno, line in enumerate(fh, 2):
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: {exc.msg}") from None
             if "event" in doc:
-                trace.events.append(_tuplify(doc["event"]))
+                ev = _tuplify(doc["event"])
+                if ev[1] < last_round:
+                    raise ParseError(
+                        f"line {lineno}: event of round {ev[1]} after round {last_round}")
+                last_round = ev[1]
+                trace.events.append(ev)
+                if ev[0] == "inject":
+                    net[ev[1]] = net.get(ev[1], 0) + 1
+                elif ev[0] == "absorb":
+                    net[ev[1]] = net.get(ev[1], 0) - 1
             elif "q_totals" in doc:
-                trace.q_totals = doc["q_totals"]
-            elif "queue_sizes" in doc:
-                trace.queue_sizes = doc["queue_sizes"]
+                q_totals = doc["q_totals"]
             else:
                 raise ParseError(f"line {lineno}: unknown record")
+    _check_totals(net, q_totals, config.horizon)
+    trace.q_totals = q_totals
     _rebuild_packet_records(trace)
     return trace
+
+
+def _check_totals(net: dict[int, int], q_totals, horizon: int):
+    """The stored totals must be the running sum of the per-round net counts."""
+    if q_totals is None:
+        raise ParseError("trace has no q_totals record")
+    if len(q_totals) != horizon:
+        raise ParseError(f"q_totals has {len(q_totals)} rounds, the horizon is {horizon}")
+    if any(not 1 <= rnd <= horizon for rnd in net):
+        raise ParseError(f"trace injects or absorbs packets outside rounds 1..{horizon}")
+    queued = 0
+    for rnd, stored in enumerate(q_totals, 1):
+        queued += net.get(rnd, 0)
+        if stored != queued:
+            raise ParseError(
+                f"q_totals disagrees with the events from round {rnd}: "
+                f"{stored} stored, {queued} injected and not absorbed")
 
 
 def _rebuild_packet_records(trace: ExecutionTrace):
@@ -310,7 +345,7 @@ def write_metrics_csv(trace: ExecutionTrace, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("round,edge,queue_len,q_total\n")
         for rnd, (sizes, total) in enumerate(
-                zip(trace.queue_sizes, trace.q_totals), 1):
+                zip(trace.queue_sizes(), trace.q_totals), 1):
             if not sizes:
                 fh.write(f"{rnd},,0,{total}\n")
                 continue

@@ -6,7 +6,7 @@ from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
                             strongly_connected)
-from aqsim.buckets import AdversaryType
+from aqsim.buckets import AdversaryType, BucketSystem
 from aqsim.engine import (ExecutionTrace, FailureEvent, Injection,
                           ScenarioConfig, run)
 from aqsim.errors import ScenarioError
@@ -199,3 +199,26 @@ def test_greedy_driver_is_deterministic():
     a = Engine(cfg, driver=GreedyDriver(99)).run()
     b = Engine(cfg, driver=GreedyDriver(99)).run()
     assert a.events == b.events
+
+
+def test_greedy_driver_whole_tokens_keep_the_truncating_scripts(monkeypatch):
+    # Criterion-6 base seeds 9001..9009: the co-run scripts from floored
+    # whole tokens equal those from int() of the exact level.
+    def sweep():
+        scripts = []
+        for base in range(9001, 9010):
+            i = base - 9001
+            for policy in ("FTG", "NFS", "SIS"):
+                cfg = gen_random_scenario(
+                    base, rate=(HALF, Fraction(3, 4), Fraction(9, 10))[i % 3],
+                    burst=(1, 2, 4)[i % 3], delay=(1, 2, 4)[i % 3], tau=(i % 2) + 1,
+                    policy=policy, horizon=10_000, stall_density=0.02,
+                    inject_prob=0.25)
+                scripts.append(cfg.injections)
+        return scripts
+
+    floored = sweep()
+    monkeypatch.setattr(BucketSystem, "whole_tokens",
+                        lambda self, edge: int(self.level(edge)))
+    assert sweep() == floored
+    assert sum(map(len, floored)) > 27 * 1000

@@ -289,3 +289,16 @@ def test_group_atomicity(plan):
         # All-or-nothing: a group is either fully alive or fully dead,
         # and dead groups have their annihilation round on record.
         assert group.alive == (group.annihilated_at is None)
+
+
+def test_whole_tokens_floor_the_level():
+    sys = BucketSystem(AdversaryType(HALF, 2, 2), ["e1"])
+    sys.tick()
+    sys.tick()
+    sys.tick()
+    assert sys.level("e1") == Fraction(3, 2) and sys.whole_tokens("e1") == 1
+    for pid in range(4):  # each zero-delay group annihilates 1/2 at once
+        sys.register_stall("e1", ("e1",), pid, 0)
+    # Below zero, flooring and truncation part: -1/2 floors to -1.
+    assert sys.level("e1") == -HALF
+    assert sys.whole_tokens("e1") == -1 and int(sys.level("e1")) == 0

@@ -61,9 +61,18 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
     lines = trace.read_text().splitlines()
     cfg = load_scenario(scenario)
     edge = sorted(cfg.network.edges)[0]
-    flood = [json.dumps({"event": ["inject", 5, 900 + i, [edge], 0]})
-             for i in range(cfg.adversary.burst + 2)]
-    trace.write_text("\n".join(lines[:1] + flood + lines[1:]) + "\n")
+    pids = range(900, 900 + cfg.adversary.burst + 2)
+    flood = [json.dumps({"event": ["inject", 5, pid, [edge], 0]}) for pid in pids]
+    at = next(i for i, line in enumerate(lines) if line.startswith('{"event"')
+              and json.loads(line)["event"][1] > 5)
+    trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
+    # The extra packets are never absorbed, so the stored totals give it away.
+    assert main(["check", str(trace), "--mode", "admissibility"]) == 2
+    # Sent and absorbed in the round they enter, they keep the totals
+    # consistent and only the admissibility check can refuse them.
+    flood += [json.dumps({"event": [kind, 5, *args]}) for pid in pids
+              for kind, *args in (("transmit", edge, pid), ("absorb", pid))]
+    trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
     assert main(["check", str(trace), "--mode", "admissibility"]) == 1
 
 

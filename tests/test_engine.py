@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,7 @@ from aqsim.analysis import gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, RecoveryEvent,
                           ScenarioConfig, run, validate_recovery)
-from aqsim.errors import ScenarioError
+from aqsim.errors import ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 
@@ -316,7 +320,6 @@ def test_heap_selection_matches_select_packet(cfg):
     def checked_transmit(rnd):
         # The oracle sees the queues exactly as the transmit phase does.
         nonlocal choices
-        expected.clear()
         for edge in engine.queues:
             if edge not in engine.failed:
                 waiting = engine.waiting(edge)
@@ -327,8 +330,12 @@ def test_heap_selection_matches_select_packet(cfg):
     engine._transmit = checked_transmit
     reroutes = 0
     for rnd in range(1, cfg.horizon + 1):
+        # The transmit phase runs only when a packet is queued.
+        expected.clear()
         events = engine.step(rnd)
-        assert {ev[2]: ev[3] for ev in events if ev[0] == "select"} == expected
+        # Each selected packet is named by the round's transmit or stall.
+        assert {ev[2]: ev[3] for ev in events
+                if ev[0] in ("transmit", "stall")} == expected
         reroutes += sum(ev[0] == "reroute" for ev in events)
     assert reroutes > 0 and choices >= 50
 
@@ -369,6 +376,17 @@ def test_promote_after_tau_turns_stall_runs_permanent():
     # notified one round later, and the waiting packet reroutes.
     assert trace.events_of("fail_notify") == [("fail_notify", 5, "bz", 4)]
     assert [ev[1] for ev in trace.events_of("reroute")] == [5]
+
+
+def test_fail_event_marks_the_failure_round():
+    scripted = run(detour_cfg(failures=(FailureEvent("bz", 3, notify_delay=2),)))
+    assert scripted.events_of("fail") == [("fail", 3, "bz")]
+    assert scripted.events_of("fail_notify") == [("fail_notify", 5, "bz", 3)]
+    # Stalls in rounds 2..3 reach tau = 2, so bz fails from round 4 on.
+    promoted = run(detour_cfg(failures=(), stalls={"bz": {2, 3}}, tau=2,
+                              tau_prime=1, promote_after_tau=True))
+    assert promoted.events_of("fail") == [("fail", 4, "bz")]
+    assert promoted.events_of("fail_notify") == [("fail_notify", 5, "bz", 4)]
 
 
 def test_rerouted_packets_get_no_scheduling_favor():
@@ -417,3 +435,93 @@ def test_recovery_validator_accepts_drained_and_rejects_early():
 
 def test_recovery_validator_passes_without_recoveries():
     assert validate_recovery(run(detour_cfg())).ok
+
+
+@pytest.mark.parametrize("cfg", cross_check_configs(),
+                         ids=lambda cfg: f"{cfg.policy}-{len(cfg.network.nodes)}n")
+def test_derived_queue_sizes_match_the_engine_queues(cfg):
+    engine = Engine(cfg)
+    observed = []
+    for rnd in range(1, cfg.horizon + 1):
+        engine.step(rnd)
+        observed.append({edge: len(q) for edge, q in engine.queues.items()})
+    trace = engine.trace
+    assert trace.queue_sizes() == observed
+    for edge in cfg.network.edges:
+        assert trace.queue_series(edge) == [sizes.get(edge, 0) for sizes in observed]
+    assert trace.events_of("reroute") and max(trace.q_totals) > 1
+
+
+def idle_configs():
+    yield rerouting_gadget(branches=3, cycles=20).config
+    for seed, failures in ((5, 0), (6, 2)):
+        yield gen_random_scenario(
+            seed, rate=Fraction(1, 2), burst=2, delay=4, tau=2, policy="NFS",
+            horizon=600, nodes=(4, 6), inject_prob=0.2, failures=failures)
+
+
+def count_steps(engine):
+    """Make ``engine.step`` record each round it is called for."""
+    steps = []
+    step = engine.step
+    engine.step = lambda rnd: steps.append(rnd) or step(rnd)
+    return steps
+
+
+@pytest.mark.parametrize("cfg", idle_configs(),
+                         ids=lambda cfg: f"{len(cfg.network.nodes)}n-{len(cfg.failures)}f")
+def test_skipping_idle_rounds_matches_stepping_every_round(cfg):
+    stepped = Engine(cfg)
+    for rnd in range(1, cfg.horizon + 1):
+        stepped.step(rnd)
+    stepped._drain()
+
+    skipping = Engine(cfg)
+    steps = count_steps(skipping)
+    trace = skipping.run()
+    assert len(steps) < cfg.horizon  # some rounds were skipped
+    assert trace.events == stepped.trace.events
+    assert trace.q_totals == stepped.trace.q_totals
+    assert trace.digest() == stepped.trace.digest()
+
+
+def corrupted_counter_runs():
+    """Runs with a corrupted absorb counter whose round 1 is stepped, then skipped.
+
+    Returns (error message, rounds stepped) per run; no assert, so the
+    result means the same under ``python -O``.
+    """
+    results = []
+    for first_injection in (1, 3):
+        engine = Engine(two_node(injections=(Injection(first_injection, ("ab",)),)))
+        engine._absorbed = 1
+        steps = count_steps(engine)
+        try:
+            engine.run()
+            message = None
+        except ModelViolation as exc:
+            message = str(exc)
+        results.append((message, steps))
+    return results
+
+
+CORRUPTED_COUNTER_VERDICTS = [
+    ("round 1: packet conservation broken (1 injected, 2 absorbed, 0 queued)", [1]),
+    ("round 1: packet conservation broken (0 injected, 1 absorbed, 0 queued)", []),
+]
+
+
+def test_conservation_check_covers_stepped_and_skipped_rounds():
+    assert corrupted_counter_runs() == CORRUPTED_COUNTER_VERDICTS
+
+
+def test_conservation_check_holds_under_optimized_python():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    script = ("import test_engine\n"
+              "assert False, 'asserts are still on'\n"
+              "print(repr(test_engine.corrupted_counter_runs()))\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr(CORRUPTED_COUNTER_VERDICTS)

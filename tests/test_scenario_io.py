@@ -125,7 +125,7 @@ def test_trace_round_trip(tmp_path):
     loaded = load_trace(path)
     assert loaded.events == trace.events
     assert loaded.q_totals == trace.q_totals
-    assert loaded.queue_sizes == trace.queue_sizes
+    assert loaded.queue_sizes() == trace.queue_sizes()
     assert trace_digest(loaded) == trace_digest(trace)
     assert scenario_hash(loaded.config) == scenario_hash(trace.config)
     for pid, rec in trace.packets.items():
@@ -173,3 +173,56 @@ def test_metrics_csv(tmp_path):
     assert len(lines) >= trace.horizon + 1
     # Round 2 held the stalled packet at bc.
     assert "2,bc,1,1" in lines
+
+
+def saved_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    save_trace(run_small(), path)
+    return path, path.read_text().splitlines()
+
+
+def test_edited_queue_total_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    assert json.loads(lines[-1])["q_totals"] == [1, 1, 1, 0, 0, 0]
+    lines[-1] = json.dumps({"q_totals": [1, 1, 1, 0, 1, 0]})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="from round 5: 1 stored, 0 injected"):
+        load_trace(path)
+    lines[-1] = json.dumps({"q_totals": [1, 1, 1, 0, 0]})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="q_totals has 5 rounds, the horizon is 6"):
+        load_trace(path)
+
+
+def test_deleted_absorb_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    absorbs = [i for i, line in enumerate(lines) if '"absorb"' in line]
+    assert json.loads(lines[absorbs[0]])["event"] == ["absorb", 3, 0]
+    del lines[absorbs[0]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="from round 3: 1 stored, 2 injected"):
+        load_trace(path)
+
+
+def test_events_out_of_round_order_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[1], lines[-2] = lines[-2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="event of round 1 after round 4"):
+        load_trace(path)
+
+
+def test_version_1_trace_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 1
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v1"):
+        load_trace(path)
+
+
+def test_trace_file_holds_no_per_round_markers_or_sizes(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    kinds = {json.loads(line)["event"][0] for line in lines[1:-1]}
+    assert kinds == {"inject", "transmit", "stall", "group", "annihilate", "absorb"}
+    assert list(json.loads(lines[-1])) == ["q_totals"]
