@@ -17,15 +17,13 @@ contract and tests depend on it:
      (arrival round, id) order; routes are looked up once per failure state
   8. queue total and the packet-conservation check
 
-A phase runs only in rounds where it has work: faults, notifications and
-scripted injections on their scheduled rounds, the countdown when a group
-is due, transmission when a queue holds a packet, re-routing while a
-failure is visible. Steps 2 and 8 run every round. Without a driver the
-whole schedule is known up front, so ``Engine.run`` skips a round with
-empty queues and nothing scheduled: it only ticks the buckets and records
-the (zero) total. The trace records what happened, not the rounds: there
-is no per-round marker event, and per-edge queue lengths are derived from
-the events on demand.
+A phase runs only in rounds where it has work: faults and notifications
+on their scheduled rounds, the countdown when a group is due, injection
+with a driver or scripted injections, transmission when a queue holds a
+packet, re-routing while a failure is visible. Steps 2 and 8 run every
+round. The trace records what happened, not the rounds: there is no
+per-round marker event, and per-edge queue lengths are derived from the
+events on demand.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
@@ -288,8 +286,6 @@ class Engine:
         for rec in config.recoveries:
             self._recoveries_by_round.setdefault(rec.round, []).append(rec)
         self._fault_rounds = set(self._failures_by_round) | set(self._recoveries_by_round)
-        self._scheduled_rounds = (self._fault_rounds | set(self._notify_by_round)
-                                  | set(self._injections_by_round))
 
     def _promotions(self):
         """A transient fault lasting tau consecutive rounds becomes permanent.
@@ -472,10 +468,6 @@ class Engine:
                 f"round {rnd}: packet conservation broken "
                 f"({self._injected} injected, {self._absorbed} absorbed, {total} queued)")
 
-    def _annihilate_due(self, rnd: int):
-        for how, group in self.buckets.tick_antitokens():
-            self._emit("annihilate", rnd, group.gid, how)
-
     def step(self, rnd: int):
         """Run one round; returns the events it appended to the trace.
 
@@ -487,7 +479,8 @@ class Engine:
             self._apply_faults(rnd)
         self.buckets.tick()
         if self.buckets.is_due(rnd):
-            self._annihilate_due(rnd)
+            for how, group in self.buckets.tick_antitokens():
+                self._emit("annihilate", rnd, group.gid, how)
         if rnd in self._notify_by_round:
             self._deliver_notifications(rnd)
         if self.driver is not None or rnd in self._injections_by_round:
@@ -499,29 +492,17 @@ class Engine:
         self._end_round(rnd)
         return self.trace.events[start:]
 
-    def _idle(self, rnd: int) -> bool:
-        """Whether a round without a driver would change only the bucket clock."""
-        return not (self.queues or rnd in self._scheduled_rounds
-                    or self.buckets.is_due(rnd))
-
     def run(self) -> ExecutionTrace:
-        skip_idle = self.driver is None
         for rnd in range(1, self.config.horizon + 1):
-            if skip_idle and self._idle(rnd):
-                self.buckets.tick()
-                self._end_round(rnd)
-            else:
-                self.step(rnd)
-        self._drain()
-        return self.trace
-
-    def _drain(self):
-        """Tick past the horizon so every stall's feedback round is on record."""
+            self.step(rnd)
+        # Drain phase: groups created near the horizon still annihilate so
+        # every stall's feedback round is on record.
         for rnd in range(self.config.horizon + 1,
                          self.config.horizon + self.config.adversary.delay + 1):
             self.buckets.tick()
-            if self.buckets.is_due(rnd):
-                self._annihilate_due(rnd)
+            for how, group in self.buckets.tick_antitokens():
+                self._emit("annihilate", rnd, group.gid, how)
+        return self.trace
 
 
 def run(config: ScenarioConfig, driver=None) -> ExecutionTrace:

@@ -14,10 +14,14 @@ fail_notify and recover. Per-edge queue lengths are not stored; they are
 a function of the events (``ExecutionTrace.queue_sizes``). The file
 carries everything needed to reproduce the run.
 
-Loading checks the file against itself: the running count of injections
-minus absorptions must equal the stored total after every round, so an
-edited total or a dropped event is refused with the first round where
-they disagree. Version 1 files are refused as an unsupported format.
+Loading checks the file against itself. Every event must be well formed
+and in round order, and must move a packet that is queued where the event
+says: no second inject of one packet, no transmit, stall, reroute or
+absorb of a packet that was never injected or is already absorbed. The
+running count of injections minus absorptions must equal the stored total
+after every round, so an edited total or a dropped event is refused with
+the first round where they disagree. Version 1 files are refused as an
+unsupported format.
 """
 
 from __future__ import annotations
@@ -277,19 +281,23 @@ def load_trace(path) -> ExecutionTrace:
             raise ParseError("trace header hash does not match its scenario")
         trace = ExecutionTrace(config)
         net: dict[int, int] = {}  # round -> injections minus absorptions
+        ahead: dict[int, tuple | None] = {}  # packet -> edges left; None once absorbed
+        edges = set(config.network.edges)
         q_totals = None
-        last_round = 0
+        last_round = 1
         for lineno, line in enumerate(fh, 2):
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: {exc.msg}") from None
+            if not isinstance(doc, dict):
+                raise ParseError(f"line {lineno}: unknown record")
             if "event" in doc:
                 ev = _tuplify(doc["event"])
-                if ev[1] < last_round:
-                    raise ParseError(
-                        f"line {lineno}: event of round {ev[1]} after round {last_round}")
-                last_round = ev[1]
+                try:
+                    last_round = _check_event(ev, last_round, ahead, edges)
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
                 trace.events.append(ev)
                 if ev[0] == "inject":
                     net[ev[1]] = net.get(ev[1], 0) + 1
@@ -305,10 +313,75 @@ def load_trace(path) -> ExecutionTrace:
     return trace
 
 
+# The number of fields of each kind of event, kind and round included.
+_EVENT_FIELDS = {"inject": 5, "transmit": 4, "stall": 5, "group": 6,
+                 "annihilate": 4, "absorb": 3, "reroute": 7, "fail": 3,
+                 "fail_notify": 4, "recover": 3}
+
+
+def _is_path(value, edges) -> bool:
+    return isinstance(value, tuple) and all(
+        isinstance(e, str) and e in edges for e in value)
+
+
+def _check_event(ev, last_round: int, ahead: dict, edges) -> int:
+    """Refuse a malformed event, or one that moves a packet not queued there.
+
+    ``ahead`` maps each injected packet to the edges it has still to cross
+    (``None`` once absorbed) and is updated. Returns the event's round.
+    """
+    if not (isinstance(ev, tuple) and len(ev) >= 2 and isinstance(ev[0], str)
+            and type(ev[1]) is int):
+        raise ParseError("an event is a list [kind, round, ...]")
+    kind, rnd = ev[0], ev[1]
+    if _EVENT_FIELDS.get(kind) != len(ev):
+        raise ParseError(f"malformed {kind!r} event")
+    if rnd < 1:
+        raise ParseError(f"event of round {rnd}; rounds start at 1")
+    if rnd < last_round:
+        raise ParseError(f"event of round {rnd} after round {last_round}")
+    if kind in ("inject", "absorb", "reroute"):
+        pid = ev[2]
+    elif kind in ("transmit", "stall"):
+        pid = ev[3]
+    else:
+        return rnd
+    if type(pid) is not int:
+        raise ParseError(f"{kind} event with packet id {pid!r}")
+    if kind == "inject":
+        if pid in ahead:
+            raise ParseError(f"packet {pid} is injected twice")
+        if not (ev[3] and _is_path(ev[3], edges)):
+            raise ParseError(f"packet {pid} is injected on a path not in the network")
+        ahead[pid] = ev[3]
+        return rnd
+    rest = ahead.get(pid)
+    if rest is None:
+        state = "already absorbed" if pid in ahead else "never injected"
+        raise ParseError(f"{kind} of packet {pid}, which is {state}")
+    if kind == "absorb":
+        if rest:
+            raise ParseError(f"absorb of packet {pid} with {list(rest)} still to cross")
+        ahead[pid] = None
+        return rnd
+    edge = ev[5] if kind == "reroute" else ev[2]
+    if not rest or rest[0] != edge:
+        raise ParseError(f"{kind} of packet {pid} at {edge!r}, where it is not queued")
+    if kind == "transmit":
+        ahead[pid] = rest[1:]
+    elif kind == "reroute":
+        if ev[3] != rest or not _is_path(ev[4], edges):
+            raise ParseError(f"reroute of packet {pid} does not match its path")
+        ahead[pid] = ev[4]
+    return rnd
+
+
 def _check_totals(net: dict[int, int], q_totals, horizon: int):
     """The stored totals must be the running sum of the per-round net counts."""
     if q_totals is None:
         raise ParseError("trace has no q_totals record")
+    if not (isinstance(q_totals, list) and all(type(q) is int for q in q_totals)):
+        raise ParseError("q_totals is not a list of integers")
     if len(q_totals) != horizon:
         raise ParseError(f"q_totals has {len(q_totals)} rounds, the horizon is {horizon}")
     if any(not 1 <= rnd <= horizon for rnd in net):

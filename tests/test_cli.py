@@ -76,6 +76,21 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
     assert main(["check", str(trace), "--mode", "admissibility"]) == 1
 
 
+def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
+    scenario = gen(tmp_path)
+    out_dir = tmp_path / "out"
+    main(["run", str(scenario), "--out", str(out_dir)])
+    trace = out_dir / "scenario.trace.jsonl"
+    lines = trace.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith('{"event":["absorb"'))
+    rnd = json.loads(lines[at])["event"][1]
+    lines[at] = json.dumps({"event": ["absorb", rnd, 123456]})
+    trace.write_text("\n".join(lines) + "\n")
+    for mode in CHECK_MODES:
+        assert main(["check", str(trace), "--mode", mode]) == 2
+    assert main(["reduce", str(trace)]) == 2
+
+
 def test_gadget_gen_writes_expected_topology(tmp_path):
     out = tmp_path / "gadget.json"
     rc = main(["gen", "rerouting-gadget", "--branches", "3", "--cycles", "2",

@@ -150,6 +150,15 @@ def test_trace_rebuilds_rerouted_paths(tmp_path):
     loaded = load_trace(path)
     assert loaded.packets[0].final_path == ("ab", "bc", "cz")
     assert loaded.packets[0].rerouted
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"reroute"' in line)
+    ev = json.loads(lines[at])["event"]
+    assert ev[3] == ["bz"]
+    ev[3] = ["ab", "bz"]
+    lines[at] = json.dumps({"event": ev})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="reroute of packet 0 does not match its path"):
+        load_trace(path)
 
 
 def test_tampered_header_detected(tmp_path):
@@ -206,9 +215,60 @@ def test_deleted_absorb_refused(tmp_path):
 
 def test_events_out_of_round_order_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
-    lines[1], lines[-2] = lines[-2], lines[1]
+    assert json.loads(lines[8])["event"] == ["annihilate", 4, 0, "forced"]
+    lines[4], lines[8] = lines[8], lines[4]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="event of round 1 after round 4"):
+    with pytest.raises(ParseError, match="line 6: event of round 3 after round 4"):
+        load_trace(path)
+
+
+# Edits of the saved run_small trace: (index into its lines, replacement
+# event, message). Its events are, from index 1: inject 0 on ab-bc, transmit
+# 0 on ab, stall and group on bc, inject 1 on bc, transmit and absorb 0,
+# annihilate, transmit and absorb 1.
+INCONSISTENT_EDITS = [
+    pytest.param(5, ["inject", 3, 0, ["bc"], 0], "packet 0 is injected twice",
+                 id="duplicate-inject"),
+    pytest.param(5, ["inject", 3, 1, ["zz"], 0],
+                 "packet 1 is injected on a path not in the network", id="unknown-edge"),
+    pytest.param(7, ["absorb", 3, 123456], "absorb of packet 123456, which is never injected",
+                 id="unknown-absorb"),
+    pytest.param(9, ["transmit", 4, "bc", 0],
+                 "transmit of packet 0, which is already absorbed", id="absorbed-transmit"),
+    pytest.param(2, ["transmit", 1, "bc", 0],
+                 "transmit of packet 0 at 'bc', where it is not queued", id="wrong-edge"),
+    pytest.param(3, ["stall", 2, "ab", 0, 0],
+                 "stall of packet 0 at 'ab', where it is not queued", id="wrong-stall"),
+    pytest.param(7, ["absorb", 3, 1], r"absorb of packet 1 with \['bc'\] still to cross",
+                 id="early-absorb"),
+    pytest.param(2, ["transmit"], r"an event is a list \[kind, round, ...\]",
+                 id="no-round"),
+    pytest.param(2, ["transmit", "1", "ab", 0], "an event is a list", id="text-round"),
+    pytest.param(2, ["transmit", 1, "ab", "0"], "transmit event with packet id '0'",
+                 id="text-packet"),
+    pytest.param(2, ["transmit", 1, "ab"], "malformed 'transmit' event", id="short"),
+    pytest.param(2, ["tick", 1], "malformed 'tick' event", id="v1-kind"),
+    pytest.param(2, ["transmit", 0, "ab", 0], "event of round 0; rounds start at 1",
+                 id="round-0"),
+]
+
+
+@pytest.mark.parametrize("index, event, message", INCONSISTENT_EDITS)
+def test_inconsistent_event_refused(tmp_path, index, event, message):
+    path, lines = saved_lines(tmp_path)
+    lines[index] = json.dumps({"event": event})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {index + 1}: {message}"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("record", ['{"q_totals": 3}', '{"q_totals": [1, 1, 1, 0, 0, "0"]}',
+                                    '[1, 1, 1, 0, 0, 0]'])
+def test_malformed_record_refused(tmp_path, record):
+    path, lines = saved_lines(tmp_path)
+    lines[-1] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="q_totals is not a list of integers|unknown record"):
         load_trace(path)
 
 
