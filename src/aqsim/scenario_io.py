@@ -5,10 +5,11 @@ scenario file is an experiment record and a typo that parses silently
 corrupts results. Rationals travel as "num/den" strings and never pass
 through floating point.
 
-A trace file (version 2) is line-delimited JSON: one header record
+A trace file (version 3) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
 scenario itself), one record per event, then the total queued after each
-round. The events are those the checkers and the packet audit read:
+round. The hash is taken over the compact, key-sorted JSON of the
+scenario. The events are those the checkers and the packet audit read:
 inject, transmit, stall, group, annihilate, absorb, reroute, fail,
 fail_notify and recover. Per-edge queue lengths are not stored; they are
 a function of the events (``ExecutionTrace.queue_sizes``). The file
@@ -20,8 +21,8 @@ says: no second inject of one packet, no transmit, stall, reroute or
 absorb of a packet that was never injected or is already absorbed. The
 running count of injections minus absorptions must equal the stored total
 after every round, so an edited total or a dropped event is refused with
-the first round where they disagree. Version 1 files are refused as an
-unsupported format.
+the first round where they disagree. Files of versions 1 and 2 are
+refused as an unsupported format.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 class ParseError(ValueError):
@@ -58,10 +59,15 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-def _require(mapping, where, required, optional=()):
+def _keys(required, optional=()):
+    """An object schema: its required keys, and every key it allows."""
+    return required, frozenset(required) | frozenset(optional)
+
+
+def _require(mapping, where, keys):
+    required, allowed = keys
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected an object")
-    allowed = set(required) | set(optional)
     for key in mapping:
         if key not in allowed:
             raise ParseError(f"{where}: unknown key {key!r}")
@@ -69,6 +75,22 @@ def _require(mapping, where, required, optional=()):
         if key not in mapping:
             raise ParseError(f"{where}: missing key {key!r}")
     return mapping
+
+
+_SCENARIO_KEYS = _keys(("network", "adversary", "policy", "schedules", "run"))
+_NETWORK_KEYS = _keys(("nodes", "edges"))
+_EDGE_KEYS = _keys(("id", "tail", "head"), ("slowness",))
+_ADVERSARY_KEYS = _keys(("r", "b", "delta", "tau", "tau_prime"))
+_POLICY_KEYS = _keys(("name",), ("priorities",))
+_SCHEDULES_KEYS = _keys((), ("injections", "stalls", "annihilations", "failures",
+                             "recoveries"))
+_INJECTION_KEYS = _keys(("round", "path"), ("priority", "id"))
+_STALL_KEYS = _keys(("edge", "rounds"))
+_ANNIHILATION_KEYS = _keys(("edge", "round", "delay"))
+_FAILURE_KEYS = _keys(("edge", "round"), ("notify_delay",))
+_RECOVERY_KEYS = _keys(("edge", "round"))
+_RUN_KEYS = _keys(("horizon",), ("seed", "promote_after_tau", "enforce_buckets"))
+_HEADER_KEYS = _keys(("format", "version", "scenario_hash", "scenario"))
 
 
 # -- scenario <-> dict ---------------------------------------------------------
@@ -131,53 +153,49 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    _require(doc, "scenario", ("network", "adversary", "policy", "schedules", "run"))
-    net_doc = _require(doc["network"], "network", ("nodes", "edges"))
+    _require(doc, "scenario", _SCENARIO_KEYS)
+    net_doc = _require(doc["network"], "network", _NETWORK_KEYS)
     edges = []
     for i, entry in enumerate(net_doc["edges"]):
-        _require(entry, f"network.edges[{i}]", ("id", "tail", "head"), ("slowness",))
+        _require(entry, f"network.edges[{i}]", _EDGE_KEYS)
         edges.append(Edge(entry["id"], entry["tail"], entry["head"],
                           entry.get("slowness", 1)))
     network = Network(net_doc["nodes"], edges)
 
-    adv_doc = _require(doc["adversary"], "adversary",
-                       ("r", "b", "delta", "tau", "tau_prime"))
+    adv_doc = _require(doc["adversary"], "adversary", _ADVERSARY_KEYS)
     adversary = AdversaryType(parse_rational(adv_doc["r"]), adv_doc["b"],
                               adv_doc["delta"])
 
-    pol_doc = _require(doc["policy"], "policy", ("name",), ("priorities",))
+    pol_doc = _require(doc["policy"], "policy", _POLICY_KEYS)
     if pol_doc["name"] not in POLICY_NAMES:
         raise ParseError(f"policy: unknown name {pol_doc['name']!r}")
     policy = parse_policy(pol_doc["name"], pol_doc.get("priorities"))
 
-    sched = _require(doc["schedules"], "schedules",
-                     (), ("injections", "stalls", "annihilations", "failures",
-                          "recoveries"))
+    sched = _require(doc["schedules"], "schedules", _SCHEDULES_KEYS)
     injections = []
     for i, entry in enumerate(sched.get("injections", ())):
-        _require(entry, f"injections[{i}]", ("round", "path"), ("priority", "id"))
+        _require(entry, f"injections[{i}]", _INJECTION_KEYS)
         injections.append(Injection(entry["round"], tuple(entry["path"]),
                                     entry.get("priority", 0), entry.get("id")))
     stalls = {}
     for i, entry in enumerate(sched.get("stalls", ())):
-        _require(entry, f"stalls[{i}]", ("edge", "rounds"))
+        _require(entry, f"stalls[{i}]", _STALL_KEYS)
         stalls[entry["edge"]] = frozenset(entry["rounds"])
     delays = {}
     for i, entry in enumerate(sched.get("annihilations", ())):
-        _require(entry, f"annihilations[{i}]", ("edge", "round", "delay"))
+        _require(entry, f"annihilations[{i}]", _ANNIHILATION_KEYS)
         delays[(entry["edge"], entry["round"])] = entry["delay"]
     failures = []
     for i, entry in enumerate(sched.get("failures", ())):
-        _require(entry, f"failures[{i}]", ("edge", "round"), ("notify_delay",))
+        _require(entry, f"failures[{i}]", _FAILURE_KEYS)
         failures.append(FailureEvent(entry["edge"], entry["round"],
                                      entry.get("notify_delay", 0)))
     recoveries = []
     for i, entry in enumerate(sched.get("recoveries", ())):
-        _require(entry, f"recoveries[{i}]", ("edge", "round"))
+        _require(entry, f"recoveries[{i}]", _RECOVERY_KEYS)
         recoveries.append(RecoveryEvent(entry["edge"], entry["round"]))
 
-    run_doc = _require(doc["run"], "run", ("horizon",),
-                       ("seed", "promote_after_tau", "enforce_buckets"))
+    run_doc = _require(doc["run"], "run", _RUN_KEYS)
     config = ScenarioConfig(
         network=network,
         adversary=adversary,
@@ -220,16 +238,18 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def scenario_hash(config: ScenarioConfig) -> str:
-    return hashlib.sha256(dumps_scenario(config).encode()).hexdigest()
+    """SHA-256 of the compact, key-sorted JSON of the scenario."""
+    text = json.dumps(scenario_to_dict(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # -- traces ---------------------------------------------------------------------
 
 
-def _event_lines(trace: ExecutionTrace):
-    for ev in trace.events:
-        yield json.dumps({"event": ev}, separators=(",", ":"), default=list)
-    yield json.dumps({"q_totals": trace.q_totals}, separators=(",", ":"))
+_encode_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# Trace lines encoded or decoded per json call: one call per line would
+# cost more in calls than in JSON, one for the whole file more in memory.
+_CHUNK_LINES = 1024
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
@@ -251,72 +271,99 @@ def save_trace(trace: ExecutionTrace, path):
         "scenario_hash": scenario_hash(trace.config),
         "scenario": scenario_to_dict(trace.config),
     }
+    events = trace.events
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for line in _event_lines(trace):
-            fh.write(line + "\n")
-
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
+        for start in range(0, len(events), _CHUNK_LINES):
+            # Events hold only str, int and tuples, so outside strings a "}"
+            # closes a record, and a string holds no bare quote:
+            # '},{"event":' occurs only between two records, and each line
+            # is what encoding its record alone would give.
+            records = _encode_compact(
+                [{"event": ev} for ev in events[start:start + _CHUNK_LINES]])
+            fh.write(records[1:-1].replace('},{"event":', '}\n{"event":') + "\n")
+        fh.write(_encode_compact({"q_totals": trace.q_totals}) + "\n")
 
 
 def load_trace(path) -> ExecutionTrace:
     with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
+        trace = ExecutionTrace(_read_header(fh.readline()))
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"trace header: {exc.msg}") from None
-        _require(header, "trace header",
-                 ("format", "version", "scenario_hash", "scenario"))
-        if header["format"] != TRACE_FORMAT or header["version"] != TRACE_VERSION:
-            raise ParseError(
-                f"unsupported trace format {header['format']!r} "
-                f"v{header['version']}")
-        config = scenario_from_dict(header["scenario"])
-        if header["scenario_hash"] != scenario_hash(config):
-            raise ParseError("trace header hash does not match its scenario")
-        trace = ExecutionTrace(config)
-        net: dict[int, int] = {}  # round -> injections minus absorptions
-        ahead: dict[int, tuple | None] = {}  # packet -> edges left; None once absorbed
-        edges = set(config.network.edges)
-        q_totals = None
-        last_round = 1
-        for lineno, line in enumerate(fh, 2):
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: {exc.msg}") from None
-            if not isinstance(doc, dict):
-                raise ParseError(f"line {lineno}: unknown record")
-            if "event" in doc:
-                ev = _tuplify(doc["event"])
-                try:
-                    last_round = _check_event(ev, last_round, ahead, edges)
-                except ParseError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                trace.events.append(ev)
-                if ev[0] == "inject":
-                    net[ev[1]] = net.get(ev[1], 0) + 1
-                elif ev[0] == "absorb":
-                    net[ev[1]] = net.get(ev[1], 0) - 1
-            elif "q_totals" in doc:
-                q_totals = doc["q_totals"]
-            else:
-                raise ParseError(f"line {lineno}: unknown record")
-    _check_totals(net, q_totals, config.horizon)
+            records = _decode_chunks(fh.readlines())
+        except UnicodeDecodeError:
+            # Read line by line up to the bytes that do not decode, so that
+            # an error on an earlier line is still the one reported.
+            fh.seek(0)
+            fh.readline()
+            records = _decode_lines(fh, 2)
+        net, q_totals = _read_records(trace, records)
+    _check_totals(net, q_totals, trace.horizon)
     trace.q_totals = q_totals
-    _rebuild_packet_records(trace)
     return trace
+
+
+def _read_header(line: str) -> ScenarioConfig:
+    """The scenario of a trace header, which must be of this version and hash."""
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"trace header: {exc.msg}") from None
+    _require(header, "trace header", _HEADER_KEYS)
+    if header["format"] != TRACE_FORMAT or header["version"] != TRACE_VERSION:
+        raise ParseError(
+            f"unsupported trace format {header['format']!r} v{header['version']}")
+    config = scenario_from_dict(header["scenario"])
+    if header["scenario_hash"] != scenario_hash(config):
+        raise ParseError("trace header hash does not match its scenario")
+    return config
+
+
+def _decode_lines(lines, first: int):
+    """Decode each line on its own; a line that is not JSON names its number."""
+    for lineno, line in enumerate(lines, first):
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: {exc.msg}") from None
+
+
+def _decode_chunks(lines: list[str]):
+    """The records of the lines after the header, one per line.
+
+    A chunk of lines is decoded in one call when each line starts with "{",
+    ends with "}" and holds no other brace: a line that starts outside a
+    string then holds exactly one record, which ends on it, and a line
+    that continues the one before leaves the call with fewer records than
+    lines. Other chunks are decoded line by line.
+    """
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        text = "".join(chunk)
+        count = len(chunk)
+        if (text[0] == "{" and text.endswith(("}", "}\n"))
+                and text.count("}\n{") == count - 1
+                and text.count("{") == count == text.count("}")):
+            try:
+                records = json.loads("[" + ",".join(chunk) + "]")
+            except json.JSONDecodeError:
+                records = ()
+            if len(records) == count:
+                yield from records
+                continue
+        yield from _decode_lines(chunk, start + 2)
+
+
+def _tuplify(value: list) -> tuple:
+    """``value`` with every list in it, at any depth, made a tuple."""
+    return tuple([_tuplify(v) if type(v) is list else v for v in value])
 
 
 # The number of fields of each kind of event, kind and round included.
 _EVENT_FIELDS = {"inject": 5, "transmit": 4, "stall": 5, "group": 6,
                  "annihilate": 4, "absorb": 3, "reroute": 7, "fail": 3,
                  "fail_notify": 4, "recover": 3}
+# The fields that hold a path: the only lists in a well-formed event.
+_PATH_FIELDS = {"inject": (3,), "group": (5,), "reroute": (3, 4)}
 
 
 def _is_path(value, edges) -> bool:
@@ -324,56 +371,100 @@ def _is_path(value, edges) -> bool:
         isinstance(e, str) and e in edges for e in value)
 
 
-def _check_event(ev, last_round: int, ahead: dict, edges) -> int:
-    """Refuse a malformed event, or one that moves a packet not queued there.
+def _read_records(trace: ExecutionTrace, records):
+    """Check the records after the header and fold their events into ``trace``.
 
-    ``ahead`` maps each injected packet to the edges it has still to cross
-    (``None`` once absorbed) and is updated. Returns the event's round.
+    One pass. Each event must be well formed, in round order and move a
+    packet that is queued where the event says; ``ahead`` maps each
+    injected packet to the edges it has still to cross (``None`` once
+    absorbed). The event, its lists made tuples, is then appended, counted
+    in its round's injections minus absorptions, and folded into the
+    packet audit records. Returns those per-round counts and the stored
+    totals.
     """
-    if not (isinstance(ev, tuple) and len(ev) >= 2 and isinstance(ev[0], str)
-            and type(ev[1]) is int):
-        raise ParseError("an event is a list [kind, round, ...]")
-    kind, rnd = ev[0], ev[1]
-    if _EVENT_FIELDS.get(kind) != len(ev):
-        raise ParseError(f"malformed {kind!r} event")
-    if rnd < 1:
-        raise ParseError(f"event of round {rnd}; rounds start at 1")
-    if rnd < last_round:
-        raise ParseError(f"event of round {rnd} after round {last_round}")
-    if kind in ("inject", "absorb", "reroute"):
-        pid = ev[2]
-    elif kind in ("transmit", "stall"):
-        pid = ev[3]
-    else:
-        return rnd
-    if type(pid) is not int:
-        raise ParseError(f"{kind} event with packet id {pid!r}")
-    if kind == "inject":
-        if pid in ahead:
-            raise ParseError(f"packet {pid} is injected twice")
-        if not (ev[3] and _is_path(ev[3], edges)):
-            raise ParseError(f"packet {pid} is injected on a path not in the network")
-        ahead[pid] = ev[3]
-        return rnd
-    rest = ahead.get(pid)
-    if rest is None:
-        state = "already absorbed" if pid in ahead else "never injected"
-        raise ParseError(f"{kind} of packet {pid}, which is {state}")
-    if kind == "absorb":
-        if rest:
-            raise ParseError(f"absorb of packet {pid} with {list(rest)} still to cross")
-        ahead[pid] = None
-        return rnd
-    edge = ev[5] if kind == "reroute" else ev[2]
-    if not rest or rest[0] != edge:
-        raise ParseError(f"{kind} of packet {pid} at {edge!r}, where it is not queued")
-    if kind == "transmit":
-        ahead[pid] = rest[1:]
-    elif kind == "reroute":
-        if ev[3] != rest or not _is_path(ev[4], edges):
-            raise ParseError(f"reroute of packet {pid} does not match its path")
-        ahead[pid] = ev[4]
-    return rnd
+    edges = set(trace.config.network.edges)
+    events, packets = trace.events, trace.packets
+    ahead: dict[int, tuple | None] = {}
+    net: dict[int, int] = {}  # round -> injections minus absorptions
+    q_totals = None
+    last_round = 1
+    for lineno, doc in enumerate(records, 2):
+        try:
+            if type(doc) is not dict:
+                raise ParseError("unknown record")
+            if "event" not in doc:
+                if "q_totals" not in doc:
+                    raise ParseError("unknown record")
+                q_totals = doc["q_totals"]
+                continue
+            ev = doc["event"]
+            if not (type(ev) is list and len(ev) >= 2 and type(ev[0]) is str
+                    and type(ev[1]) is int):
+                raise ParseError("an event is a list [kind, round, ...]")
+            kind, rnd = ev[0], ev[1]
+            if _EVENT_FIELDS.get(kind) != len(ev):
+                raise ParseError(f"malformed {kind!r} event")
+            for i in _PATH_FIELDS.get(kind, ()):
+                if type(ev[i]) is list:
+                    ev[i] = _tuplify(ev[i])
+            ev = _tuplify(ev) if list in map(type, ev) else tuple(ev)
+            if rnd < 1:
+                raise ParseError(f"event of round {rnd}; rounds start at 1")
+            if rnd < last_round:
+                raise ParseError(f"event of round {rnd} after round {last_round}")
+            last_round = rnd
+            if kind == "transmit" or kind == "stall":
+                pid = ev[3]
+            elif kind == "inject" or kind == "absorb" or kind == "reroute":
+                pid = ev[2]
+            else:
+                events.append(ev)
+                continue
+            if type(pid) is not int:
+                raise ParseError(f"{kind} event with packet id {pid!r}")
+            if kind == "inject":
+                path = ev[3]
+                if pid in ahead:
+                    raise ParseError(f"packet {pid} is injected twice")
+                if not (path and _is_path(path, edges)):
+                    raise ParseError(
+                        f"packet {pid} is injected on a path not in the network")
+                ahead[pid] = path
+                packets[pid] = PacketRecord(pid, rnd, ev[4], path, path)
+                net[rnd] = net.get(rnd, 0) + 1
+                events.append(ev)
+                continue
+            rest = ahead.get(pid)
+            if rest is None:
+                state = "already absorbed" if pid in ahead else "never injected"
+                raise ParseError(f"{kind} of packet {pid}, which is {state}")
+            if kind == "absorb":
+                if rest:
+                    raise ParseError(
+                        f"absorb of packet {pid} with {list(rest)} still to cross")
+                ahead[pid] = None
+                packets[pid].absorbed_round = rnd
+                net[rnd] = net.get(rnd, 0) - 1
+                events.append(ev)
+                continue
+            edge = ev[5] if kind == "reroute" else ev[2]
+            if not rest or rest[0] != edge:
+                raise ParseError(
+                    f"{kind} of packet {pid} at {edge!r}, where it is not queued")
+            if kind == "transmit":
+                ahead[pid] = rest[1:]
+            elif kind == "reroute":
+                new_suffix = ev[4]
+                if ev[3] != rest or not _is_path(new_suffix, edges):
+                    raise ParseError(f"reroute of packet {pid} does not match its path")
+                ahead[pid] = new_suffix
+                rec = packets[pid]
+                rec.final_path = rec.final_path[: len(rec.final_path) - len(rest)] + new_suffix
+                rec.rerouted = True
+            events.append(ev)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return net, q_totals
 
 
 def _check_totals(net: dict[int, int], q_totals, horizon: int):
@@ -395,32 +486,14 @@ def _check_totals(net: dict[int, int], q_totals, horizon: int):
                 f"{stored} stored, {queued} injected and not absorbed")
 
 
-def _rebuild_packet_records(trace: ExecutionTrace):
-    """Fold the event stream back into per-packet audit records."""
-    for ev in trace.events:
-        kind = ev[0]
-        if kind == "inject":
-            _, rnd, pid, path, pri = ev
-            trace.packets[pid] = PacketRecord(pid, rnd, pri, path, path)
-        elif kind == "reroute":
-            _, _rnd, pid, old_suffix, new_suffix, _edge, _fail = ev
-            rec = trace.packets[pid]
-            prefix = rec.final_path[: len(rec.final_path) - len(old_suffix)]
-            rec.final_path = prefix + new_suffix
-            rec.rerouted = True
-        elif kind == "absorb":
-            _, rnd, pid = ev
-            trace.packets[pid].absorbed_round = rnd
-
-
 def write_metrics_csv(trace: ExecutionTrace, path):
     """Per-round rows: round, edge, queue length and the total queued."""
+    rows = ["round,edge,queue_len,q_total\n"]
+    for rnd, (sizes, total) in enumerate(zip(trace.queue_sizes(), trace.q_totals), 1):
+        if not sizes:
+            rows.append(f"{rnd},,0,{total}\n")
+            continue
+        for edge in sorted(sizes):
+            rows.append(f"{rnd},{edge},{sizes[edge]},{total}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("round,edge,queue_len,q_total\n")
-        for rnd, (sizes, total) in enumerate(
-                zip(trace.queue_sizes(), trace.q_totals), 1):
-            if not sizes:
-                fh.write(f"{rnd},,0,{total}\n")
-                continue
-            for edge in sorted(sizes):
-                fh.write(f"{rnd},{edge},{sizes[edge]},{total}\n")
+        fh.write("".join(rows))

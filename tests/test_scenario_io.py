@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,7 +7,8 @@ import pytest
 
 from aqsim.analysis import gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
-from aqsim.engine import FailureEvent, Injection, RecoveryEvent, ScenarioConfig, run
+from aqsim.engine import (ExecutionTrace, FailureEvent, Injection, PacketRecord,
+                          RecoveryEvent, ScenarioConfig, run)
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import Prioritized
 from aqsim.scenario_io import (ParseError, dumps_scenario, format_rational,
@@ -281,8 +284,250 @@ def test_version_1_trace_refused(tmp_path):
         load_trace(path)
 
 
+def test_version_2_trace_refused(tmp_path):
+    # A version 2 header hashed the indented scenario file text; the version
+    # is refused before the hash is compared.
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 2
+    header["scenario_hash"] = hashlib.sha256(
+        dumps_scenario(run_small().config).encode()).hexdigest()
+    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v2"):
+        load_trace(path)
+
+
 def test_trace_file_holds_no_per_round_markers_or_sizes(tmp_path):
     path, lines = saved_lines(tmp_path)
     kinds = {json.loads(line)["event"][0] for line in lines[1:-1]}
     assert kinds == {"inject", "transmit", "stall", "group", "annihilate", "absorb"}
     assert list(json.loads(lines[-1])) == ["q_totals"]
+
+
+def test_saved_trace_bytes(tmp_path):
+    # Each event line is what json.dumps({"event": ev}, separators=(",", ":"))
+    # gives, and the hash is over the compact, key-sorted scenario.
+    path, lines = saved_lines(tmp_path)
+    assert lines[1:] == [
+        '{"event":["inject",1,0,["ab","bc"],0]}',
+        '{"event":["transmit",1,"ab",0]}',
+        '{"event":["stall",2,"bc",0,0]}',
+        '{"event":["group",2,0,"bc",0,["bc"]]}',
+        '{"event":["inject",3,1,["bc"],0]}',
+        '{"event":["transmit",3,"bc",0]}',
+        '{"event":["absorb",3,0]}',
+        '{"event":["annihilate",4,0,"forced"]}',
+        '{"event":["transmit",4,"bc",1]}',
+        '{"event":["absorb",4,1]}',
+        '{"q_totals":[1,1,1,0,0,0]}',
+    ]
+    assert path.read_text().endswith("}\n")
+    header = json.loads(lines[0])
+    assert list(header) == ["format", "scenario", "scenario_hash", "version"]
+    assert lines[0].startswith('{"format": "aqsim-trace", "scenario": {"adversary": ')
+    assert lines[0].endswith('"version": 3}')
+    compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+    assert header["scenario_hash"] == hashlib.sha256(compact.encode()).hexdigest()
+    assert header["scenario_hash"] == (
+        "b3349a5da6d408447c0ade104ddfeba25b87a3e9ccda717f73bebb4539deb81d")
+
+
+def joined(lines):
+    return "\n".join(lines) + "\n"
+
+
+def replaced(index, record):
+    def edit(lines):
+        lines[index] = record
+        return joined(lines)
+    return edit
+
+
+def two_records_on_one_line(lines):
+    lines[6:8] = [lines[6] + "," + lines[7]]
+    return joined(lines)
+
+
+def split_record(lines):
+    # The group record split inside a string: decoded in one call, the two
+    # lines are one group event with edge "},{".
+    lines[4:5] = ['{"event":["group",2,0,"}', '{",0,["bc"]]}']
+    return joined(lines)
+
+
+def split_record_and_two_on_one_line(lines):
+    # With two records joined on a later line, the one call would give as
+    # many records as there are lines.
+    split_record(lines)
+    lines[7:9] = [lines[7] + "," + lines[8]]
+    return joined(lines)
+
+
+# Edits of the saved run_small trace, giving file text that no longer
+# parses line by line, and the error that names the line. Lines end at
+# "\n" only, as when iterating the file: U+2028 is part of a line.
+UNDECODABLE_EDITS = [
+    pytest.param(replaced(5, "not json"), "line 6: Expecting value", id="non-json"),
+    pytest.param(lambda lines: joined(lines[:5] + [""] + lines[5:]),
+                 "line 6: Expecting value", id="blank"),
+    pytest.param(lambda lines: joined(lines)[:-5],
+                 "line 12: Expecting ',' delimiter", id="truncated-last-line"),
+    pytest.param(replaced(4, '{"event":["group",2,'), "line 5: Expecting value",
+                 id="truncated-mid-file"),
+    pytest.param(two_records_on_one_line, "line 7: Extra data", id="two-records"),
+    pytest.param(split_record, "line 5: Invalid control character", id="split-record"),
+    pytest.param(split_record_and_two_on_one_line, "line 5: Invalid control character",
+                 id="split-record-and-two-records"),
+    pytest.param(replaced(6, '{"event":["transmit",3,"b\u2028c",0]}'),
+                 r"line 7: transmit of packet 0 at 'b\\u2028c', where it is not queued",
+                 id="u2028-in-string"),
+    pytest.param(lambda lines: joined(lines[:6] + [lines[6] + "\u2028"] + lines[7:]),
+                 "line 7: Extra data", id="u2028-after-record"),
+]
+
+
+@pytest.mark.parametrize("edit, message", UNDECODABLE_EDITS)
+def test_undecodable_line_named(tmp_path, edit, message):
+    path, lines = saved_lines(tmp_path)
+    path.write_text(edit(lines), encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
+        load_trace(path)
+
+
+def test_bytes_that_do_not_decode_come_after_an_earlier_error(tmp_path):
+    # The file decodes in blocks of bytes. With the bad bytes past the first
+    # block, reading line by line reports the event error on line 2 first.
+    _cfg, trace = gen_random_scenario(
+        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=400,
+        nodes=(8, 8), with_trace=True)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({"event": ["absorb", 1, 123456]})
+    path.write_bytes(joined(lines).encode() + b"\xff\n")
+    assert path.stat().st_size > 64 * 1024
+    with pytest.raises(ParseError, match="line 2: absorb of packet 123456"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("lineno, record, message", [
+    (1500, "not json", "Expecting value"),
+    (2100, '{"event":["absorb",1000000,123456]}',
+     "absorb of packet 123456, which is never injected"),
+])
+def test_error_past_the_first_chunk_of_lines_named(tmp_path, lineno, record, message):
+    _cfg, trace = gen_random_scenario(
+        5, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=1000,
+        nodes=(8, 8), with_trace=True)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) > 2500
+    lines[lineno - 1] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {lineno}: {message}"):
+        load_trace(path)
+
+
+def assert_tuples_all_the_way_down(value):
+    assert not isinstance(value, list)
+    if isinstance(value, tuple):
+        for item in value:
+            assert_tuples_all_the_way_down(item)
+
+
+def oracle_tuplify(value):
+    if isinstance(value, list):
+        return tuple(oracle_tuplify(v) for v in value)
+    return value
+
+
+def oracle_load(path):
+    """The reference loader: one json.loads per line, lists made tuples
+    recursively, and the packet records folded from the events afterwards.
+    It checks nothing."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        docs = [json.loads(line) for line in fh]
+    events = [oracle_tuplify(doc["event"]) for doc in docs if "event" in doc]
+    (q_totals,) = [doc["q_totals"] for doc in docs if "q_totals" in doc]
+    packets = {}
+    for ev in events:
+        if ev[0] == "inject":
+            _, rnd, pid, path_, pri = ev
+            packets[pid] = PacketRecord(pid, rnd, pri, path_, path_)
+        elif ev[0] == "reroute":
+            rec = packets[ev[2]]
+            rec.final_path = rec.final_path[: len(rec.final_path) - len(ev[3])] + ev[4]
+            rec.rerouted = True
+        elif ev[0] == "absorb":
+            packets[ev[2]].absorbed_round = ev[1]
+    return events, q_totals, packets
+
+
+def oracle_traces():
+    for seed in range(10):
+        _cfg, trace = gen_random_scenario(
+            seed, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=2000,
+            failures=2 if seed % 2 else 0, with_trace=True)
+        yield f"random-{seed}", trace
+    gadget = rerouting_gadget(branches=3, cycles=20)
+    yield "gadget", run(dataclasses.replace(gadget.config, policy=Prioritized("FIFO", 2)))
+
+
+def test_load_trace_matches_the_per_line_oracle(tmp_path):
+    kinds = set()
+    for name, trace in oracle_traces():
+        path = tmp_path / f"{name}.jsonl"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        events, q_totals, packets = oracle_load(path)
+        assert loaded.events == events == trace.events, name
+        for ev in loaded.events:
+            assert_tuples_all_the_way_down(ev)
+        assert loaded.q_totals == q_totals == trace.q_totals, name
+        assert loaded.packets == packets == trace.packets, name
+        reference = ExecutionTrace(loaded.config)
+        reference.events, reference.q_totals = events, q_totals
+        assert trace_digest(loaded) == trace_digest(reference) == trace_digest(trace), name
+        kinds.update(ev[0] for ev in events)
+    assert {"inject", "group", "reroute", "absorb"} <= kinds
+
+
+def test_lines_read_one_by_one_load_the_same(tmp_path):
+    # Lines that a one-call decode must not take: spaces around a record, a
+    # brace or a U+2028 inside a string. The file still loads as the oracle
+    # reads it, with the list nested in the group event made a tuple too.
+    path, lines = saved_lines(tmp_path)
+    lines[2] = " " + lines[2] + "\t"
+    lines[4] = '{"event":["group",2,0,"b{c}\u2028",0,[["bc"]]]}'
+    lines[8] = json.dumps(json.loads(lines[8]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_trace(path)
+    events, q_totals, packets = oracle_load(path)
+    assert loaded.events == events
+    assert events[3] == ("group", 2, 0, "b{c}\u2028", 0, (("bc",),))
+    assert (loaded.q_totals, loaded.packets) == (q_totals, packets)
+
+
+def oracle_metrics_csv(trace, path):
+    """The reference writer: one write per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("round,edge,queue_len,q_total\n")
+        for rnd, (sizes, total) in enumerate(zip(trace.queue_sizes(), trace.q_totals), 1):
+            if not sizes:
+                fh.write(f"{rnd},,0,{total}\n")
+                continue
+            for edge in sorted(sizes):
+                fh.write(f"{rnd},{edge},{sizes[edge]},{total}\n")
+
+
+def test_metrics_csv_matches_the_row_by_row_writer(tmp_path):
+    _cfg, trace = gen_random_scenario(
+        1, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=300,
+        failures=2, with_trace=True)
+    for name, tr in (("small", run_small()), ("random", trace)):
+        write_metrics_csv(tr, tmp_path / f"{name}.csv")
+        oracle_metrics_csv(tr, tmp_path / f"{name}.oracle.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}.oracle.csv").read_bytes()
