@@ -215,7 +215,7 @@ def strongly_connected(net: Network, removed=frozenset()) -> bool:
     for e in alive:
         fwd[e.tail].append(e.head)
         rev[e.head].append(e.tail)
-    start = next(iter(sorted(net.nodes)))
+    start = net.sorted_nodes[0]
     for adj in (fwd, rev):
         seen = {start}
         stack = [start]
@@ -231,7 +231,7 @@ def strongly_connected(net: Network, removed=frozenset()) -> bool:
 
 def random_simple_path(rng: random.Random, net: Network, avoid, max_len: int):
     """Edge-distinct random walk of 1..max_len hops, or None if stuck."""
-    node = rng.choice(sorted(net.nodes))
+    node = rng.choice(net.sorted_nodes)
     target = rng.randint(1, max_len)
     path = []
     used = set()
@@ -362,10 +362,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
     )
     driver = GreedyDriver(seed ^ 0x9E3779B9, inject_prob, max_path_len,
                           max_burst or burst)
-    engine = Engine(config, driver=driver)
-    trace = engine.run()
-    script = tuple(Injection(inj.round, inj.path, inj.priority)
-                   for inj in engine.accepted_injections)
+    trace = Engine(config, driver=driver).run()
+    script = tuple(Injection(ev[1], ev[3], ev[4])
+                   for ev in trace.events if ev[0] == "inject")
     final = replace(config, injections=script)
     if with_trace:
         return final, trace

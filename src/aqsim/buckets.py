@@ -77,6 +77,9 @@ class InjectionResult:
         return self.ok
 
 
+_AFFORDED = InjectionResult(True)  # frozen, so one instance serves every success
+
+
 class BucketSystem:
     """All per-edge buckets plus the live antitoken groups of one run."""
 
@@ -146,7 +149,7 @@ class BucketSystem:
             return InjectionResult(False, short)
         for edge, count in demand.items():
             self._lvl[edge] -= count * self._den
-        return InjectionResult(True)
+        return _AFFORDED
 
     # -- antitokens ----------------------------------------------------------
 

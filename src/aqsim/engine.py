@@ -103,13 +103,16 @@ class ScenarioConfig:
             raise ScenarioError("either all injections carry ids or none do")
         if len(set(explicit)) != len(explicit):
             raise ScenarioError("explicit packet ids must be unique")
+        valid_paths = set()  # each distinct path is checked once
         for inj in self.injections:
             if not 1 <= inj.round <= self.horizon:
                 raise ScenarioError(f"injection round {inj.round} outside horizon")
-            verdict = validate_path(net, inj.path)
-            if not verdict:
-                raise ScenarioError(
-                    f"invalid injection path {inj.path}: {verdict.kind} at {verdict.index}")
+            if inj.path not in valid_paths:
+                verdict = validate_path(net, inj.path)
+                if not verdict:
+                    raise ScenarioError(
+                        f"invalid injection path {inj.path}: {verdict.kind} at {verdict.index}")
+                valid_paths.add(inj.path)
             if not 0 <= inj.priority < levels:
                 raise ScenarioError(
                     f"injection priority {inj.priority} outside policy's {levels} level(s)")
@@ -245,7 +248,14 @@ class ExecutionTrace:
 
 
 class Engine:
-    """One deterministic execution; single-threaded by contract."""
+    """One deterministic execution; single-threaded by contract.
+
+    ``run`` drives the round pipeline over the whole horizon and the drain
+    rounds. ``step`` is the public per-round entry: it runs the next round
+    and returns the events that round appended. A driver, called as
+    ``driver(engine, rnd)`` in the injection phase, returns the round's
+    extra injections, after the scripted ones.
+    """
 
     def __init__(self, config: ScenarioConfig, driver=None):
         config.validate()
@@ -256,6 +266,7 @@ class Engine:
         self.trace = ExecutionTrace(config)
         self.queues: dict[str, list[tuple[tuple, Packet]]] = {}  # heaps of (key, packet)
         self._key = packet_key(config.policy)
+        self._slowness = {eid: e.slowness for eid, e in self.net.edges.items()}
         self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
         self.failed: set[str] = set()
         self.visible_failed: set[str] = set()
@@ -264,7 +275,6 @@ class Engine:
         self._next_pid = 0
         self._injected = 0
         self._absorbed = 0
-        self.accepted_injections: list[Injection] = []
 
         self._injections_by_round: dict[int, list[Injection]] = {}
         for inj in config.injections:
@@ -355,17 +365,21 @@ class Engine:
                 self.visible_failed.add(edge)
 
     def _inject(self, rnd: int):
-        requests = list(self._injections_by_round.get(rnd, ()))
+        requests = self._injections_by_round.get(rnd, ())
         if self.driver is not None:
-            requests.extend(self.driver(self, rnd))
+            driven = self.driver(self, rnd)
+            if driven:
+                requests = [*requests, *driven]
         if not requests:
             return
-        for inj in requests:
-            for edge in inj.path:
-                if edge in self.visible_failed:
-                    raise ScenarioError(
-                        f"round {rnd}: injection routed over {edge!r} after its "
-                        "failure notification", round=rnd, edge=edge)
+        visible = self.visible_failed
+        if visible:
+            for inj in requests:
+                for edge in inj.path:
+                    if edge in visible:
+                        raise ScenarioError(
+                            f"round {rnd}: injection routed over {edge!r} after its "
+                            "failure notification", round=rnd, edge=edge)
         if self.config.enforce_buckets:
             result = self.buckets.inject([inj.path for inj in requests])
             if not result:
@@ -373,58 +387,65 @@ class Engine:
                     f"round {rnd}: buckets cannot afford the scripted injections, "
                     f"edge {result.insufficient_edge!r} is short",
                     round=rnd, edge=result.insufficient_edge)
+        packets, records = self._packets, self.trace.packets
+        queues, key, append = self.queues, self._key, self.trace.events.append
         for inj in requests:
-            if inj.id is not None:
-                pid = inj.id
-            else:
+            pid = inj.id
+            if pid is None:
                 pid = self._next_pid
                 self._next_pid += 1
             pkt = Packet(pid, rnd, inj.path, inj.priority)
-            if pid in self._packets:
+            if pid in packets:
                 raise ScenarioError(f"duplicate packet id {pid}")
-            self._packets[pid] = pkt
-            self.trace.packets[pid] = PacketRecord(
-                pid, rnd, inj.priority, pkt.path, pkt.path)
-            self._enqueue(pkt)
-            self._injected += 1
-            self._emit("inject", rnd, pid, pkt.path, inj.priority)
-            self.accepted_injections.append(
-                Injection(rnd, pkt.path, inj.priority, pid))
+            packets[pid] = pkt
+            path = pkt.path
+            records[pid] = PacketRecord(pid, rnd, inj.priority, path, path)
+            heappush(queues.setdefault(path[0], []), (key(pkt), pkt))
+            append(("inject", rnd, pid, path, inj.priority))
+        self._injected += len(requests)
 
     def _transmit(self, rnd: int):
+        queues, failed, append = self.queues, self.failed, self.trace.events.append
         stalled_edges = self._stalls_by_round.get(rnd, ())
+        slowness, records = self._slowness, self.trace.packets
         staged: list[Packet] = []
-        for edge in sorted(self.queues):
-            if edge in self.failed:
+        absorbed = 0
+        for edge in sorted(queues):
+            if edge in failed:
                 continue
-            queue = self.queues[edge]
+            queue = queues[edge]
             pkt = queue[0][1]
             if edge in stalled_edges:
                 group, inline = self.buckets.register_stall(
                     edge, pkt.path[pkt.idx:], pkt.id,
                     self.config.annihilation_delays.get((edge, rnd)))
-                self._emit("stall", rnd, edge, pkt.id, group.gid)
-                self._emit("group", rnd, group.gid, edge, pkt.id, group.edges)
+                append(("stall", rnd, edge, pkt.id, group.gid))
+                append(("group", rnd, group.gid, edge, pkt.id, group.edges))
                 for how, g in inline:
-                    self._emit("annihilate", rnd, g.gid, how)
+                    append(("annihilate", rnd, g.gid, how))
+                continue
+            heappop(queue)
+            if not queue:
+                del queues[edge]
+            # A queued packet has an edge left, so this cannot overrun.
+            pkt.idx += 1
+            pkt.prev_slowness = slowness[edge]
+            append(("transmit", rnd, edge, pkt.id))
+            if pkt.idx == len(pkt.path):
+                absorbed += 1
+                rec = records[pkt.id]
+                rec.absorbed_round = rnd
+                rec.final_path = pkt.path
+                append(("absorb", rnd, pkt.id))
             else:
-                heappop(queue)
-                if not queue:
-                    del self.queues[edge]
-                pkt.advance()
-                pkt.prev_slowness = self.net.edges[edge].slowness
-                self._emit("transmit", rnd, edge, pkt.id)
-                if pkt.absorbed:
-                    self._absorbed += 1
-                    rec = self.trace.packets[pkt.id]
-                    rec.absorbed_round = rnd
-                    rec.final_path = pkt.path
-                    self._emit("absorb", rnd, pkt.id)
-                else:
-                    pkt.arrival_round = rnd
-                    staged.append(pkt)
+                pkt.arrival_round = rnd
+                staged.append(pkt)
+        self._absorbed += absorbed
+        # Arrivals join their next queue only now, so that no packet crosses
+        # two links in one round.
+        key = self._key
         for pkt in staged:
-            self._enqueue(pkt)
+            heappush(queues.setdefault(pkt.path[pkt.idx], []), (key(pkt), pkt))
 
     def _reroute_blocked(self, rnd: int):
         for edge in sorted(self.visible_failed):
@@ -460,8 +481,30 @@ class Engine:
                     self._enqueue(pkt)
             del self.queues[edge]
 
-    def _end_round(self, rnd: int):
-        total = sum(map(len, self.queues.values()))
+    def _round(self, rnd: int):
+        """Run one round's pipeline, appending its events to the trace.
+
+        Phases are looked up on the engine each round, so an instance
+        attribute can stand in for one.
+        """
+        if rnd in self._fault_rounds:
+            self._apply_faults(rnd)
+        buckets = self.buckets
+        buckets.tick()
+        if buckets.is_due(rnd):
+            append = self.trace.events.append
+            for how, group in buckets.tick_antitokens():
+                append(("annihilate", rnd, group.gid, how))
+        if rnd in self._notify_by_round:
+            self._deliver_notifications(rnd)
+        if self.driver is not None or rnd in self._injections_by_round:
+            self._inject(rnd)
+        queues = self.queues
+        if queues:
+            self._transmit(rnd)
+        if self.visible_failed:
+            self._reroute_blocked(rnd)
+        total = sum(map(len, queues.values()))
         self.trace.q_totals.append(total)
         if self._injected != self._absorbed + total:
             raise ModelViolation(
@@ -474,27 +517,15 @@ class Engine:
         Rounds must be stepped in order from 1; the queues stay non-empty
         heaps between rounds, so an empty dict means nothing is queued.
         """
-        start = len(self.trace.events)
-        if rnd in self._fault_rounds:
-            self._apply_faults(rnd)
-        self.buckets.tick()
-        if self.buckets.is_due(rnd):
-            for how, group in self.buckets.tick_antitokens():
-                self._emit("annihilate", rnd, group.gid, how)
-        if rnd in self._notify_by_round:
-            self._deliver_notifications(rnd)
-        if self.driver is not None or rnd in self._injections_by_round:
-            self._inject(rnd)
-        if self.queues:
-            self._transmit(rnd)
-        if self.visible_failed:
-            self._reroute_blocked(rnd)
-        self._end_round(rnd)
-        return self.trace.events[start:]
+        events = self.trace.events
+        start = len(events)
+        self._round(rnd)
+        return events[start:]
 
     def run(self) -> ExecutionTrace:
+        round_ = self._round
         for rnd in range(1, self.config.horizon + 1):
-            self.step(rnd)
+            round_(rnd)
         # Drain phase: groups created near the horizon still annihilate so
         # every stall's feedback round is on record.
         for rnd in range(self.config.horizon + 1,

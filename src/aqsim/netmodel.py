@@ -29,6 +29,7 @@ class Network:
         self.nodes = frozenset(nodes)
         if not self.nodes:
             raise ScenarioError("network needs at least one node")
+        self.sorted_nodes: tuple[str, ...] = tuple(sorted(self.nodes))
         self.edges: dict[str, Edge] = {}
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
         for e in edges:

@@ -18,11 +18,14 @@ carries everything needed to reproduce the run.
 Loading checks the file against itself. Every event must be well formed
 and in round order, and must move a packet that is queued where the event
 says: no second inject of one packet, no transmit, stall, reroute or
-absorb of a packet that was never injected or is already absorbed. The
-running count of injections minus absorptions must equal the stored total
-after every round, so an edited total or a dropped event is refused with
-the first round where they disagree. Files of versions 1 and 2 are
-refused as an unsupported format.
+absorb of a packet that was never injected or is already absorbed. Every
+edge an event names must be in the network, and an annihilate must end a
+group that was created and is not yet annihilated. The running count of
+injections minus absorptions must equal the stored total after every
+round, so an edited total or a dropped event is refused with the first
+round where they disagree. Bytes that are not UTF-8 are refused with the
+line that holds them. Files of versions 1 and 2 are refused as an
+unsupported format.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .buckets import AdversaryType
+from .buckets import FORCED, VOLUNTARY, AdversaryType
 from .engine import (ExecutionTrace, FailureEvent, Injection, PacketRecord,
                      RecoveryEvent, ScenarioConfig)
 from .netmodel import Edge, Network
@@ -126,7 +129,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     if not config.enforce_buckets:
         run["enforce_buckets"] = False
     return {
-        "network": {"nodes": sorted(net.nodes), "edges": edges},
+        "network": {"nodes": list(net.sorted_nodes), "edges": edges},
         "adversary": {
             "r": format_rational(config.adversary.rate),
             "b": config.adversary.burst,
@@ -255,12 +258,19 @@ _CHUNK_LINES = 1024
 def trace_digest(trace: ExecutionTrace) -> str:
     """Hash of the dynamic record: events plus per-round queue totals.
 
+    SHA-256 over the compact JSON of the event list followed by the compact
+    JSON of ``q_totals``, the events encoded ``_CHUNK_LINES`` at a time.
     Per-edge queue lengths are a function of the events, so the digest
     covers them too. A saved and reloaded trace keeps its digest.
     """
-    h = hashlib.sha256()
-    h.update(repr(trace.events).encode())
-    h.update(repr(trace.q_totals).encode())
+    h = hashlib.sha256(b"[")
+    events = trace.events
+    for start in range(0, len(events), _CHUNK_LINES):
+        if start:
+            h.update(b",")
+        h.update(_encode_compact(events[start:start + _CHUNK_LINES])[1:-1].encode())
+    h.update(b"]")
+    h.update(_encode_compact(trace.q_totals).encode())
     return h.hexdigest()
 
 
@@ -286,17 +296,11 @@ def save_trace(trace: ExecutionTrace, path):
 
 
 def load_trace(path) -> ExecutionTrace:
-    with open(path, encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 are read as lone surrogates, which UTF-8 text
+    # never holds, so the line that holds them is found where it is decoded.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         trace = ExecutionTrace(_read_header(fh.readline()))
-        try:
-            records = _decode_chunks(fh.readlines())
-        except UnicodeDecodeError:
-            # Read line by line up to the bytes that do not decode, so that
-            # an error on an earlier line is still the one reported.
-            fh.seek(0)
-            fh.readline()
-            records = _decode_lines(fh, 2)
-        net, q_totals = _read_records(trace, records)
+        net, q_totals = _read_records(trace, _decode_chunks(fh.readlines()))
     _check_totals(net, q_totals, trace.horizon)
     trace.q_totals = q_totals
     return trace
@@ -304,6 +308,8 @@ def load_trace(path) -> ExecutionTrace:
 
 def _read_header(line: str) -> ScenarioConfig:
     """The scenario of a trace header, which must be of this version and hash."""
+    if _undecodable(line):
+        raise ParseError("line 1: bytes that are not UTF-8")
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -318,9 +324,22 @@ def _read_header(line: str) -> ScenarioConfig:
     return config
 
 
+def _undecodable(text: str) -> bool:
+    """Whether text read with ``surrogateescape`` held bytes that are not UTF-8."""
+    if text.isascii():
+        return False
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _decode_lines(lines, first: int):
-    """Decode each line on its own; a line that is not JSON names its number."""
+    """Decode each line on its own; a line that is not UTF-8 JSON names its number."""
     for lineno, line in enumerate(lines, first):
+        if _undecodable(line):
+            raise ParseError(f"line {lineno}: bytes that are not UTF-8")
         try:
             yield json.loads(line)
         except json.JSONDecodeError as exc:
@@ -334,13 +353,15 @@ def _decode_chunks(lines: list[str]):
     ends with "}" and holds no other brace: a line that starts outside a
     string then holds exactly one record, which ends on it, and a line
     that continues the one before leaves the call with fewer records than
-    lines. Other chunks are decoded line by line.
+    lines. Other chunks, and those holding bytes that are not UTF-8, are
+    decoded line by line.
     """
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
         text = "".join(chunk)
         count = len(chunk)
         if (text[0] == "{" and text.endswith(("}", "}\n"))
+                and not _undecodable(text)
                 and text.count("}\n{") == count - 1
                 and text.count("{") == count == text.count("}")):
             try:
@@ -385,6 +406,7 @@ def _read_records(trace: ExecutionTrace, records):
     edges = set(trace.config.network.edges)
     events, packets = trace.events, trace.packets
     ahead: dict[int, tuple | None] = {}
+    groups: dict[int, bool] = {}  # group id -> not yet annihilated
     net: dict[int, int] = {}  # round -> injections minus absorptions
     q_totals = None
     last_round = 1
@@ -418,6 +440,7 @@ def _read_records(trace: ExecutionTrace, records):
             elif kind == "inject" or kind == "absorb" or kind == "reroute":
                 pid = ev[2]
             else:
+                _check_unmoving_event(ev, edges, groups)
                 events.append(ev)
                 continue
             if type(pid) is not int:
@@ -453,6 +476,9 @@ def _read_records(trace: ExecutionTrace, records):
                     f"{kind} of packet {pid} at {edge!r}, where it is not queued")
             if kind == "transmit":
                 ahead[pid] = rest[1:]
+            elif kind == "stall":
+                if type(ev[4]) is not int:
+                    raise ParseError(f"stall event with group id {ev[4]!r}")
             elif kind == "reroute":
                 new_suffix = ev[4]
                 if ev[3] != rest or not _is_path(new_suffix, edges):
@@ -465,6 +491,44 @@ def _read_records(trace: ExecutionTrace, records):
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return net, q_totals
+
+
+def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool]):
+    """Check an event that moves no packet against the network and the groups.
+
+    ``groups`` maps each created group to whether it is still to be
+    annihilated, and is updated by the event.
+    """
+    kind, rnd = ev[0], ev[1]
+    if kind == "group":
+        _, _, gid, edge, _pid, members = ev
+        if type(gid) is not int:
+            raise ParseError(f"group event with group id {gid!r}")
+        if gid in groups:
+            raise ParseError(f"group {gid} is created twice")
+        if not (type(edge) is str and edge in edges):
+            raise ParseError(f"group {gid} stalls at {edge!r}, which is not in the network")
+        if not (members and _is_path(members, edges)):
+            raise ParseError(f"group {gid} holds {members!r}, not a path of network edges")
+        groups[gid] = True
+    elif kind == "annihilate":
+        _, _, gid, how = ev
+        if type(gid) is not int:
+            raise ParseError(f"annihilate event with group id {gid!r}")
+        if not groups.get(gid):
+            state = "already annihilated" if gid in groups else "never created"
+            raise ParseError(f"annihilate of group {gid}, which is {state}")
+        if how != VOLUNTARY and how != FORCED:
+            raise ParseError(
+                f"annihilate of group {gid} as {how!r}, not {VOLUNTARY!r} or {FORCED!r}")
+        groups[gid] = False
+    else:  # fail, fail_notify or recover
+        edge = ev[2]
+        if not (type(edge) is str and edge in edges):
+            raise ParseError(f"{kind} of edge {edge!r}, which is not in the network")
+        if kind == "fail_notify" and not (type(ev[3]) is int and 1 <= ev[3] <= rnd):
+            raise ParseError(
+                f"fail_notify in round {rnd} of a failure in round {ev[3]!r}")
 
 
 def _check_totals(net: dict[int, int], q_totals, horizon: int):

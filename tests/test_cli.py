@@ -91,6 +91,61 @@ def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
     assert main(["reduce", str(trace)]) == 2
 
 
+def generated_trace(tmp_path, *extra):
+    """A 200-round ``gen random --seed 3`` trace written by ``run``."""
+    scenario = tmp_path / "scenario.json"
+    assert main(["gen", "random", "--seed", "3", "--horizon", "200",
+                 "--out", str(scenario), *extra]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    return out_dir / "scenario.trace.jsonl"
+
+
+def assert_every_reader_exits_2(trace):
+    for mode in CHECK_MODES:
+        assert main(["check", str(trace), "--mode", mode]) == 2, mode
+    assert main(["reduce", str(trace)]) == 2
+
+
+def test_trace_with_bytes_that_are_not_utf8_is_a_parse_error(tmp_path, capsys):
+    trace = generated_trace(tmp_path)
+    data = trace.read_bytes()
+    at = data.rindex(b'{"event"', 0, len(data) - 200)
+    trace.write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+    assert_every_reader_exits_2(trace)
+    lineno = data[:at].count(b"\n") + 1
+    assert f"line {lineno}: bytes that are not UTF-8" in capsys.readouterr().err
+
+
+def edit_first(kind, edit):
+    """Replace the first event of ``kind`` in a trace's lines by ``edit(event)``."""
+    def apply(lines):
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(f'{{"event":["{kind}"'))
+        lines[at] = json.dumps({"event": edit(json.loads(lines[at])["event"])})
+    return apply
+
+
+@pytest.mark.parametrize("apply", [
+    edit_first("group", lambda ev: ev[:3] + ["zz"] + ev[4:]),
+    edit_first("group", lambda ev: ev[:5] + [3]),
+    edit_first("group", lambda ev: ev[:2] + ["g"] + ev[3:]),
+    edit_first("stall", lambda ev: ev[:4] + [None]),
+    edit_first("annihilate", lambda ev: ev[:2] + [10 ** 6, ev[3]]),
+    edit_first("annihilate", lambda ev: ev[:3] + ["eventually"]),
+    edit_first("fail", lambda ev: ev[:2] + ["zz"]),
+    edit_first("fail_notify", lambda ev: ev[:2] + ["zz", ev[3]]),
+    edit_first("fail_notify", lambda ev: ev[:3] + [ev[1] + 1]),
+], ids=["group-edge", "group-members", "group-id", "stall-group", "annihilate-unknown",
+        "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round"])
+def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
+    trace = generated_trace(tmp_path, "--failures", "2")
+    lines = trace.read_text().splitlines()
+    apply(lines)
+    trace.write_text("\n".join(lines) + "\n")
+    assert_every_reader_exits_2(trace)
+
+
 def test_gadget_gen_writes_expected_topology(tmp_path):
     out = tmp_path / "gadget.json"
     rc = main(["gen", "rerouting-gadget", "--branches", "3", "--cycles", "2",

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from aqsim.analysis import gen_random_scenario, rerouting_gadget
+from aqsim.analysis import GreedyDriver, gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, RecoveryEvent,
                           ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
+from aqsim.scenario_io import trace_digest
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -450,6 +451,69 @@ def test_derived_queue_sizes_match_the_engine_queues(cfg):
     for edge in cfg.network.edges:
         assert trace.queue_series(edge) == [sizes.get(edge, 0) for sizes in observed]
     assert trace.events_of("reroute") and max(trace.q_totals) > 1
+
+
+def stepped_run(engine):
+    """The oracle for ``Engine.run``: ``step`` over every round of the
+    horizon, then the drain rounds, which only tick the buckets and fire
+    due groups. Also checks that each step returns exactly the events it
+    appended."""
+    events = engine.trace.events
+    for rnd in range(1, engine.config.horizon + 1):
+        start = len(events)
+        returned = engine.step(rnd)
+        assert returned == events[start:]
+        assert all(ev[1] == rnd for ev in returned)
+    horizon, delay = engine.config.horizon, engine.config.adversary.delay
+    for rnd in range(horizon + 1, horizon + delay + 1):
+        engine.buckets.tick()
+        for how, group in engine.buckets.tick_antitokens():
+            events.append(("annihilate", rnd, group.gid, how))
+    return engine.trace
+
+
+def assert_same_run(ran, stepped):
+    assert ran.events == stepped.events
+    assert ran.q_totals == stepped.q_totals
+    assert ran.packets == stepped.packets
+    assert trace_digest(ran) == trace_digest(stepped)
+
+
+@pytest.mark.parametrize("cfg", cross_check_configs(),
+                         ids=lambda cfg: f"{cfg.policy}-{len(cfg.network.nodes)}n")
+def test_run_matches_stepping_every_round(cfg):
+    assert_same_run(Engine(cfg).run(), stepped_run(Engine(cfg)))
+
+
+def test_driven_run_matches_stepping_every_round():
+    # A co-run as gen_random_scenario makes it: buckets enforced, the
+    # greedy driver choosing every injection, two failures re-routing.
+    cfg = replace(gen_random_scenario(
+        19, rate=Fraction(3, 4), burst=2, delay=3, tau=2, policy="FTG",
+        horizon=600, nodes=(5, 8), stall_density=0.1, failures=2), injections=())
+    ran = Engine(cfg, driver=GreedyDriver(7, max_path_len=5, max_burst=2)).run()
+    stepped = stepped_run(Engine(cfg, driver=GreedyDriver(7, max_path_len=5, max_burst=2)))
+    assert_same_run(ran, stepped)
+    kinds = {ev[0] for ev in ran.events}
+    assert {"inject", "stall", "annihilate", "reroute", "fail_notify"} <= kinds
+    assert len(ran.packets) > 200
+
+
+def test_validate_names_the_first_bad_injection_of_a_repeated_path():
+    good, bad, worse = ("e0", "e1"), ("e1", "e0"), ("e0", "zz")
+    cfg = line(3, injections=(Injection(1, good), Injection(2, good),
+                              Injection(3, bad), Injection(4, worse),
+                              Injection(5, bad)))
+    with pytest.raises(ScenarioError, match=r"path \('e1', 'e0'\): discontinuity at 1"):
+        cfg.validate()
+    cfg = replace(cfg, injections=(Injection(1, good), Injection(2, worse),
+                                   Injection(3, bad), Injection(4, worse)))
+    with pytest.raises(ScenarioError, match=r"path \('e0', 'zz'\): unknown_edge at 1"):
+        cfg.validate()
+    # A path checked once is still checked for each injection's round.
+    cfg = replace(cfg, injections=(Injection(1, good), Injection(13, good)))
+    with pytest.raises(ScenarioError, match="injection round 13 outside horizon"):
+        cfg.validate()
 
 
 def corrupted_counter_runs():

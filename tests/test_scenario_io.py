@@ -218,10 +218,12 @@ def test_deleted_absorb_refused(tmp_path):
 
 def test_events_out_of_round_order_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
+    # The annihilate moves ahead of the round-3 events but stays after the
+    # group it ends, so the round order is the first thing wrong.
     assert json.loads(lines[8])["event"] == ["annihilate", 4, 0, "forced"]
-    lines[4], lines[8] = lines[8], lines[4]
+    lines[5], lines[8] = lines[8], lines[5]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="line 6: event of round 3 after round 4"):
+    with pytest.raises(ParseError, match="line 7: event of round 3 after round 4"):
         load_trace(path)
 
 
@@ -253,6 +255,41 @@ INCONSISTENT_EDITS = [
     pytest.param(2, ["tick", 1], "malformed 'tick' event", id="v1-kind"),
     pytest.param(2, ["transmit", 0, "ab", 0], "event of round 0; rounds start at 1",
                  id="round-0"),
+    pytest.param(4, ["group", 2, "0", "bc", 0, ["bc"]], "group event with group id '0'",
+                 id="group-text-id"),
+    pytest.param(4, ["group", 2, 0, "zz", 0, ["bc"]],
+                 "group 0 stalls at 'zz', which is not in the network", id="group-unknown-edge"),
+    pytest.param(4, ["group", 2, 0, "bc", 0, 3], "group 0 holds 3, not a path of network edges",
+                 id="group-members-int"),
+    pytest.param(4, ["group", 2, 0, "bc", 0, []], r"group 0 holds \(\), not a path",
+                 id="group-members-empty"),
+    pytest.param(4, ["group", 2, 0, "bc", 0, ["bc", "zz"]],
+                 r"group 0 holds \('bc', 'zz'\), not a path", id="group-members-unknown"),
+    pytest.param(8, ["group", 4, 0, "bc", 1, ["bc"]], "group 0 is created twice",
+                 id="group-twice"),
+    pytest.param(3, ["stall", 2, "bc", 0, "0"], "stall event with group id '0'",
+                 id="stall-text-group"),
+    pytest.param(8, ["annihilate", 4, "0", "forced"], "annihilate event with group id '0'",
+                 id="annihilate-text-id"),
+    pytest.param(8, ["annihilate", 4, 7, "forced"],
+                 "annihilate of group 7, which is never created", id="annihilate-unknown"),
+    pytest.param(9, ["annihilate", 4, 0, "voluntary"],
+                 "annihilate of group 0, which is already annihilated", id="annihilate-twice"),
+    pytest.param(8, ["annihilate", 4, 0, "later"],
+                 "annihilate of group 0 as 'later', not 'voluntary' or 'forced'",
+                 id="annihilate-manner"),
+    pytest.param(8, ["fail", 4, "zz"], "fail of edge 'zz', which is not in the network",
+                 id="fail-unknown-edge"),
+    pytest.param(8, ["recover", 4, ["bc"]],
+                 r"recover of edge \('bc',\), which is not in the network",
+                 id="recover-unknown-edge"),
+    pytest.param(8, ["fail_notify", 4, "zz", 4],
+                 "fail_notify of edge 'zz', which is not in the network",
+                 id="fail-notify-unknown-edge"),
+    pytest.param(8, ["fail_notify", 4, "bc", 5],
+                 "fail_notify in round 4 of a failure in round 5", id="fail-notify-later"),
+    pytest.param(8, ["fail_notify", 4, "bc", "4"],
+                 "fail_notify in round 4 of a failure in round '4'", id="fail-notify-text-round"),
 ]
 
 
@@ -394,6 +431,37 @@ def test_undecodable_line_named(tmp_path, edit, message):
         load_trace(path)
 
 
+@pytest.mark.parametrize("lineno, at", [
+    pytest.param(1, 2, id="header"),
+    pytest.param(5, 2, id="between-records"),
+    pytest.param(5, 30, id="inside-a-string"),
+    pytest.param(12, 2, id="totals-line"),
+])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, lineno, at):
+    # Inside a string the bytes would otherwise decode as part of a name.
+    path, lines = saved_lines(tmp_path)
+    assert len(lines) == 12
+    raw = [line.encode() for line in lines]
+    raw[lineno - 1] = raw[lineno - 1][:at] + b"\xff\xfe" + raw[lineno - 1][at:]
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    with pytest.raises(ParseError, match=f"^line {lineno}: bytes that are not UTF-8$"):
+        load_trace(path)
+
+
+def test_bytes_that_are_not_utf8_past_the_first_chunk_of_lines(tmp_path):
+    _cfg, trace = gen_random_scenario(
+        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=400,
+        nodes=(8, 8), with_trace=True)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    raw = path.read_bytes().split(b"\n")
+    assert len(raw) > 2000
+    raw[1500] = raw[1500][:-1] + b"\xff\xfe}"
+    path.write_bytes(b"\n".join(raw))
+    with pytest.raises(ParseError, match="^line 1501: bytes that are not UTF-8$"):
+        load_trace(path)
+
+
 def test_bytes_that_do_not_decode_come_after_an_earlier_error(tmp_path):
     # The file decodes in blocks of bytes. With the bad bytes past the first
     # block, reading line by line reports the event error on line 2 first.
@@ -498,15 +566,17 @@ def test_lines_read_one_by_one_load_the_same(tmp_path):
     # Lines that a one-call decode must not take: spaces around a record, a
     # brace or a U+2028 inside a string. The file still loads as the oracle
     # reads it, with the list nested in the group event made a tuple too.
+    # The odd string and the nested list sit in the group's packet field,
+    # which the loader does not read; its edges must be network edges.
     path, lines = saved_lines(tmp_path)
     lines[2] = " " + lines[2] + "\t"
-    lines[4] = '{"event":["group",2,0,"b{c}\u2028",0,[["bc"]]]}'
+    lines[4] = '{"event":["group",2,0,"bc",[["b{c}\u2028"]],["bc"]]}'
     lines[8] = json.dumps(json.loads(lines[8]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = load_trace(path)
     events, q_totals, packets = oracle_load(path)
     assert loaded.events == events
-    assert events[3] == ("group", 2, 0, "b{c}\u2028", 0, (("bc",),))
+    assert events[3] == ("group", 2, 0, "bc", (("b{c}\u2028",),), ("bc",))
     assert (loaded.q_totals, loaded.packets) == (q_totals, packets)
 
 
@@ -531,3 +601,60 @@ def test_metrics_csv_matches_the_row_by_row_writer(tmp_path):
         oracle_metrics_csv(tr, tmp_path / f"{name}.oracle.csv")
         assert (tmp_path / f"{name}.csv").read_bytes() == (
             tmp_path / f"{name}.oracle.csv").read_bytes()
+
+
+def one_shot_digest(trace):
+    """The digest's definition, encoded in one call."""
+    compact = dict(separators=(",", ":"))
+    text = json.dumps(trace.events, **compact) + json.dumps(trace.q_totals, **compact)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_digest_is_the_hash_of_the_compact_json(tmp_path):
+    _cfg, trace = gen_random_scenario(
+        2, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=1000,
+        nodes=(8, 8), failures=2, with_trace=True)
+    assert len(trace.events) > 3 * 1024
+    cut = ExecutionTrace(trace.config)
+    cut.q_totals = trace.q_totals
+    # No events, part of a chunk, exactly one and two chunks, and more.
+    for count in (0, 5, 1024, 2048, len(trace.events)):
+        cut.events = trace.events[:count]
+        assert trace_digest(cut) == one_shot_digest(cut), count
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    assert trace_digest(load_trace(path)) == trace_digest(trace)
+
+
+def test_digest_sees_every_field_and_total():
+    _cfg, trace = gen_random_scenario(
+        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=300,
+        nodes=(6, 6), failures=2, with_trace=True)
+    digest = trace_digest(trace)
+    edited = ExecutionTrace(trace.config)
+    seen = set()
+    for at in sorted({len(trace.events) - 1, 0} | {
+            next(i for i, ev in enumerate(trace.events) if ev[0] == kind)
+            for kind in ("inject", "group", "reroute", "annihilate")}):
+        ev = trace.events[at]
+        for i in range(1, len(ev)):
+            value = ev[i]
+            if type(value) is int:
+                new = value + 1
+            elif type(value) is str:
+                new = value + "x"
+            else:
+                new = value[:-1]
+            edited.events = list(trace.events)
+            edited.events[at] = ev[:i] + (new,) + ev[i + 1:]
+            edited.q_totals = trace.q_totals
+            assert trace_digest(edited) != digest, (ev, i)
+            seen.add(ev[0])
+    assert {"inject", "group", "reroute", "annihilate"} <= seen
+    edited.events = trace.events
+    for rnd in (0, len(trace.q_totals) // 2, len(trace.q_totals) - 1):
+        edited.q_totals = list(trace.q_totals)
+        edited.q_totals[rnd] += 1
+        assert trace_digest(edited) != digest, rnd
+    edited.q_totals = trace.q_totals
+    assert trace_digest(edited) == digest
