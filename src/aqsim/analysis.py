@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -52,6 +53,30 @@ def probe_stability(trace: ExecutionTrace, window: int = 50, k: int = 4,
                                    GROWTH, witness)
     return StabilityReport(window, k, g, maxima, max(totals) if totals else 0,
                            BOUNDED)
+
+
+def sweep(fn, items, workers: int = 1) -> list:
+    """``[fn(item) for item in items]``, in item order, on worker processes.
+
+    Runs on ``min(workers, len(items))`` processes of the platform's
+    default start method, or in this process when that is one. ``fn`` and
+    the items travel to the workers pickled, so ``fn`` is a module-level
+    function or a ``functools.partial`` of one. The first item to raise, in
+    item order, raises here; items not yet started are cancelled.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # Imported here, not with the module: it costs every process that
+    # imports aqsim memory and start-up time, and most never sweep.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -- re-routing overload gadget ------------------------------------------------
@@ -252,7 +277,9 @@ class GreedyDriver:
 
     Deterministic given its seed. Respects refusals by probing levels
     before submitting, and never routes over a link with a delivered
-    failure notification.
+    failure notification. Beside a scripted run it leaves on each edge the
+    tokens the script still needs (``_ScriptReserve``), so its injections
+    do not leave a scripted one short, antitoken annihilations aside.
     """
 
     def __init__(self, seed: int, inject_prob: float = 0.9, max_path_len: int = 4,
@@ -261,6 +288,7 @@ class GreedyDriver:
         self.inject_prob = inject_prob
         self.max_path_len = max_path_len
         self.max_burst = max_burst
+        self._reserve = None
 
     def __call__(self, engine: Engine, rnd: int):
         if self.rng.random() >= self.inject_prob:
@@ -270,16 +298,73 @@ class GreedyDriver:
         if path is None:
             return []
         want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
-        if engine.config.enforce_buckets:
+        config = engine.config
+        if config.enforce_buckets:
             # Whole tokens floor the level where int() of the Fraction would
             # truncate it; the two differ only below zero, and max(0, ...)
             # clamps both to 0.
-            afford = min(
-                (engine.buckets.whole_tokens(edge) for edge in path), default=0)
+            whole_tokens = engine.buckets.whole_tokens
+            if config.injections:
+                reserve = self._reserve
+                if reserve is None or reserve.script is not config.injections:
+                    reserve = self._reserve = _ScriptReserve(config)
+                afford = min(whole_tokens(edge) - reserve.tokens(edge, rnd)
+                             for edge in path)
+            else:
+                afford = min((whole_tokens(edge) for edge in path), default=0)
             want = min(want, max(0, afford))
         if want < 1:
             return []
         return [Injection(rnd, path) for _ in range(want)]
+
+
+class _ScriptReserve:
+    """The tokens a scripted run must keep on each edge, round by round.
+
+    An edge's level before the injection phase of a scripted round must
+    cover that round's scripted demand. Between phases the level gains the
+    rate and clamps at the burst, so the level kept after round t's
+    purchases serves every later scripted round when it is at least
+    max(0, cover(n) - (n - t) * rate), with n the next scripted round on
+    the edge and cover(n) its demand plus what it must keep in turn.
+    Levels are scaled by the rate denominator, as in ``BucketSystem``.
+    Antitoken annihilations are not foreseen: they depend on the run.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.script = config.injections
+        self._num = config.adversary.rate.numerator
+        self._den = config.adversary.rate.denominator
+        demand: dict[str, dict[int, int]] = {}
+        for inj in config.injections:
+            for edge in inj.path:
+                per_round = demand.setdefault(edge, {})
+                per_round[inj.round] = per_round.get(inj.round, 0) + 1
+        # edge -> (its scripted rounds in order, their covers, demand per round)
+        self._edges: dict[str, tuple[list[int], list[int], dict[int, int]]] = {}
+        for edge, per_round in demand.items():
+            rounds = sorted(per_round)
+            covers = [0] * len(rounds)
+            for i in range(len(rounds) - 1, -1, -1):
+                covers[i] = (per_round[rounds[i]] * self._den
+                             + self._kept(rounds, covers, i + 1, rounds[i]))
+            self._edges[edge] = rounds, covers, per_round
+
+    def _kept(self, rounds, covers, i, rnd) -> int:
+        """The scaled level to keep after round ``rnd``, whose next scripted
+        round is ``rounds[i]``."""
+        if i == len(rounds):
+            return 0
+        return max(0, covers[i] - (rounds[i] - rnd) * self._num)
+
+    def tokens(self, edge: str, rnd: int) -> int:
+        """Whole tokens the script needs on ``edge`` in round ``rnd``."""
+        entry = self._edges.get(edge)
+        if entry is None:
+            return 0
+        rounds, covers, per_round = entry
+        kept = self._kept(rounds, covers, bisect_right(rounds, rnd), rnd)
+        return per_round.get(rnd, 0) - (-kept // self._den)
 
 
 def _stall_rounds(rng: random.Random, horizon: int, tau: int, density: float):

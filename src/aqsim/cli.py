@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +157,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _batch_one(out: Path, path: Path):
+    """Run one scenario file of a batch and save its trace under ``out``."""
+    config = scenario_io.load_scenario(path)
+    trace = Engine(config).run()
+    scenario_io.save_trace(trace, out / f"{path.stem}.trace.jsonl")
+    return path.stem, max(trace.q_totals, default=0), trace.digest()
+
+
 def cmd_batch(args) -> int:
     paths = sorted(Path(args.scenarios).glob("*.json"))
     if not paths:
@@ -164,17 +172,9 @@ def cmd_batch(args) -> int:
         return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def one(path):
-        config = scenario_io.load_scenario(path)
-        trace = Engine(config).run()
-        scenario_io.save_trace(trace, out / f"{path.stem}.trace.jsonl")
-        return path.stem, max(trace.q_totals, default=0), trace.digest()
-
-    # Scenario runs share no mutable state; workers only interleave I/O.
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for stem, peak, digest in pool.map(one, paths):
-            print(f"{stem}: max queued {peak}, digest {digest[:16]}")
+    results = analysis.sweep(functools.partial(_batch_one, out), paths, args.workers)
+    for stem, peak, digest in results:
+        print(f"{stem}: max queued {peak}, digest {digest[:16]}")
     return EXIT_OK
 
 

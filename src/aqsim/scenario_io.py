@@ -5,11 +5,14 @@ scenario file is an experiment record and a typo that parses silently
 corrupts results. Rationals travel as "num/den" strings and never pass
 through floating point.
 
-A trace file (version 3) is line-delimited JSON: one header record
+A trace file (version 4) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
 scenario itself), one record per event, then the total queued after each
-round. The hash is taken over the compact, key-sorted JSON of the
-scenario. The events are those the checkers and the packet audit read:
+round. The header line is the compact, key-sorted JSON of the header
+record, and the hash is the SHA-256 of the scenario's compact, key-sorted
+JSON as it stands in that line, so a load hashes the stored bytes and
+never encodes the scenario again. The events are those the checkers and
+the packet audit read:
 inject, transmit, stall, group, annihilate, absorb, reroute, fail,
 fail_notify and recover. Per-edge queue lengths are not stored; they are
 a function of the events (``ExecutionTrace.queue_sizes``). The file
@@ -19,12 +22,14 @@ Loading checks the file against itself. Every event must be well formed
 and in round order, and must move a packet that is queued where the event
 says: no second inject of one packet, no transmit, stall, reroute or
 absorb of a packet that was never injected or is already absorbed. Every
-edge an event names must be in the network, and an annihilate must end a
-group that was created and is not yet annihilated. The running count of
-injections minus absorptions must equal the stored total after every
-round, so an edited total or a dropped event is refused with the first
-round where they disagree. Bytes that are not UTF-8 are refused with the
-line that holds them. Files of versions 1 and 2 are refused as an
+edge an event names must be in the network, an inject's priority must be
+one of the policy's levels, each stall must be followed directly by its
+group, holding the edges its packet has still to cross, and an annihilate
+must end a group that was created and is not yet annihilated. The running
+count of injections minus absorptions must equal the stored total after
+every round, so an edited total or a dropped event is refused with the
+first round where they disagree. Bytes that are not UTF-8 are refused with
+the line that holds them. Files of versions 1 to 3 are refused as an
 unsupported format.
 """
 
@@ -41,7 +46,7 @@ from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 
 class ParseError(ValueError):
@@ -63,12 +68,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _keys(required, optional=()):
-    """An object schema: its required keys, and every key it allows."""
-    return required, frozenset(required) | frozenset(optional)
+    """An object schema: its required keys, every key it allows, and the
+    required keys as a set."""
+    return required, frozenset(required) | frozenset(optional), frozenset(required)
+
+
+def _fits(mapping, keys) -> bool:
+    """Whether ``_require`` passes ``mapping``; it formats no message."""
+    _required, allowed, required = keys
+    return isinstance(mapping, dict) and allowed >= mapping.keys() >= required
 
 
 def _require(mapping, where, keys):
-    required, allowed = keys
+    required, allowed, _ = keys
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected an object")
     for key in mapping:
@@ -160,7 +172,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     net_doc = _require(doc["network"], "network", _NETWORK_KEYS)
     edges = []
     for i, entry in enumerate(net_doc["edges"]):
-        _require(entry, f"network.edges[{i}]", _EDGE_KEYS)
+        if not _fits(entry, _EDGE_KEYS):
+            _require(entry, f"network.edges[{i}]", _EDGE_KEYS)
         edges.append(Edge(entry["id"], entry["tail"], entry["head"],
                           entry.get("slowness", 1)))
     network = Network(net_doc["nodes"], edges)
@@ -177,25 +190,30 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     sched = _require(doc["schedules"], "schedules", _SCHEDULES_KEYS)
     injections = []
     for i, entry in enumerate(sched.get("injections", ())):
-        _require(entry, f"injections[{i}]", _INJECTION_KEYS)
+        if not _fits(entry, _INJECTION_KEYS):
+            _require(entry, f"injections[{i}]", _INJECTION_KEYS)
         injections.append(Injection(entry["round"], tuple(entry["path"]),
                                     entry.get("priority", 0), entry.get("id")))
     stalls = {}
     for i, entry in enumerate(sched.get("stalls", ())):
-        _require(entry, f"stalls[{i}]", _STALL_KEYS)
+        if not _fits(entry, _STALL_KEYS):
+            _require(entry, f"stalls[{i}]", _STALL_KEYS)
         stalls[entry["edge"]] = frozenset(entry["rounds"])
     delays = {}
     for i, entry in enumerate(sched.get("annihilations", ())):
-        _require(entry, f"annihilations[{i}]", _ANNIHILATION_KEYS)
+        if not _fits(entry, _ANNIHILATION_KEYS):
+            _require(entry, f"annihilations[{i}]", _ANNIHILATION_KEYS)
         delays[(entry["edge"], entry["round"])] = entry["delay"]
     failures = []
     for i, entry in enumerate(sched.get("failures", ())):
-        _require(entry, f"failures[{i}]", _FAILURE_KEYS)
+        if not _fits(entry, _FAILURE_KEYS):
+            _require(entry, f"failures[{i}]", _FAILURE_KEYS)
         failures.append(FailureEvent(entry["edge"], entry["round"],
                                      entry.get("notify_delay", 0)))
     recoveries = []
     for i, entry in enumerate(sched.get("recoveries", ())):
-        _require(entry, f"recoveries[{i}]", _RECOVERY_KEYS)
+        if not _fits(entry, _RECOVERY_KEYS):
+            _require(entry, f"recoveries[{i}]", _RECOVERY_KEYS)
         recoveries.append(RecoveryEvent(entry["edge"], entry["round"]))
 
     run_doc = _require(doc["run"], "run", _RUN_KEYS)
@@ -240,10 +258,14 @@ def load_scenario(path) -> ScenarioConfig:
         return loads_scenario(fh.read())
 
 
+def _scenario_text(config: ScenarioConfig) -> str:
+    """The compact, key-sorted JSON of the scenario: the text its hash covers."""
+    return json.dumps(scenario_to_dict(config), sort_keys=True, separators=(",", ":"))
+
+
 def scenario_hash(config: ScenarioConfig) -> str:
     """SHA-256 of the compact, key-sorted JSON of the scenario."""
-    text = json.dumps(scenario_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_scenario_text(config).encode()).hexdigest()
 
 
 # -- traces ---------------------------------------------------------------------
@@ -274,16 +296,22 @@ def trace_digest(trace: ExecutionTrace) -> str:
     return h.hexdigest()
 
 
+# The header line is the compact, key-sorted JSON of the header record,
+# laid out as _HEADER_HEAD + scenario + _HEADER_HASH + hash + _HEADER_TAIL,
+# where the scenario is its compact, key-sorted JSON and the hash its
+# SHA-256: a load hashes the scenario as stored, without encoding it again.
+_HEADER_HEAD = f'{{"format":"{TRACE_FORMAT}","scenario":'
+_HEADER_HASH = ',"scenario_hash":"'
+_HEADER_TAIL = f'","version":{TRACE_VERSION}}}'
+_HEADER_END = len(_HEADER_HASH) + 64 + len(_HEADER_TAIL)  # from the scenario's end
+
+
 def save_trace(trace: ExecutionTrace, path):
-    header = {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "scenario_hash": scenario_hash(trace.config),
-        "scenario": scenario_to_dict(trace.config),
-    }
+    scenario = _scenario_text(trace.config)
+    digest = hashlib.sha256(scenario.encode()).hexdigest()
     events = trace.events
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(_HEADER_HEAD + scenario + _HEADER_HASH + digest + _HEADER_TAIL + "\n")
         for start in range(0, len(events), _CHUNK_LINES):
             # Events hold only str, int and tuples, so outside strings a "}"
             # closes a record, and a string holds no bare quote:
@@ -307,7 +335,12 @@ def load_trace(path) -> ExecutionTrace:
 
 
 def _read_header(line: str) -> ScenarioConfig:
-    """The scenario of a trace header, which must be of this version and hash."""
+    """The scenario of a trace header, which must be of this version and hash.
+
+    The line must be laid out as ``save_trace`` writes it, and its hash
+    must be the SHA-256 of the scenario's bytes between the fixed head and
+    tail; the scenario is then read from the decoded header.
+    """
     if _undecodable(line):
         raise ParseError("line 1: bytes that are not UTF-8")
     try:
@@ -318,10 +351,15 @@ def _read_header(line: str) -> ScenarioConfig:
     if header["format"] != TRACE_FORMAT or header["version"] != TRACE_VERSION:
         raise ParseError(
             f"unsupported trace format {header['format']!r} v{header['version']}")
-    config = scenario_from_dict(header["scenario"])
-    if header["scenario_hash"] != scenario_hash(config):
+    line = line.removesuffix("\n")
+    end = len(line) - _HEADER_END
+    if not (end >= len(_HEADER_HEAD) and line.startswith(_HEADER_HEAD)
+            and line.startswith(_HEADER_HASH, end) and line.endswith(_HEADER_TAIL)):
+        raise ParseError("trace header is not the compact, key-sorted layout its hash covers")
+    scenario = line[len(_HEADER_HEAD):end].encode()
+    if hashlib.sha256(scenario).hexdigest() != line[end + len(_HEADER_HASH):-len(_HEADER_TAIL)]:
         raise ParseError("trace header hash does not match its scenario")
-    return config
+    return scenario_from_dict(header["scenario"])
 
 
 def _undecodable(text: str) -> bool:
@@ -398,25 +436,77 @@ def _read_records(trace: ExecutionTrace, records):
     One pass. Each event must be well formed, in round order and move a
     packet that is queued where the event says; ``ahead`` maps each
     injected packet to the edges it has still to cross (``None`` once
-    absorbed). The event, its lists made tuples, is then appended, counted
-    in its round's injections minus absorptions, and folded into the
-    packet audit records. Returns those per-round counts and the stored
-    totals.
+    absorbed). An inject's priority must be one of the policy's levels, and
+    each stall must be followed directly by its group, which holds the
+    edges its packet has still to cross. The event, its lists made tuples,
+    is then appended, counted in its round's injections minus absorptions,
+    and folded into the packet audit records. Returns those per-round
+    counts and the stored totals.
+
+    Well-typed transmit, absorb and inject events, most of any trace, take
+    a lane of their own that runs their checks in the same order. An event
+    a lane does not accept goes on, untouched, to the generic checks, the
+    only ones that raise, so a refusal reads the same whichever way the
+    event came.
     """
-    edges = set(trace.config.network.edges)
+    config = trace.config
+    edges = set(config.network.edges)
+    levels = config.policy.levels if isinstance(config.policy, Prioritized) else 1
     events, packets = trace.events, trace.packets
+    append = events.append
     ahead: dict[int, tuple | None] = {}
     groups: dict[int, bool] = {}  # group id -> not yet annihilated
     net: dict[int, int] = {}  # round -> injections minus absorptions
     q_totals = None
     last_round = 1
+    stalled = None  # the stall event whose group is the next record
     for lineno, doc in enumerate(records, 2):
+        if stalled is None and type(doc) is dict:
+            ev = doc.get("event")
+            if type(ev) is list:
+                n = len(ev)
+                if n == 4:
+                    kind, rnd, edge, pid = ev
+                    if (kind == "transmit" and type(rnd) is int and rnd >= last_round
+                            and type(pid) is int):
+                        rest = ahead.get(pid)
+                        if rest and rest[0] == edge:
+                            ahead[pid] = rest[1:]
+                            last_round = rnd
+                            append(("transmit", rnd, edge, pid))
+                            continue
+                elif n == 3:
+                    kind, rnd, pid = ev
+                    if (kind == "absorb" and type(rnd) is int and rnd >= last_round
+                            and type(pid) is int and ahead.get(pid) == ()):
+                        ahead[pid] = None
+                        packets[pid].absorbed_round = rnd
+                        net[rnd] = net.get(rnd, 0) - 1
+                        last_round = rnd
+                        append(("absorb", rnd, pid))
+                        continue
+                elif n == 5:
+                    kind, rnd, pid, path, priority = ev
+                    if (kind == "inject" and type(rnd) is int and rnd >= last_round
+                            and type(pid) is int and pid not in ahead
+                            and type(path) is list and path
+                            and all(type(e) is str and e in edges for e in path)
+                            and type(priority) is int and 0 <= priority < levels):
+                        path = tuple(path)
+                        ahead[pid] = path
+                        packets[pid] = PacketRecord(pid, rnd, priority, path, path)
+                        net[rnd] = net.get(rnd, 0) + 1
+                        last_round = rnd
+                        append(("inject", rnd, pid, path, priority))
+                        continue
         try:
             if type(doc) is not dict:
                 raise ParseError("unknown record")
             if "event" not in doc:
                 if "q_totals" not in doc:
                     raise ParseError("unknown record")
+                if stalled is not None:
+                    raise _unpaired(stalled)
                 q_totals = doc["q_totals"]
                 continue
             ev = doc["event"]
@@ -441,21 +531,32 @@ def _read_records(trace: ExecutionTrace, records):
                 pid = ev[2]
             else:
                 _check_unmoving_event(ev, edges, groups)
-                events.append(ev)
+                if kind == "group":
+                    _check_group_of_stall(ev, stalled, ahead)
+                    stalled = None
+                elif stalled is not None:
+                    raise _unpaired(stalled)
+                append(ev)
                 continue
             if type(pid) is not int:
                 raise ParseError(f"{kind} event with packet id {pid!r}")
             if kind == "inject":
-                path = ev[3]
+                path, priority = ev[3], ev[4]
                 if pid in ahead:
                     raise ParseError(f"packet {pid} is injected twice")
                 if not (path and _is_path(path, edges)):
                     raise ParseError(
                         f"packet {pid} is injected on a path not in the network")
+                if not (type(priority) is int and 0 <= priority < levels):
+                    raise ParseError(
+                        f"packet {pid} is injected with priority {priority!r}, "
+                        f"not one of the policy's {levels} level(s)")
+                if stalled is not None:
+                    raise _unpaired(stalled)
                 ahead[pid] = path
-                packets[pid] = PacketRecord(pid, rnd, ev[4], path, path)
+                packets[pid] = PacketRecord(pid, rnd, priority, path, path)
                 net[rnd] = net.get(rnd, 0) + 1
-                events.append(ev)
+                append(ev)
                 continue
             rest = ahead.get(pid)
             if rest is None:
@@ -465,32 +566,56 @@ def _read_records(trace: ExecutionTrace, records):
                 if rest:
                     raise ParseError(
                         f"absorb of packet {pid} with {list(rest)} still to cross")
+                if stalled is not None:
+                    raise _unpaired(stalled)
                 ahead[pid] = None
                 packets[pid].absorbed_round = rnd
                 net[rnd] = net.get(rnd, 0) - 1
-                events.append(ev)
+                append(ev)
                 continue
             edge = ev[5] if kind == "reroute" else ev[2]
             if not rest or rest[0] != edge:
                 raise ParseError(
                     f"{kind} of packet {pid} at {edge!r}, where it is not queued")
-            if kind == "transmit":
-                ahead[pid] = rest[1:]
-            elif kind == "stall":
-                if type(ev[4]) is not int:
-                    raise ParseError(f"stall event with group id {ev[4]!r}")
-            elif kind == "reroute":
+            if kind == "stall" and type(ev[4]) is not int:
+                raise ParseError(f"stall event with group id {ev[4]!r}")
+            if kind == "reroute":
                 new_suffix = ev[4]
                 if ev[3] != rest or not _is_path(new_suffix, edges):
                     raise ParseError(f"reroute of packet {pid} does not match its path")
+            if stalled is not None:
+                raise _unpaired(stalled)
+            if kind == "transmit":
+                ahead[pid] = rest[1:]
+            elif kind == "stall":
+                stalled = ev
+            else:
                 ahead[pid] = new_suffix
                 rec = packets[pid]
                 rec.final_path = rec.final_path[: len(rec.final_path) - len(rest)] + new_suffix
                 rec.rerouted = True
-            events.append(ev)
+            append(ev)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return net, q_totals
+
+
+def _unpaired(stall: tuple) -> ParseError:
+    _, rnd, edge, pid, _gid = stall
+    return ParseError(
+        f"stall of packet {pid} at {edge!r} in round {rnd} is not followed by its group")
+
+
+def _check_group_of_stall(group: tuple, stall: tuple | None, ahead: dict):
+    """A group must directly follow its stall and hold its packet's remaining edges."""
+    _, rnd, gid, edge, pid, members = group
+    if stall is None or stall[1:] != (rnd, edge, pid, gid):
+        raise ParseError(
+            f"group {gid} does not directly follow the stall of packet {pid!r} "
+            f"at {edge!r} in round {rnd} that it belongs to")
+    if members != ahead[pid]:
+        raise ParseError(
+            f"group {gid} holds {members!r}, not the edges packet {pid} has still to cross")
 
 
 def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool]):

@@ -9,6 +9,7 @@ and the two trace digests are compared; those comparisons feed the
 determinism criterion at the end.
 """
 
+import os
 import time
 from fractions import Fraction
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from aqsim import feedback
 from aqsim.analysis import (GROWTH, count_rerouted, gen_random_scenario,
                             injections_after_notification, probe_stability,
-                            rerouting_gadget)
+                            rerouting_gadget, sweep)
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (FailureEvent, Injection, RecoveryEvent,
                           ScenarioConfig, run, validate_recovery)
@@ -251,46 +252,51 @@ def test_criterion_5_two_priority_reduction(reduction_batch):
 # -- criterion 6: stable policies stay bounded --------------------------------------
 
 
+def stability_item(item):
+    """One criterion-6 run, timed in the process that runs it: the co-run
+    and probe of base seed and policy, then the replay of its script."""
+    base_seed, policy = item
+    i = base_seed - 9001
+    t0 = time.perf_counter()
+    cfg, co_trace = gen_random_scenario(
+        base_seed,
+        rate=(Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))[i % 3],
+        burst=BURSTS[i % 3],
+        delay=DELAYS[i % 3],
+        tau=(i % 2) + 1,
+        policy=policy,
+        horizon=10_000,
+        stall_density=0.02,
+        inject_prob=0.25,
+        with_trace=True,
+    )
+    report = probe_stability(co_trace, **SWEEP_PROBE)
+    t1 = time.perf_counter()
+    digest_equal = run(cfg).digest() == co_trace.digest()
+    return report, digest_equal, t1 - t0, time.perf_counter() - t1
+
+
 @pytest.fixture(scope="module")
 def stability_sweep():
-    growth = []
-    digest_mismatches = []
-    observed_max = 0
-    probe_seconds = 0.0
-    replay_seconds = 0.0
-    for base_seed in range(9001, 9301):
-        i = base_seed - 9001
-        for policy in STABLE_POLICIES:
-            t0 = time.perf_counter()
-            cfg, co_trace = gen_random_scenario(
-                base_seed,
-                rate=(Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))[i % 3],
-                burst=BURSTS[i % 3],
-                delay=DELAYS[i % 3],
-                tau=(i % 2) + 1,
-                policy=policy,
-                horizon=10_000,
-                stall_density=0.02,
-                inject_prob=0.25,
-                with_trace=True,
-            )
-            report = probe_stability(co_trace, **SWEEP_PROBE)
-            observed_max = max(observed_max, report.overall_max)
-            if report.verdict == GROWTH:
-                growth.append((base_seed, policy, report.witness))
-            t1 = time.perf_counter()
-            replay = run(cfg)
-            if replay.digest() != co_trace.digest():
-                digest_mismatches.append((base_seed, policy))
-            replay_seconds += time.perf_counter() - t1
-            probe_seconds += t1 - t0
-    return {
-        "growth": growth,
-        "digest_mismatches": digest_mismatches,
-        "observed_max": observed_max,
-        "probe_seconds": probe_seconds,
-        "replay_seconds": replay_seconds,
+    items = [(base_seed, policy) for base_seed in range(9001, 9301)
+             for policy in STABLE_POLICIES]
+    results = sweep(stability_item, items, os.cpu_count() or 1)
+    out = {
+        "growth": [],
+        "digest_mismatches": [],
+        "observed_max": 0,
+        "probe_seconds": 0.0,
+        "replay_seconds": 0.0,
     }
+    for (base_seed, policy), (report, digest_equal, probe_s, replay_s) in zip(items, results):
+        out["observed_max"] = max(out["observed_max"], report.overall_max)
+        if report.verdict == GROWTH:
+            out["growth"].append((base_seed, policy, report.witness))
+        if not digest_equal:
+            out["digest_mismatches"].append((base_seed, policy))
+        out["probe_seconds"] += probe_s
+        out["replay_seconds"] += replay_s
+    return out
 
 
 def test_criterion_6_stable_policy_regression(stability_sweep):

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import pickle
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,9 +10,9 @@ import pytest
 from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
-                            strongly_connected)
+                            strongly_connected, sweep)
 from aqsim.buckets import AdversaryType, BucketSystem
-from aqsim.engine import (ExecutionTrace, FailureEvent, Injection,
+from aqsim.engine import (Engine, ExecutionTrace, FailureEvent, Injection,
                           ScenarioConfig, run)
 from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
@@ -222,3 +227,76 @@ def test_greedy_driver_whole_tokens_keep_the_truncating_scripts(monkeypatch):
                         lambda self, edge: int(self.level(edge)))
     assert sweep() == floored
     assert sum(map(len, floored)) > 27 * 1000
+
+
+def scripted_kept(cfg, trace):
+    """Whether every scripted injection of ``cfg`` was made in ``trace``."""
+    made = Counter((ev[1], ev[3]) for ev in trace.events if ev[0] == "inject")
+    return not Counter((inj.round, inj.path) for inj in cfg.injections) - made
+
+
+def test_greedy_driver_leaves_a_script_its_tokens():
+    # The driver once sized its injections from the levels alone, and this
+    # run aborted in round 3: in round 2 it spent a token on e003 that the
+    # two round-3 scripted injections needed.
+    cfg = gen_random_scenario(11, rate=Fraction(3, 4), burst=2, delay=3, tau=2,
+                              policy="FTG", horizon=600, nodes=(5, 8),
+                              stall_density=0.1, failures=2)
+    cfg = replace(cfg, injections=cfg.injections[:40])
+    trace = Engine(cfg, driver=GreedyDriver(7)).run()
+    assert scripted_kept(cfg, trace)
+    assert sum(ev[0] == "inject" for ev in trace.events) > 2 * len(cfg.injections)
+
+
+@pytest.mark.parametrize("script", [
+    (Injection(1, ("ab",)),),
+    (Injection(2, ("ab",)), Injection(2, ("ab",))),
+    (Injection(3, ("ab",)), Injection(3, ("ab",)), Injection(4, ("ab",))),
+], ids=["same-round", "next-round", "two-rounds-on"])
+def test_greedy_driver_spends_no_token_a_later_script_needs(script):
+    # One edge at rate 1, burst 2: the level is 1 in round 1 and 2 from
+    # round 2 on, exactly what each script spends when the driver leaves it.
+    net = Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ba", "b", "a")])
+    cfg = ScenarioConfig(network=net, adversary=AdversaryType(ONE, 2, 1),
+                         policy="FIFO", horizon=6, injections=script)
+    for seed in range(20):
+        trace = Engine(cfg, driver=GreedyDriver(seed, inject_prob=1.0, max_path_len=1,
+                                                max_burst=2)).run()
+        assert scripted_kept(cfg, trace), seed
+
+
+def square_in(x):
+    return x * x, os.getpid()
+
+
+def fail_on(x):
+    if x in (3, 5):
+        raise ScenarioError(f"item {x}", round=x, edge=f"e{x}")
+    return x
+
+
+def test_sweep_maps_in_item_order_on_worker_processes():
+    results = sweep(square_in, range(7), 2)
+    assert [value for value, _pid in results] == [x * x for x in range(7)]
+    assert os.getpid() not in {pid for _value, pid in results}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("items", [range(5), [4], []])
+def test_sweep_on_one_worker_or_item_maps_here(items):
+    assert sweep(square_in, items, 1 if len(items) > 1 else 4) == [
+        (x * x, os.getpid()) for x in items]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_raises_the_first_error_in_item_order(workers):
+    with pytest.raises(ScenarioError, match="item 3") as error:
+        sweep(fail_on, range(8), workers)
+    assert (error.value.round, error.value.edge) == (3, "e3")
+    assert multiprocessing.active_children() == []
+
+
+def test_scenario_error_pickles_with_its_round_and_edge():
+    error = pickle.loads(pickle.dumps(ScenarioError("short", round=4, edge="ab")))
+    assert type(error) is ScenarioError
+    assert (str(error), error.round, error.edge) == ("short", 4, "ab")

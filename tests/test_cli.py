@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -126,6 +127,14 @@ def edit_first(kind, edit):
     return apply
 
 
+def drop_first(kind):
+    """Delete the first event of ``kind`` from a trace's lines."""
+    def apply(lines):
+        del lines[next(i for i, line in enumerate(lines)
+                       if line.startswith(f'{{"event":["{kind}"'))]
+    return apply
+
+
 @pytest.mark.parametrize("apply", [
     edit_first("group", lambda ev: ev[:3] + ["zz"] + ev[4:]),
     edit_first("group", lambda ev: ev[:5] + [3]),
@@ -136,8 +145,15 @@ def edit_first(kind, edit):
     edit_first("fail", lambda ev: ev[:2] + ["zz"]),
     edit_first("fail_notify", lambda ev: ev[:2] + ["zz", ev[3]]),
     edit_first("fail_notify", lambda ev: ev[:3] + [ev[1] + 1]),
+    edit_first("inject", lambda ev: ev[:4] + [[7]]),
+    edit_first("group", lambda ev: ev[:4] + [999999, ev[5]]),
+    edit_first("group", lambda ev: ev[:5] + [ev[5] + ev[5]]),
+    drop_first("group"),
+    drop_first("stall"),
 ], ids=["group-edge", "group-members", "group-id", "stall-group", "annihilate-unknown",
-        "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round"])
+        "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
+        "inject-priority", "group-packet", "group-members-not-remaining", "stall-without-group",
+        "group-without-stall"])
 def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
     trace = generated_trace(tmp_path, "--failures", "2")
     lines = trace.read_text().splitlines()
@@ -196,6 +212,62 @@ def test_batch_runs_every_scenario(tmp_path):
                  "--workers", "2"]) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "s1.trace.jsonl", "s2.trace.jsonl"]
+
+
+def batch_folder(tmp_path):
+    """Three scenario files, one of them with permanent failures."""
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for seed, extra in ((1, ()), (2, ("--failures", "2")), (3, ())):
+        assert main(["gen", "random", "--seed", str(seed), "--horizon", "120",
+                     "--out", str(scenarios / f"s{seed}.json"), *extra]) == 0
+    return scenarios
+
+
+def batch_at(scenarios, out_dir, workers, capsys):
+    """Exit code, stdout lines and stderr of ``batch`` at ``workers``."""
+    capsys.readouterr()
+    code = main(["batch", str(scenarios), "--out", str(out_dir), "--workers", str(workers)])
+    captured = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return code, captured.out.splitlines(), captured.err
+
+
+def test_batch_is_the_same_on_one_or_two_workers(tmp_path, capsys):
+    scenarios = batch_folder(tmp_path)
+    one = batch_at(scenarios, tmp_path / "one", 1, capsys)
+    two = batch_at(scenarios, tmp_path / "two", 2, capsys)
+    assert one == two
+    assert one[0] == 0
+    assert [line.split(":")[0] for line in one[1]] == ["s1", "s2", "s3"]
+    for name in ("s1", "s2", "s3"):
+        trace = f"{name}.trace.jsonl"
+        assert (tmp_path / "one" / trace).read_bytes() == (tmp_path / "two" / trace).read_bytes()
+
+
+def unparsable(scenarios):
+    (scenarios / "s2.json").write_text("{")
+
+
+def unaffordable(scenarios):
+    doc = json.loads((scenarios / "s2.json").read_text())
+    doc["schedules"]["injections"] = [
+        {"round": 1, "path": doc["schedules"]["injections"][0]["path"]} for _ in range(6)]
+    (scenarios / "s2.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spoil, code, message", [
+    (unparsable, 2, "parse error: line 1, column 2: Expecting property name"),
+    (unaffordable, 3, "model violation: round 1: buckets cannot afford the scripted injections"),
+], ids=["unparsable", "unaffordable"])
+def test_batch_refusal_is_the_same_on_one_or_two_workers(tmp_path, capsys, spoil, code, message):
+    scenarios = batch_folder(tmp_path)
+    spoil(scenarios)
+    one = batch_at(scenarios, tmp_path / "one", 1, capsys)
+    two = batch_at(scenarios, tmp_path / "two", 2, capsys)
+    assert one == two
+    assert one[0] == code
+    assert one[2].startswith(message)
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,36 @@ INCONSISTENT_EDITS = [
                  "fail_notify in round 4 of a failure in round 5", id="fail-notify-later"),
     pytest.param(8, ["fail_notify", 4, "bc", "4"],
                  "fail_notify in round 4 of a failure in round '4'", id="fail-notify-text-round"),
+    pytest.param(5, ["inject", 3, 1, ["bc"], [7]],
+                 r"packet 1 is injected with priority \(7,\), not one of the policy's 1 level",
+                 id="inject-priority-list"),
+    pytest.param(5, ["inject", 3, 1, ["bc"], 1],
+                 "packet 1 is injected with priority 1, not one of the policy's 1 level",
+                 id="inject-priority-beyond-levels"),
+    pytest.param(5, ["inject", 3, 1, ["bc"], -1],
+                 "packet 1 is injected with priority -1, not one", id="inject-priority-negative"),
+    pytest.param(5, ["inject", 3, 1, ["bc"], "0"],
+                 "packet 1 is injected with priority '0', not one", id="inject-priority-text"),
+    pytest.param(4, ["group", 2, 0, "bc", 999999, ["bc"]],
+                 "group 0 does not directly follow the stall of packet 999999 at 'bc' in round 2",
+                 id="group-other-packet"),
+    pytest.param(4, ["group", 3, 0, "bc", 0, ["bc"]],
+                 "group 0 does not directly follow the stall of packet 0 at 'bc' in round 3",
+                 id="group-other-round"),
+    pytest.param(4, ["group", 2, 1, "bc", 0, ["bc"]],
+                 "group 1 does not directly follow the stall of packet 0", id="group-other-id"),
+    pytest.param(4, ["group", 2, 0, "ab", 0, ["bc"]],
+                 "group 0 does not directly follow the stall of packet 0 at 'ab'",
+                 id="group-other-edge"),
+    pytest.param(4, ["group", 2, 0, "bc", 0, ["bc", "ab"]],
+                 r"group 0 holds \('bc', 'ab'\), not the edges packet 0 has still to cross",
+                 id="group-members-not-remaining"),
+    pytest.param(4, ["transmit", 2, "bc", 0],
+                 "stall of packet 0 at 'bc' in round 2 is not followed by its group",
+                 id="stall-without-group"),
+    pytest.param(4, ["stall", 2, "bc", 0, 1],
+                 "stall of packet 0 at 'bc' in round 2 is not followed by its group",
+                 id="stall-after-stall"),
 ]
 
 
@@ -299,6 +330,117 @@ def test_inconsistent_event_refused(tmp_path, index, event, message):
     lines[index] = json.dumps({"event": event})
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"line {index + 1}: {message}"):
+        load_trace(path)
+
+
+# The lines of the saved run_small trace that the loader's typed lanes
+# take: inject, transmit and absorb events. Each field in turn is given a
+# value of the wrong type (text, null, bool, float) or made a list. The
+# lane must pass the event on, and the generic checks must refuse it in
+# the words the loader used before it had lanes; only the priority check
+# is new.
+LANE_LINES = {
+    1: ["inject", 1, 0, ["ab", "bc"], 0],
+    2: ["transmit", 1, "ab", 0],
+    5: ["inject", 3, 1, ["bc"], 0],
+    7: ["absorb", 3, 0],
+    9: ["transmit", 4, "bc", 1],
+    10: ["absorb", 4, 1],
+}
+
+
+def lane_field_edits():
+    for index, ev in LANE_LINES.items():
+        kind = ev[0]
+        pid_field = 3 if kind == "transmit" else 2
+        pid = ev[pid_field]
+        for field in range(1, len(ev)):
+            value = ev[field]
+            bad_values = [None, True, 1.5, [value]]
+            if type(value) is not str:
+                bad_values.append(str(value))
+            for bad in bad_values:
+                shown = tuple(bad) if type(bad) is list else bad
+                if field == 1:
+                    message = "an event is a list [kind, round, ...]"
+                elif field == pid_field:
+                    message = f"{kind} event with packet id {shown!r}"
+                elif kind == "transmit":
+                    message = f"transmit of packet {pid} at {shown!r}, where it is not queued"
+                elif field == 3:
+                    message = f"packet {pid} is injected on a path not in the network"
+                else:
+                    message = (f"packet {pid} is injected with priority {shown!r}, "
+                               "not one of the policy's 1 level")
+                event = list(ev)
+                event[field] = bad
+                yield pytest.param(index, event, re.escape(message),
+                                   id=f"{index}-{kind}-field{field}-{type(bad).__name__}")
+
+
+LANE_RULE_EDITS = [
+    pytest.param(2, ["transmit", 0, "ab", 0], "event of round 0; rounds start at 1",
+                 id="transmit-round-0"),
+    pytest.param(9, ["transmit", 3, "bc", 1], "event of round 3 after round 4",
+                 id="transmit-round-back"),
+    pytest.param(9, ["transmit", 4, "bc", 123456],
+                 "transmit of packet 123456, which is never injected", id="transmit-unknown"),
+    pytest.param(9, ["transmit", 4, "ab", 1],
+                 "transmit of packet 1 at 'ab', where it is not queued", id="transmit-other-edge"),
+    pytest.param(9, ["transmit", 4, "zz", 1],
+                 "transmit of packet 1 at 'zz', where it is not queued",
+                 id="transmit-unknown-edge"),
+    pytest.param(5, ["inject", 0, 1, ["bc"], 0], "event of round 0; rounds start at 1",
+                 id="inject-round-0"),
+    pytest.param(5, ["inject", 1, 1, ["bc"], 0], "event of round 1 after round 2",
+                 id="inject-round-back"),
+    pytest.param(5, ["inject", 3, 0, ["bc"], 0], "packet 0 is injected twice",
+                 id="inject-second"),
+    pytest.param(5, ["inject", 3, 1, [], 0],
+                 "packet 1 is injected on a path not in the network", id="inject-empty-path"),
+    pytest.param(5, ["inject", 3, 1, ["bc", 7], 0],
+                 "packet 1 is injected on a path not in the network", id="inject-path-int"),
+    pytest.param(5, ["inject", 3, 1, ["bc"], 2],
+                 "packet 1 is injected with priority 2, not one", id="inject-priority-2"),
+    pytest.param(10, ["absorb", 0, 1], "event of round 0; rounds start at 1",
+                 id="absorb-round-0"),
+    pytest.param(10, ["absorb", 3, 1], "event of round 3 after round 4", id="absorb-round-back"),
+    pytest.param(10, ["absorb", 4, 123456], "absorb of packet 123456, which is never injected",
+                 id="absorb-unknown"),
+    pytest.param(10, ["absorb", 4, 0], "absorb of packet 0, which is already absorbed",
+                 id="absorb-absorbed"),
+    pytest.param(9, ["absorb", 4, 1], r"absorb of packet 1 with \['bc'\] still to cross",
+                 id="absorb-edges-left"),
+]
+
+
+@pytest.mark.parametrize("index, event, message", [*lane_field_edits(), *LANE_RULE_EDITS])
+def test_lane_refusals_read_as_the_generic_checks(tmp_path, index, event, message):
+    path, lines = saved_lines(tmp_path)
+    assert json.loads(lines[index])["event"] == LANE_LINES[index]
+    lines[index] = json.dumps({"event": event})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line {index + 1}: {message}"):
+        load_trace(path)
+
+
+def test_group_without_its_stall_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    assert json.loads(lines[3])["event"] == ["stall", 2, "bc", 0, 0]
+    del lines[3]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 4: group 0 does not directly follow the stall "
+                                         "of packet 0 at 'bc' in round 2 that it belongs to"):
+        load_trace(path)
+
+
+def test_stall_before_the_totals_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    assert json.loads(lines[9])["event"] == ["transmit", 4, "bc", 1]
+    lines[9:11] = [json.dumps({"event": ["stall", 4, "bc", 1, 1]})]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {len(lines)}: stall of packet 1 at 'bc' in "
+                                         "round 4 is not followed by its group"):
         load_trace(path)
 
 
@@ -334,6 +476,64 @@ def test_version_2_trace_refused(tmp_path):
         load_trace(path)
 
 
+def test_version_3_trace_refused(tmp_path):
+    # A version 3 header was the key-sorted JSON with spaces after its
+    # separators, hashing the same compact scenario; the version is refused
+    # before the layout or the hash is looked at.
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 3
+    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v3"):
+        load_trace(path)
+
+
+def header_edits():
+    """Edits of a saved header line: (id, edit of the line, message)."""
+    def respaced(line):
+        return json.dumps(json.loads(line), sort_keys=True)
+
+    def unsorted(line):
+        header = json.loads(line)
+        return json.dumps({"version": header.pop("version"), **header},
+                          separators=(",", ":"))
+
+    def retimed(line):
+        assert '"horizon":6' in line
+        return line.replace('"horizon":6', '"horizon":9')
+
+    def upper_hash(line):
+        digest = json.loads(line)["scenario_hash"]
+        return line.replace(digest, digest.upper())
+
+    def short_hash(line):
+        digest = json.loads(line)["scenario_hash"]
+        return line.replace(digest, digest[:63])
+
+    def padded_scenario(line):
+        return line.replace('"scenario":{', '"scenario": {')
+
+    layout = "trace header is not the compact, key-sorted layout its hash covers"
+    mismatch = "trace header hash does not match its scenario"
+    return [
+        pytest.param(respaced, layout, id="spaces"),
+        pytest.param(unsorted, layout, id="keys-unsorted"),
+        pytest.param(short_hash, layout, id="short-hash"),
+        pytest.param(retimed, mismatch, id="scenario-edited"),
+        pytest.param(upper_hash, mismatch, id="hash-in-capitals"),
+        pytest.param(padded_scenario, mismatch, id="scenario-respaced"),
+    ]
+
+
+@pytest.mark.parametrize("edit, message", header_edits())
+def test_header_is_checked_as_stored(tmp_path, edit, message):
+    path, lines = saved_lines(tmp_path)
+    lines[0] = edit(lines[0])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message):
+        load_trace(path)
+
+
 def test_trace_file_holds_no_per_round_markers_or_sizes(tmp_path):
     path, lines = saved_lines(tmp_path)
     kinds = {json.loads(line)["event"][0] for line in lines[1:-1]}
@@ -359,11 +559,16 @@ def test_saved_trace_bytes(tmp_path):
         '{"q_totals":[1,1,1,0,0,0]}',
     ]
     assert path.read_text().endswith("}\n")
+    # The header line is the compact, key-sorted JSON of the header, and
+    # the hash covers the scenario's bytes as they stand in it.
     header = json.loads(lines[0])
     assert list(header) == ["format", "scenario", "scenario_hash", "version"]
-    assert lines[0].startswith('{"format": "aqsim-trace", "scenario": {"adversary": ')
-    assert lines[0].endswith('"version": 3}')
+    assert lines[0] == json.dumps(header, sort_keys=True, separators=(",", ":"))
     compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+    head = '{"format":"aqsim-trace","scenario":'
+    tail = f',"scenario_hash":"{header["scenario_hash"]}","version":4}}'
+    assert lines[0] == head + compact + tail
+    assert compact.startswith('{"adversary":{"b":2,"delta":2,"r":"1/1"')
     assert header["scenario_hash"] == hashlib.sha256(compact.encode()).hexdigest()
     assert header["scenario_hash"] == (
         "b3349a5da6d408447c0ade104ddfeba25b87a3e9ccda717f73bebb4539deb81d")
@@ -550,6 +755,13 @@ def test_load_trace_matches_the_per_line_oracle(tmp_path):
         save_trace(trace, path)
         loaded = load_trace(path)
         events, q_totals, packets = oracle_load(path)
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline().removesuffix("\n")
+        header = json.loads(header_line)
+        assert header_line == json.dumps(header, sort_keys=True, separators=(",", ":")), name
+        assert header["version"] == 4, name
+        assert header["scenario_hash"] == scenario_hash(trace.config), name
+        assert dumps_scenario(loaded.config) == dumps_scenario(trace.config), name
         assert loaded.events == events == trace.events, name
         for ev in loaded.events:
             assert_tuples_all_the_way_down(ev)
@@ -566,17 +778,17 @@ def test_lines_read_one_by_one_load_the_same(tmp_path):
     # Lines that a one-call decode must not take: spaces around a record, a
     # brace or a U+2028 inside a string. The file still loads as the oracle
     # reads it, with the list nested in the group event made a tuple too.
-    # The odd string and the nested list sit in the group's packet field,
-    # which the loader does not read; its edges must be network edges.
+    # The odd string and the nested list sit in a key of the group's record
+    # that the loader does not read: every field of the event is checked.
     path, lines = saved_lines(tmp_path)
     lines[2] = " " + lines[2] + "\t"
-    lines[4] = '{"event":["group",2,0,"bc",[["b{c}\u2028"]],["bc"]]}'
+    lines[4] = '{"event":["group",2,0,"bc",0,["bc"]],"note":[["b{c}\u2028"]]}'
     lines[8] = json.dumps(json.loads(lines[8]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = load_trace(path)
     events, q_totals, packets = oracle_load(path)
     assert loaded.events == events
-    assert events[3] == ("group", 2, 0, "bc", (("b{c}\u2028",),), ("bc",))
+    assert events[3] == ("group", 2, 0, "bc", 0, ("bc",))
     assert (loaded.q_totals, loaded.packets) == (q_totals, packets)
 
 
