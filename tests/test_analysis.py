@@ -236,9 +236,9 @@ def scripted_kept(cfg, trace):
 
 
 def test_greedy_driver_leaves_a_script_its_tokens():
-    # The driver once sized its injections from the levels alone, and this
-    # run aborted in round 3: in round 2 it spent a token on e003 that the
-    # two round-3 scripted injections needed.
+    # A driver sizing its injections from the levels alone aborts this run
+    # in round 3: in round 2 it spends a token on e003 that the two round-3
+    # scripted injections need.
     cfg = gen_random_scenario(11, rate=Fraction(3, 4), burst=2, delay=3, tau=2,
                               policy="FTG", horizon=600, nodes=(5, 8),
                               stall_density=0.1, failures=2)
