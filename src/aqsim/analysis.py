@@ -192,20 +192,13 @@ def injections_after_notification(trace: ExecutionTrace):
     notified_at: dict[tuple[str, int], int] = {}
     for _, rnd, edge, fail_round in trace.events_of("fail_notify"):
         notified_at[(edge, fail_round)] = rnd
-    recovered_at: dict[tuple[str, int], int] = {}
-    for rec in trace.config.recoveries:
-        paired = max((f.round for f in trace.config.failures
-                      if f.edge == rec.edge and f.round < rec.round), default=None)
-        if paired is not None:
-            recovered_at[(rec.edge, paired)] = rec.round
+    recovered_at = trace.config.fault_pairs()
     bad = []
     for _, rnd, pid, path, _pri in trace.events_of("inject"):
         for edge in path:
             for (e, fail_round), note in notified_at.items():
-                if e != edge or rnd < note:
-                    continue
-                until = recovered_at.get((e, fail_round))
-                if until is None or rnd < until:
+                until = recovered_at.get((e, fail_round)) or rnd + 1
+                if e == edge and note <= rnd < until:
                     bad.append((rnd, pid, edge))
     return bad
 

@@ -25,6 +25,12 @@ round. The trace records what happened, not the rounds: there is no
 per-round marker event, and per-edge queue lengths are derived from the
 events on demand.
 
+The fault schedule is the config's ``failures`` and ``recoveries``, those
+``promote_after_tau`` adds included. ``ScenarioConfig.validate`` pairs
+them and refuses every scripted injection over a link with a notified
+failure, so step 1 raises nothing and step 5 refuses only a driver's
+injection.
+
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
 produce no stalls. Re-routed packets bypass token accounting and receive
@@ -33,7 +39,8 @@ no special scheduling treatment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
 
 from .buckets import AdversaryType, BucketSystem
@@ -83,8 +90,25 @@ class ScenarioConfig:
     tau: int = 1
     tau_prime: int = 1
     seed: int | None = None
-    promote_after_tau: bool = False
+    promote_after_tau: InitVar[bool] = False
     enforce_buckets: bool = True
+
+    def __post_init__(self, promote_after_tau):
+        """With ``promote_after_tau``, the first run of tau consecutive stall
+        rounds per edge, ending in round t, adds a failure in round t + 1 <=
+        horizon, notified after tau_prime rounds, behind the scripted ones."""
+        if not promote_after_tau:
+            return
+        promoted = []
+        for edge, rounds in sorted(self.stalls.items()):
+            rounds = sorted(rounds)
+            # Distinct rounds tau - 1 places apart are consecutive when they
+            # differ by tau - 1.
+            end = next((t for s, t in zip(rounds, rounds[self.tau - 1:])
+                        if t - s == self.tau - 1), self.horizon)
+            if end < self.horizon:
+                promoted.append(FailureEvent(edge, end + 1, self.tau_prime))
+        self.failures = (*self.failures, *promoted)
 
     def validate(self):
         net = self.network
@@ -140,15 +164,33 @@ class ScenarioConfig:
                 raise ScenarioError(f"recovery references unknown edge {ev.edge!r}")
             if not 1 <= ev.round <= self.horizon:
                 raise ScenarioError("recovery round outside horizon")
-        self._check_fault_alternation()
+        pairs = self.fault_pairs()
+        # Per edge, in order, the windows [notification, recovery) refusing injections.
+        notified: dict[str, list[tuple[int, int]]] = {}
+        for ev in sorted(self.failures, key=lambda ev: ev.round):
+            start, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or self.horizon + 1
+            if start < end:
+                notified.setdefault(ev.edge, []).append((start, end))
+        if notified:
+            for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
+                for edge in path:
+                    windows = notified.get(edge, ())
+                    at = bisect_left(windows, (rnd + 1,)) - 1
+                    if at >= 0 and rnd < windows[at][1]:
+                        raise ScenarioError(
+                            f"round {rnd}: injection routed over {edge!r} after its "
+                            "failure notification", round=rnd, edge=edge)
         return self
 
-    def _check_fault_alternation(self):
+    def fault_pairs(self) -> dict[tuple[str, int], int | None]:
+        """``{(edge, failure round): its recovery round, or None}``. Per edge,
+        failures and recoveries alternate, a failure first, one a round."""
         per_edge: dict[str, list[tuple[int, int]]] = {}
         for ev in self.failures:
             per_edge.setdefault(ev.edge, []).append((ev.round, 0))
         for ev in self.recoveries:
             per_edge.setdefault(ev.edge, []).append((ev.round, 1))
+        pairs = {}
         for edge, marks in per_edge.items():
             marks.sort()
             for i, (rnd, kind) in enumerate(marks):
@@ -158,6 +200,9 @@ class ScenarioConfig:
                 if kind != i % 2:
                     raise ScenarioError(
                         f"edge {edge!r} fault events must alternate failure/recovery")
+                if not kind:
+                    pairs[edge, rnd] = marks[i + 1][0] if i + 1 < len(marks) else None
+        return pairs
 
 
 @dataclass
@@ -283,12 +328,9 @@ class Engine:
         for edge, rounds in config.stalls.items():
             for t in rounds:
                 self._stalls_by_round.setdefault(t, set()).add(edge)
-        failures = list(config.failures)
-        if config.promote_after_tau:
-            failures.extend(self._promotions())
         self._failures_by_round: dict[int, list[FailureEvent]] = {}
         self._notify_by_round: dict[int, list[tuple[str, int]]] = {}
-        for ev in failures:
+        for ev in config.failures:
             self._failures_by_round.setdefault(ev.round, []).append(ev)
             self._notify_by_round.setdefault(
                 ev.round + ev.notify_delay, []).append((ev.edge, ev.round))
@@ -296,25 +338,6 @@ class Engine:
         for rec in config.recoveries:
             self._recoveries_by_round.setdefault(rec.round, []).append(rec)
         self._fault_rounds = set(self._failures_by_round) | set(self._recoveries_by_round)
-
-    def _promotions(self):
-        """A transient fault lasting tau consecutive rounds becomes permanent.
-
-        Derived statically from the stall schedule; the promoted failure
-        starts the round after the run completes and is notified with the
-        maximum delay tau_prime.
-        """
-        promoted = []
-        for edge, rounds in sorted(self.config.stalls.items()):
-            run = 0
-            prev = None
-            for t in sorted(rounds):
-                run = run + 1 if prev is not None and t == prev + 1 else 1
-                prev = t
-                if run == self.config.tau and t + 1 <= self.config.horizon:
-                    promoted.append(FailureEvent(edge, t + 1, self.config.tau_prime))
-                    break
-        return promoted
 
     # -- plumbing ------------------------------------------------------------
 
@@ -337,20 +360,12 @@ class Engine:
 
     def _apply_faults(self, rnd: int):
         for rec in self._recoveries_by_round.get(rnd, ()):
-            if rec.edge not in self.failed:
-                raise ScenarioError(
-                    f"recovery of {rec.edge!r} in round {rnd} but it is not failed",
-                    round=rnd, edge=rec.edge)
             self.failed.discard(rec.edge)
             self._routes.clear()
             self.visible_failed.discard(rec.edge)
             self._active_failure.pop(rec.edge, None)
             self._emit("recover", rnd, rec.edge)
         for ev in self._failures_by_round.get(rnd, ()):
-            if ev.edge in self.failed:
-                raise ScenarioError(
-                    f"edge {ev.edge!r} fails in round {rnd} while already failed",
-                    round=rnd, edge=ev.edge)
             self.failed.add(ev.edge)
             self._routes.clear()
             self._active_failure[ev.edge] = ev.round
@@ -558,24 +573,19 @@ class RecoveryVerdict:
 def validate_recovery(trace: ExecutionTrace) -> RecoveryVerdict:
     """Check each recovery happened only after its re-routed packets drained.
 
-    A recovery of edge e pairs with the latest failure of e before it;
-    every packet re-routed because of that failure must have been absorbed
-    strictly before the recovery round.
+    A recovery of edge e pairs with the latest failure of e before it
+    (``ScenarioConfig.fault_pairs``); every packet re-routed because of
+    that failure must have been absorbed strictly before the recovery round.
     """
     reroutes: dict[tuple[str, int], list[int]] = {}
     for ev in trace.events_of("reroute"):
         _, _, pid, _, _, edge, fail_round = ev
         reroutes.setdefault((edge, fail_round), []).append(pid)
-    failures_per_edge: dict[str, list[int]] = {}
-    for ev in trace.config.failures:
-        failures_per_edge.setdefault(ev.edge, []).append(ev.round)
+    failure_of = {(edge, rec): fail
+                  for (edge, fail), rec in trace.config.fault_pairs().items() if rec}
     violations = []
     for rec in trace.config.recoveries:
-        paired = max((r for r in failures_per_edge.get(rec.edge, ()) if r < rec.round),
-                     default=None)
-        if paired is None:
-            continue
-        for pid in reroutes.get((rec.edge, paired), ()):
+        for pid in reroutes.get((rec.edge, failure_of[rec.edge, rec.round]), ()):
             absorbed = trace.packets[pid].absorbed_round
             if absorbed is None or absorbed >= rec.round:
                 violations.append(

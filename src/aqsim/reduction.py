@@ -13,9 +13,9 @@ and the combined per-queue congestion obeys rate' * |T| + burst' + tau on
 every interval, the extra tau absorbing window alignment at finite
 horizons. That bound is one instance of ``feedback.check_interval_bound``.
 
-The replay keeps the source run's scripted failures and recoveries, so
-packets re-route exactly where they did in the source. Failures that
-``promote_after_tau`` creates during the source run are not replayed.
+The replay keeps the source run's failures and recoveries, promoted
+failures among them, so packets re-route exactly where they did in the
+source.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ def _replay_config(src: ExecutionTrace, two: TwoPriorityTrace) -> ScenarioConfig
         injections=tuple(merged),
         stalls={},
         annihilation_delays={},
-        promote_after_tau=False,
         enforce_buckets=False,
     )
 

@@ -1,9 +1,10 @@
 """Scenario file format, trace export and import.
 
-Scenarios are strict JSON: unknown keys are rejected anywhere, because a
-scenario file is an experiment record and a typo that parses silently
-corrupts results. Rationals travel as "num/den" strings and never pass
-through floating point.
+Scenarios are strict JSON: unknown keys and mistyped values are rejected
+anywhere, naming the field, because a scenario file is an experiment
+record and a typo that parses silently corrupts results. Rationals travel
+as "num/den" strings and never pass through floating point. Failures that
+``promote_after_tau`` adds are written as failures, without the switch.
 
 A trace file (version 4) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
@@ -25,7 +26,10 @@ absorb of a packet that was never injected or is already absorbed. Every
 edge an event names must be in the network, an inject's priority must be
 one of the policy's levels, each stall must be followed directly by its
 group, holding the edges its packet has still to cross, and an annihilate
-must end a group that was created and is not yet annihilated. The running
+must end a group that was created and is not yet annihilated. A fail,
+fail_notify or recover must be the header scenario's, in its round, and
+fail a live edge or recover a failed one; a reroute must leave a failed
+edge and name the round it last failed. The running
 count of injections minus absorptions must equal the stored total after
 every round, so an edited total or a dropped event is refused with the
 first round where they disagree. Bytes that are not UTF-8 are refused with
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .buckets import FORCED, VOLUNTARY, AdversaryType
 from .engine import (ExecutionTrace, FailureEvent, Injection, PacketRecord,
@@ -67,20 +72,30 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-def _keys(required, optional=()):
-    """An object schema: its required keys, every key it allows, and the
-    required keys as a set."""
-    return required, frozenset(required) | frozenset(optional), frozenset(required)
+def _keys(required, optional=None):
+    """An object schema from its required and optional keys, each mapped to
+    the type of its value (see ``_is``): the required keys, every key it
+    allows, the required keys as a set, and the (key, type) pairs."""
+    types = {**required, **(optional or {})}
+    return tuple(required), frozenset(types), frozenset(required), tuple(types.items())
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` is of type ``kind`` itself (no bool is an int), or,
+    where ``kind`` is a list of one type, a list of values of that type."""
+    if type(kind) is list:
+        return type(value) is list and all(type(v) is kind[0] for v in value)
+    return type(value) is kind
 
 
 def _fits(mapping, keys) -> bool:
-    """Whether ``_require`` passes ``mapping``; it formats no message."""
-    _required, allowed, required = keys
+    """Whether ``mapping`` has the keys ``_require`` asks for; it formats no message."""
+    _required, allowed, required, _types = keys
     return isinstance(mapping, dict) and allowed >= mapping.keys() >= required
 
 
 def _require(mapping, where, keys):
-    required, allowed, _ = keys
+    required, allowed, _, types = keys
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected an object")
     for key in mapping:
@@ -89,23 +104,53 @@ def _require(mapping, where, keys):
     for key in required:
         if key not in mapping:
             raise ParseError(f"{where}: missing key {key!r}")
+    for key, kind in types:
+        if key in mapping and not _is(mapping[key], kind):
+            shown = f"a list of {kind[0].__name__}" if type(kind) is list else kind.__name__
+            raise ParseError(f"{where}.{key}: expected {shown}, got {mapping[key]!r}")
     return mapping
 
 
-_SCENARIO_KEYS = _keys(("network", "adversary", "policy", "schedules", "run"))
-_NETWORK_KEYS = _keys(("nodes", "edges"))
-_EDGE_KEYS = _keys(("id", "tail", "head"), ("slowness",))
-_ADVERSARY_KEYS = _keys(("r", "b", "delta", "tau", "tau_prime"))
-_POLICY_KEYS = _keys(("name",), ("priorities",))
-_SCHEDULES_KEYS = _keys((), ("injections", "stalls", "annihilations", "failures",
-                             "recoveries"))
-_INJECTION_KEYS = _keys(("round", "path"), ("priority", "id"))
-_STALL_KEYS = _keys(("edge", "rounds"))
-_ANNIHILATION_KEYS = _keys(("edge", "round", "delay"))
-_FAILURE_KEYS = _keys(("edge", "round"), ("notify_delay",))
-_RECOVERY_KEYS = _keys(("edge", "round"))
-_RUN_KEYS = _keys(("horizon",), ("seed", "promote_after_tau", "enforce_buckets"))
-_HEADER_KEYS = _keys(("format", "version", "scenario_hash", "scenario"))
+def _entries(entries: list, where: str, keys) -> list:
+    """``entries``, each of which must pass ``_require``.
+
+    The keys of each entry, then the types of each key's values over all
+    entries at once, are checked without formatting a message; only when a
+    check fails are the entries required one by one, so that the first
+    bad one is named.
+    """
+    fits = all(_fits(entry, keys) for entry in entries)
+    for key, kind in keys[3] if fits else ():
+        values = [entry[key] for entry in entries if key in entry]
+        if type(kind) is list:
+            fits = (set(map(type, values)) <= {list}
+                    and set(map(type, chain.from_iterable(values))) <= {kind[0]})
+        else:
+            fits = set(map(type, values)) <= {kind}
+        if not fits:
+            break
+    if not fits:
+        for i, entry in enumerate(entries):
+            _require(entry, f"{where}[{i}]", keys)
+    return entries
+
+
+_SCENARIO_KEYS = _keys(dict.fromkeys(("network", "adversary", "policy", "schedules", "run"),
+                                     dict))
+_NETWORK_KEYS = _keys({"nodes": [str], "edges": list})
+_EDGE_KEYS = _keys({"id": str, "tail": str, "head": str}, {"slowness": int})
+_ADVERSARY_KEYS = _keys({"r": str, "b": int, "delta": int, "tau": int, "tau_prime": int})
+_POLICY_KEYS = _keys({"name": str}, {"priorities": int})
+_SCHEDULES_KEYS = _keys({}, dict.fromkeys(
+    ("injections", "stalls", "annihilations", "failures", "recoveries"), list))
+_INJECTION_KEYS = _keys({"round": int, "path": [str]}, {"priority": int, "id": int})
+_STALL_KEYS = _keys({"edge": str, "rounds": [int]})
+_ANNIHILATION_KEYS = _keys({"edge": str, "round": int, "delay": int})
+_FAILURE_KEYS = _keys({"edge": str, "round": int}, {"notify_delay": int})
+_RECOVERY_KEYS = _keys({"edge": str, "round": int})
+_RUN_KEYS = _keys({"horizon": int},
+                  {"seed": int, "promote_after_tau": bool, "enforce_buckets": bool})
+_HEADER_KEYS = _keys({"format": str, "version": int, "scenario_hash": str, "scenario": dict})
 
 
 # -- scenario <-> dict ---------------------------------------------------------
@@ -136,8 +181,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     run = {"horizon": config.horizon}
     if config.seed is not None:
         run["seed"] = config.seed
-    if config.promote_after_tau:
-        run["promote_after_tau"] = True
     if not config.enforce_buckets:
         run["enforce_buckets"] = False
     return {
@@ -168,14 +211,15 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    """The scenario of a scenario document.
+
+    Every key must be known and every value of its type, or a ParseError
+    names the field: a mistyped value never reaches the model.
+    """
     _require(doc, "scenario", _SCENARIO_KEYS)
     net_doc = _require(doc["network"], "network", _NETWORK_KEYS)
-    edges = []
-    for i, entry in enumerate(net_doc["edges"]):
-        if not _fits(entry, _EDGE_KEYS):
-            _require(entry, f"network.edges[{i}]", _EDGE_KEYS)
-        edges.append(Edge(entry["id"], entry["tail"], entry["head"],
-                          entry.get("slowness", 1)))
+    edges = [Edge(entry["id"], entry["tail"], entry["head"], entry.get("slowness", 1))
+             for entry in _entries(net_doc["edges"], "network.edges", _EDGE_KEYS)]
     network = Network(net_doc["nodes"], edges)
 
     adv_doc = _require(doc["adversary"], "adversary", _ADVERSARY_KEYS)
@@ -188,33 +232,21 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     policy = parse_policy(pol_doc["name"], pol_doc.get("priorities"))
 
     sched = _require(doc["schedules"], "schedules", _SCHEDULES_KEYS)
-    injections = []
-    for i, entry in enumerate(sched.get("injections", ())):
-        if not _fits(entry, _INJECTION_KEYS):
-            _require(entry, f"injections[{i}]", _INJECTION_KEYS)
-        injections.append(Injection(entry["round"], tuple(entry["path"]),
-                                    entry.get("priority", 0), entry.get("id")))
-    stalls = {}
-    for i, entry in enumerate(sched.get("stalls", ())):
-        if not _fits(entry, _STALL_KEYS):
-            _require(entry, f"stalls[{i}]", _STALL_KEYS)
-        stalls[entry["edge"]] = frozenset(entry["rounds"])
-    delays = {}
-    for i, entry in enumerate(sched.get("annihilations", ())):
-        if not _fits(entry, _ANNIHILATION_KEYS):
-            _require(entry, f"annihilations[{i}]", _ANNIHILATION_KEYS)
-        delays[(entry["edge"], entry["round"])] = entry["delay"]
-    failures = []
-    for i, entry in enumerate(sched.get("failures", ())):
-        if not _fits(entry, _FAILURE_KEYS):
-            _require(entry, f"failures[{i}]", _FAILURE_KEYS)
-        failures.append(FailureEvent(entry["edge"], entry["round"],
-                                     entry.get("notify_delay", 0)))
-    recoveries = []
-    for i, entry in enumerate(sched.get("recoveries", ())):
-        if not _fits(entry, _RECOVERY_KEYS):
-            _require(entry, f"recoveries[{i}]", _RECOVERY_KEYS)
-        recoveries.append(RecoveryEvent(entry["edge"], entry["round"]))
+    injections = tuple(
+        Injection(entry["round"], tuple(entry["path"]), entry.get("priority", 0),
+                  entry.get("id"))
+        for entry in _entries(sched.get("injections", []), "injections", _INJECTION_KEYS))
+    stalls = {entry["edge"]: frozenset(entry["rounds"])
+              for entry in _entries(sched.get("stalls", []), "stalls", _STALL_KEYS)}
+    delays = {(entry["edge"], entry["round"]): entry["delay"]
+              for entry in _entries(sched.get("annihilations", []), "annihilations",
+                                    _ANNIHILATION_KEYS)}
+    failures = tuple(
+        FailureEvent(entry["edge"], entry["round"], entry.get("notify_delay", 0))
+        for entry in _entries(sched.get("failures", []), "failures", _FAILURE_KEYS))
+    recoveries = tuple(
+        RecoveryEvent(entry["edge"], entry["round"])
+        for entry in _entries(sched.get("recoveries", []), "recoveries", _RECOVERY_KEYS))
 
     run_doc = _require(doc["run"], "run", _RUN_KEYS)
     config = ScenarioConfig(
@@ -222,11 +254,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         adversary=adversary,
         policy=policy,
         horizon=run_doc["horizon"],
-        injections=tuple(injections),
+        injections=injections,
         stalls=stalls,
         annihilation_delays=delays,
-        failures=tuple(failures),
-        recoveries=tuple(recoveries),
+        failures=failures,
+        recoveries=recoveries,
         tau=adv_doc["tau"],
         tau_prime=adv_doc["tau_prime"],
         seed=run_doc.get("seed"),
@@ -456,6 +488,7 @@ def _read_records(trace: ExecutionTrace, records):
     append = events.append
     ahead: dict[int, tuple | None] = {}
     groups: dict[int, bool] = {}  # group id -> not yet annihilated
+    faults = _Faults(config)
     net: dict[int, int] = {}  # round -> injections minus absorptions
     q_totals = None
     last_round = 1
@@ -530,7 +563,7 @@ def _read_records(trace: ExecutionTrace, records):
             elif kind == "inject" or kind == "absorb" or kind == "reroute":
                 pid = ev[2]
             else:
-                _check_unmoving_event(ev, edges, groups)
+                _check_unmoving_event(ev, edges, groups, faults)
                 if kind == "group":
                     _check_group_of_stall(ev, stalled, ahead)
                     stalled = None
@@ -583,6 +616,7 @@ def _read_records(trace: ExecutionTrace, records):
                 new_suffix = ev[4]
                 if ev[3] != rest or not _is_path(new_suffix, edges):
                     raise ParseError(f"reroute of packet {pid} does not match its path")
+                faults.check_reroute(pid, edge, ev[6])
             if stalled is not None:
                 raise _unpaired(stalled)
             if kind == "transmit":
@@ -618,11 +652,58 @@ def _check_group_of_stall(group: tuple, stall: tuple | None, ahead: dict):
             f"group {gid} holds {members!r}, not the edges packet {pid} has still to cross")
 
 
-def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool]):
-    """Check an event that moves no packet against the network and the groups.
+class _Faults:
+    """The fault schedule of a trace's scenario, and its edges failed so far.
+
+    A fail and a recover must be scheduled in their round, and must fail a
+    live edge or recover a failed one. A fail_notify must come in the round
+    its failure is notified, and a reroute must leave a failed edge and
+    name the round that edge last failed.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.notified_in = {(ev.edge, ev.round): ev.round + ev.notify_delay
+                            for ev in config.failures}
+        self.recoveries = {(ev.edge, ev.round) for ev in config.recoveries}
+        self.failed: dict[str, int] = {}  # failed edge -> the round it failed
+
+    def check(self, kind: str, rnd: int, edge: str, fail_round=None):
+        """Check a fail, fail_notify or recover event and apply it."""
+        if kind == "fail_notify":
+            if self.notified_in.get((edge, fail_round)) != rnd:
+                raise ParseError(
+                    f"fail_notify in round {rnd} of a failure of edge {edge!r} in round "
+                    f"{fail_round}, which the scenario does not notify in that round")
+        elif kind == "fail":
+            if (edge, rnd) not in self.notified_in:
+                raise ParseError(f"fail of edge {edge!r} in round {rnd}, which is not in "
+                                 "the scenario's failures")
+            if edge in self.failed:
+                raise ParseError(f"fail of edge {edge!r} in round {rnd}, which is already failed")
+            self.failed[edge] = rnd
+        else:
+            if (edge, rnd) not in self.recoveries:
+                raise ParseError(f"recover of edge {edge!r} in round {rnd}, which is not in "
+                                 "the scenario's recoveries")
+            if self.failed.pop(edge, None) is None:
+                raise ParseError(f"recover of edge {edge!r} in round {rnd}, which is not failed")
+
+    def check_reroute(self, pid: int, edge: str, fail_round):
+        failed_in = self.failed.get(edge)
+        if failed_in is None:
+            raise ParseError(f"reroute of packet {pid} at {edge!r}, which is not failed")
+        if type(fail_round) is not int or fail_round != failed_in:
+            raise ParseError(
+                f"reroute of packet {pid} at {edge!r} names a failure in round "
+                f"{fail_round!r}; {edge!r} last failed in round {failed_in}")
+
+
+def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool], faults: _Faults):
+    """Check an event that moves no packet against the network, the groups
+    and the fault schedule.
 
     ``groups`` maps each created group to whether it is still to be
-    annihilated, and is updated by the event.
+    annihilated; it and ``faults`` are updated by the event.
     """
     kind, rnd = ev[0], ev[1]
     if kind == "group":
@@ -654,6 +735,7 @@ def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool]):
         if kind == "fail_notify" and not (type(ev[3]) is int and 1 <= ev[3] <= rnd):
             raise ParseError(
                 f"fail_notify in round {rnd} of a failure in round {ev[3]!r}")
+        faults.check(*ev)
 
 
 def _check_totals(net: dict[int, int], q_totals, horizon: int):

@@ -98,6 +98,18 @@ def test_gadget_recoveries_break_the_recovery_discipline():
     assert not validate_recovery(trace).ok
 
 
+def test_injections_inside_a_notification_window_are_reported():
+    # b1 fails in rounds 12 and 24, each notified a round later, and
+    # recovers in 22 and 34; injects edited into an imported trace are
+    # reported only inside [13, 22) and [25, 34).
+    trace = run(rerouting_gadget(branches=1, burst=10, fail_duration=10, cycles=2).config)
+    assert trace.config.fault_pairs() == {("b1", 12): 22, ("b1", 24): 34}
+    trace.events += [("inject", rnd, 1000 + rnd, ("a1", "b1"), 0)
+                     for rnd in (12, 13, 21, 22, 24, 25, 33, 34)]
+    assert injections_after_notification(trace) == [
+        (13, 1013, "b1"), (21, 1021, "b1"), (25, 1025, "b1"), (33, 1033, "b1")]
+
+
 def test_tiny_gadget_can_be_served_in_time():
     g = rerouting_gadget(branches=1, burst=1, fail_duration=1, cycles=300)
     trace = run(g.config)

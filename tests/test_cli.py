@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -135,6 +136,15 @@ def drop_first(kind):
     return apply
 
 
+def after_first(kind, make):
+    """Insert ``make(event)`` after the first event of ``kind`` in a trace's lines."""
+    def apply(lines):
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(f'{{"event":["{kind}"'))
+        lines.insert(at + 1, json.dumps({"event": make(json.loads(lines[at])["event"])}))
+    return apply
+
+
 @pytest.mark.parametrize("apply", [
     edit_first("group", lambda ev: ev[:3] + ["zz"] + ev[4:]),
     edit_first("group", lambda ev: ev[:5] + [3]),
@@ -150,10 +160,19 @@ def drop_first(kind):
     edit_first("group", lambda ev: ev[:5] + [ev[5] + ev[5]]),
     drop_first("group"),
     drop_first("stall"),
+    edit_first("reroute", lambda ev: ev[:6] + [[["x"]]]),
+    edit_first("reroute", lambda ev: ev[:6] + [ev[6] - 1]),
+    drop_first("fail"),
+    after_first("fail", lambda ev: ev),
+    after_first("fail", lambda ev: ["recover", ev[1], ev[2]]),
+    edit_first("fail", lambda ev: ev[:2] + ["e000"]),
+    edit_first("fail_notify", lambda ev: ev[:3] + [ev[3] - 1]),
 ], ids=["group-edge", "group-members", "group-id", "stall-group", "annihilate-unknown",
         "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
         "inject-priority", "group-packet", "group-members-not-remaining", "stall-without-group",
-        "group-without-stall"])
+        "group-without-stall", "reroute-failure-round-not-a-round",
+        "reroute-other-failure-round", "reroute-at-live-edge", "fail-of-failed-edge",
+        "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure"])
 def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
     trace = generated_trace(tmp_path, "--failures", "2")
     lines = trace.read_text().splitlines()
@@ -198,6 +217,34 @@ def test_parse_error_exits_2(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("stalls[0].rounds", lambda doc: doc["schedules"]["stalls"][0]["rounds"].append("x")),
+    ("injections[0].round", lambda doc: doc["schedules"]["injections"][0].update(round="3")),
+    ("run.horizon", lambda doc: doc["run"].update(horizon="50")),
+    ("injections[0].path", lambda doc: doc["schedules"]["injections"][0].update(path=5)),
+], ids=["stall-round", "injection-round", "horizon", "injection-path"])
+def test_mistyped_scenario_field_exits_2(tmp_path, capsys, field, edit):
+    scenario = gen(tmp_path)
+    doc = json.loads(scenario.read_text())
+    edit(doc)
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert f"parse error: {field}: expected" in capsys.readouterr().err
+
+
+def test_trace_with_a_mistyped_header_scenario_exits_2(tmp_path, capsys):
+    trace = generated_trace(tmp_path)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["scenario"]["run"]["horizon"] = "50"
+    compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+    header["scenario_hash"] = hashlib.sha256(compact.encode()).hexdigest()
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    assert_every_reader_exits_2(trace)
+    assert "parse error: run.horizon: expected int, got '50'" in capsys.readouterr().err
 
 
 def test_batch_runs_every_scenario(tmp_path):

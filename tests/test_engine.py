@@ -1,20 +1,25 @@
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqsim.analysis import GreedyDriver, gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, RecoveryEvent,
-                          ScenarioConfig, run, validate_recovery)
+                          RecoveryViolation, ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
-from aqsim.scenario_io import trace_digest
+from aqsim.reduction import _replay_config, build_two_priority_trace
+from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
+                               save_trace, trace_digest)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -390,6 +395,115 @@ def test_fail_event_marks_the_failure_round():
     assert promoted.events_of("fail_notify") == [("fail_notify", 5, "bz", 4)]
 
 
+def test_promoted_failures_join_the_scripted_ones():
+    cfg = detour_cfg(stalls={"bz": {7, 8}, "cz": {2}}, tau=2, tau_prime=1,
+                     promote_after_tau=True)
+    assert cfg.failures == (FailureEvent("bz", 1, 1), FailureEvent("bz", 9, 1))
+    # A copy keeps the promoted failures and promotes none again.
+    assert replace(cfg, horizon=12).failures == cfg.failures
+    assert detour_cfg(stalls={"bz": {7, 8}}, tau=2).failures == (FailureEvent("bz", 1, 1),)
+    # A run of tau stalls ending at the horizon promotes nothing.
+    assert detour_cfg(failures=(), stalls={"bz": {9, 10}}, tau=2,
+                      promote_after_tau=True).failures == ()
+
+
+def test_injection_after_a_promoted_failure_is_refused_before_round_1():
+    # tau = 1: the round-2 stall fails ab from round 3, notified in round 4.
+    cfg = two_node(horizon=6, tau=1, stalls={"ab": {2}}, promote_after_tau=True,
+                   injections=tuple(Injection(r, ("ab",)) for r in range(1, 6)))
+    with pytest.raises(ScenarioError, match="round 4: injection routed over 'ab' after "
+                                            "its failure notification") as err:
+        cfg.validate()
+    assert (err.value.round, err.value.edge) == (4, "ab")
+    scripted = replace(cfg, failures=(FailureEvent("ab", 2, 1),))
+    with pytest.raises(ScenarioError) as err:
+        scripted.validate()
+    assert (err.value.round, err.value.edge) == (3, "ab")
+
+
+def test_injection_between_failure_windows_is_accepted():
+    cfg = detour_cfg(failures=(FailureEvent("bz", 1, 1), FailureEvent("bz", 6, 2)),
+                     recoveries=(RecoveryEvent("bz", 4),), horizon=12,
+                     injections=(Injection(1, ("ab", "bz")), Injection(5, ("bz",)),
+                                 Injection(7, ("bz",))))
+    cfg.validate()  # round 5 lies between the recovery and the next failure
+    with pytest.raises(ScenarioError) as err:
+        replace(cfg, injections=cfg.injections + (Injection(8, ("bz",)),)).validate()
+    assert (err.value.round, err.value.edge) == (8, "bz")
+    with pytest.raises(ScenarioError) as err:
+        replace(cfg, injections=(Injection(3, ("ab", "bz")),)).validate()
+    assert (err.value.round, err.value.edge) == (3, "bz")
+
+
+def test_fault_pairs_pair_each_failure_with_its_recovery():
+    cfg = detour_cfg(failures=(FailureEvent("bz", 6), FailureEvent("bz", 1),
+                               FailureEvent("cz", 2)),
+                     recoveries=(RecoveryEvent("bz", 4),))
+    assert cfg.fault_pairs() == {("bz", 1): 4, ("bz", 6): None, ("cz", 2): None}
+
+
+def test_recovery_of_a_promoted_failure_is_judged():
+    def promoted(recovery):
+        return detour_cfg(failures=(), stalls={"bz": {2, 3}}, tau=2, tau_prime=1,
+                          recoveries=(RecoveryEvent("bz", recovery),),
+                          promote_after_tau=True)
+
+    # bz fails in round 4 and is notified in round 5; packet 0 re-routes
+    # over bc and cz and is absorbed in round 7.
+    early = validate_recovery(run(promoted(6)))
+    assert early.violations == (RecoveryViolation("bz", 6, 0, 7),)
+    assert validate_recovery(run(promoted(8))).ok
+
+
+DETOUR_EDGES = ("ab", "bz", "bc", "cz")
+DETOUR_PATHS = (("ab", "bz"), ("ab", "bc", "cz"), ("bz",), ("bc", "cz"), ("cz",))
+
+
+@st.composite
+def promoted_scenarios(draw):
+    """Detour scenarios whose stall runs promote failures, with scripted
+    injections and recoveries that may or may not respect them."""
+    horizon = draw(st.integers(3, 12))
+    rounds = st.integers(1, horizon)
+    injections = draw(st.lists(st.builds(Injection, rounds, st.sampled_from(DETOUR_PATHS)),
+                               max_size=8))
+    cfg = ScenarioConfig(
+        network=detour_net(), adversary=AdversaryType(HALF, 2, 2), policy="FIFO",
+        horizon=horizon,
+        injections=tuple(sorted(injections, key=lambda inj: inj.round)),
+        stalls=draw(st.dictionaries(st.sampled_from(DETOUR_EDGES),
+                                    st.frozensets(rounds, min_size=1))),
+        tau=draw(st.integers(1, 3)), tau_prime=draw(st.integers(1, 3)),
+        promote_after_tau=True, enforce_buckets=False)
+    recoveries = [RecoveryEvent(ev.edge, draw(st.integers(ev.round, horizon)))
+                  for ev in cfg.failures if draw(st.booleans())]
+    return replace(cfg, recoveries=tuple(recoveries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(promoted_scenarios())
+def test_promoted_failures_are_refused_at_load_or_run_as_scheduled(cfg):
+    try:
+        cfg.validate()
+    except ScenarioError:
+        return
+    try:
+        trace = run(cfg)
+    except ScenarioError as exc:
+        # Failing both bz and cz can leave a packet no way to z; no fault
+        # or notification error is left for a run to raise.
+        assert "avoiding failed links" in str(exc)
+        return
+    fails = trace.events_of("fail")
+    assert fails == [("fail", ev.round, ev.edge)
+                     for ev in sorted(cfg.failures, key=lambda ev: ev.round)]
+    try:
+        two = build_two_priority_trace(trace)
+    except ScenarioError:
+        return  # a run of more than tau stalls: no reduction to replay
+    assert run(_replay_config(trace, two)).events_of("fail") == fails
+
+
 def test_rerouted_packets_get_no_scheduling_favor():
     # A rerouted and a never-rerouted packet meet at cz under FIFO; the
     # one that reached cz first wins, reroute history notwithstanding.
@@ -544,13 +658,82 @@ def test_conservation_check_covers_rounds_with_and_without_traffic():
     assert corrupted_counter_runs() == CORRUPTED_COUNTER_VERDICTS
 
 
-def test_conservation_check_holds_under_optimized_python():
+def optimized_repr(function_name):
+    """The repr of what a function of this module returns under ``python -O``."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     script = ("import test_engine\n"
               "assert False, 'asserts are still on'\n"
-              "print(repr(test_engine.corrupted_counter_runs()))\n")
+              f"print(repr(test_engine.{function_name}()))\n")
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == repr(CORRUPTED_COUNTER_VERDICTS)
+    return done.stdout.strip()
+
+
+def test_conservation_check_holds_under_optimized_python():
+    assert optimized_repr("corrupted_counter_runs") == repr(CORRUPTED_COUNTER_VERDICTS)
+
+
+def load_time_refusals():
+    """What ``validate`` and the loaders refuse, as (error class, message)
+    pairs; no assert, so the result means the same under ``python -O``."""
+    promoted = two_node(horizon=6, tau=1, stalls={"ab": {2}}, promote_after_tau=True,
+                        injections=tuple(Injection(r, ("ab",)) for r in range(1, 6)))
+    unpaired = detour_cfg(failures=(FailureEvent("bz", 1), FailureEvent("bz", 3)))
+
+    # The first event of a kind, replaced in a saved run of detour_cfg().
+    trace_edits = [
+        ("reroute", ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", [["x"]]]),
+        ("fail", ["fail", 1, "cz"]),
+        ("fail_notify", ["fail_notify", 2, "bz", 2]),
+    ]
+
+    results = []
+    for cfg in (promoted, replace(promoted, failures=(FailureEvent("ab", 2, 1),)), unpaired):
+        try:
+            cfg.validate()
+        except ScenarioError as exc:
+            results.append(("ScenarioError", str(exc)))
+    doc = json.loads(dumps_scenario(detour_cfg()))
+    doc["run"]["horizon"] = "10"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(run(detour_cfg()), path)
+        saved = path.read_text().splitlines()
+        for kind, event in trace_edits:
+            lines = list(saved)
+            at = next(i for i, text in enumerate(lines) if text.startswith(f'{{"event":["{kind}"'))
+            lines[at] = json.dumps({"event": event})
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                load_trace(path)
+            except ParseError as exc:
+                results.append(("ParseError", str(exc)))
+        try:
+            loads_scenario(json.dumps(doc))
+        except ParseError as exc:
+            results.append(("ParseError", str(exc)))
+    return results
+
+
+LOAD_TIME_REFUSALS = [
+    ("ScenarioError", "round 4: injection routed over 'ab' after its failure notification"),
+    ("ScenarioError", "round 3: injection routed over 'ab' after its failure notification"),
+    ("ScenarioError", "edge 'bz' fault events must alternate failure/recovery"),
+    ("ParseError", "line 6: reroute of packet 0 at 'bz' names a failure in round (('x',),); "
+                   "'bz' last failed in round 1"),
+    ("ParseError", "line 2: fail of edge 'cz' in round 1, which is not in the scenario's "
+                   "failures"),
+    ("ParseError", "line 5: fail_notify in round 2 of a failure of edge 'bz' in round 2, "
+                   "which the scenario does not notify in that round"),
+    ("ParseError", "run.horizon: expected int, got '10'"),
+]
+
+
+def test_load_time_refusals():
+    assert load_time_refusals() == LOAD_TIME_REFUSALS
+
+
+def test_load_time_refusals_hold_under_optimized_python():
+    assert optimized_repr("load_time_refusals") == repr(LOAD_TIME_REFUSALS)

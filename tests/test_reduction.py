@@ -143,3 +143,21 @@ def test_reduction_replays_permanent_failures(seed):
     report = verify_reduction(trace)
     assert report.transmissions_equal, report.first_divergence
     assert report.ok
+
+
+def test_reduction_replays_promoted_failures():
+    # Stalls on bz in rounds 3 and 4 reach tau = 2, so bz fails from round
+    # 5 on; the replay must fail it too, or its low packets would cross bz.
+    net = Network(["a", "b", "c", "z"],
+                  [Edge("ab", "a", "b"), Edge("bz", "b", "z"),
+                   Edge("bc", "b", "c"), Edge("cz", "c", "z")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(HALF, 2, 2), policy="FIFO", horizon=12,
+        injections=(Injection(2, ("ab", "bz")), Injection(4, ("ab", "bz"))),
+        stalls={"bz": {3, 4}}, tau=2, tau_prime=1, promote_after_tau=True)
+    trace = run(cfg)
+    assert trace.events_of("fail") == [("fail", 5, "bz")]
+    assert trace.events_of("reroute")
+    report = verify_reduction(trace)
+    assert report.transmissions_equal, report.first_divergence
+    assert report.ok

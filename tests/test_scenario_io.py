@@ -75,6 +75,67 @@ def test_round_trip_of_generated_scenarios():
         assert dumps_scenario(loads_scenario(dumps_scenario(cfg))) == dumps_scenario(cfg)
 
 
+def test_promoted_failures_are_saved_as_failures():
+    cfg = dataclasses.replace(sample_config(), stalls={"bc": frozenset({3, 4})},
+                              failures=(), recoveries=())
+    promoted = ScenarioConfig(**{**vars(cfg), "promote_after_tau": True})
+    assert promoted.failures == (FailureEvent("bc", 5, 2),)
+    doc = json.loads(dumps_scenario(promoted))
+    assert doc["run"] == {"horizon": 10, "seed": 17}
+    assert doc["schedules"]["failures"] == [{"edge": "bc", "notify_delay": 2, "round": 5}]
+    assert loads_scenario(dumps_scenario(promoted)).failures == promoted.failures
+    # A file may still ask for promotion; it is saved with the failure it made.
+    doc = json.loads(dumps_scenario(cfg))
+    doc["run"]["promote_after_tau"] = True
+    loaded = loads_scenario(json.dumps(doc))
+    assert loaded.failures == promoted.failures
+    assert dumps_scenario(loaded) == dumps_scenario(promoted)
+
+
+def mistyped(edit):
+    doc = json.loads(dumps_scenario(sample_config()))
+    edit(doc)
+    return doc
+
+
+MISTYPED_FIELDS = [
+    pytest.param(lambda doc: doc["schedules"]["stalls"][0].update(rounds=[3, "x"]),
+                 "stalls[0].rounds: expected a list of int, got [3, 'x']", id="stall-round"),
+    pytest.param(lambda doc: doc["schedules"]["injections"][1].update(round="3"),
+                 "injections[1].round: expected int, got '3'", id="injection-round"),
+    pytest.param(lambda doc: doc["run"].update(horizon="50"),
+                 "run.horizon: expected int, got '50'", id="horizon"),
+    pytest.param(lambda doc: doc["schedules"]["injections"][0].update(path=5),
+                 "injections[0].path: expected a list of str, got 5", id="injection-path"),
+    pytest.param(lambda doc: doc["schedules"]["injections"][0].update(path=["ab", ["bc"]]),
+                 "injections[0].path: expected a list of str, got ['ab', ['bc']]",
+                 id="injection-path-nested"),
+    pytest.param(lambda doc: doc["adversary"].update(b=True),
+                 "adversary.b: expected int, got True", id="burst-bool"),
+    pytest.param(lambda doc: doc["adversary"].update(r=0.75),
+                 "adversary.r: expected str, got 0.75", id="rate-float"),
+    pytest.param(lambda doc: doc["schedules"]["annihilations"][0].update(delay=1.0),
+                 "annihilations[0].delay: expected int, got 1.0", id="annihilation-delay"),
+    pytest.param(lambda doc: doc["schedules"]["failures"][0].update(edge=["ac"]),
+                 "failures[0].edge: expected str, got ['ac']", id="failure-edge"),
+    pytest.param(lambda doc: doc["schedules"].update(recoveries={"edge": "ac"}),
+                 "schedules.recoveries: expected list, got {'edge': 'ac'}",
+                 id="recoveries-object"),
+    pytest.param(lambda doc: doc["network"]["edges"][1].update(slowness="2"),
+                 "network.edges[1].slowness: expected int, got '2'", id="edge-slowness"),
+    pytest.param(lambda doc: doc["network"].update(nodes="abc"),
+                 "network.nodes: expected a list of str, got 'abc'", id="nodes"),
+    pytest.param(lambda doc: doc["run"].update(enforce_buckets=0),
+                 "run.enforce_buckets: expected bool, got 0", id="enforce-buckets"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MISTYPED_FIELDS)
+def test_mistyped_field_is_a_parse_error_naming_it(edit, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        loads_scenario(json.dumps(mistyped(edit)))
+
+
 def test_unknown_keys_rejected_everywhere():
     doc = json.loads(dumps_scenario(sample_config()))
     doc["surprise"] = 1
@@ -321,6 +382,15 @@ INCONSISTENT_EDITS = [
     pytest.param(4, ["stall", 2, "bc", 0, 1],
                  "stall of packet 0 at 'bc' in round 2 is not followed by its group",
                  id="stall-after-stall"),
+    pytest.param(8, ["fail", 4, "bc"],
+                 "fail of edge 'bc' in round 4, which is not in the scenario's failures",
+                 id="fail-unscheduled"),
+    pytest.param(8, ["recover", 4, "bc"],
+                 "recover of edge 'bc' in round 4, which is not in the scenario's recoveries",
+                 id="recover-unscheduled"),
+    pytest.param(8, ["fail_notify", 4, "bc", 3],
+                 "fail_notify in round 4 of a failure of edge 'bc' in round 3, which the "
+                 "scenario does not notify in that round", id="fail-notify-unscheduled"),
 ]
 
 
@@ -331,6 +401,84 @@ def test_inconsistent_event_refused(tmp_path, index, event, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"line {index + 1}: {message}"):
         load_trace(path)
+
+
+def fault_lines(tmp_path):
+    """A saved trace whose edge bz fails in round 1, recovers in round 3 and
+    fails again in round 5; each failure re-routes one packet over bc, cz.
+
+    Its events are, from index 1: fail, inject 0, transmit 0 on ab,
+    fail_notify, reroute 0, recover, transmit 0 on bc and cz, absorb 0,
+    fail, inject 1, transmit 1 on ab, fail_notify, reroute 1, transmit 1 on
+    bc and cz, absorb 1.
+    """
+    net = Network(["a", "b", "c", "z"],
+                  [Edge("ab", "a", "b"), Edge("bz", "b", "z"),
+                   Edge("bc", "b", "c"), Edge("cz", "c", "z")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
+        injections=(Injection(1, ("ab", "bz")), Injection(5, ("ab", "bz"))),
+        failures=(FailureEvent("bz", 1, 1), FailureEvent("bz", 5, 1)),
+        recoveries=(RecoveryEvent("bz", 3),))
+    path = tmp_path / "faults.jsonl"
+    save_trace(run(cfg), path)
+    return path, path.read_text().splitlines()
+
+
+# Edits of the fault_lines trace against its fault schedule: (edits, each an
+# index and the event put there or None to delete the line, then the
+# line number and message of the refusal).
+FAULT_EDITS = [
+    pytest.param([(6, None)], 10, "fail of edge 'bz' in round 5, which is already failed",
+                 id="fail-of-failed-edge"),
+    pytest.param([(5, None), (1, None)], 5,
+                 "recover of edge 'bz' in round 3, which is not failed",
+                 id="recover-of-live-edge"),
+    pytest.param([(1, None)], 5, "reroute of packet 0 at 'bz', which is not failed",
+                 id="reroute-at-live-edge"),
+    pytest.param([(14, ["reroute", 6, 1, ["bz"], ["bc", "cz"], "bz", 1])], 15,
+                 "reroute of packet 1 at 'bz' names a failure in round 1; 'bz' last failed "
+                 "in round 5", id="reroute-of-earlier-failure"),
+    pytest.param([(5, ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", [["x"]]])], 6,
+                 "reroute of packet 0 at 'bz' names a failure in round (('x',),); 'bz' last "
+                 "failed in round 1", id="reroute-failure-round-not-a-round"),
+    pytest.param([(5, ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", True])], 6,
+                 "reroute of packet 0 at 'bz' names a failure in round True", id="reroute-bool"),
+    pytest.param([(13, ["fail_notify", 6, "bz", 1])], 14,
+                 "fail_notify in round 6 of a failure of edge 'bz' in round 1, which the "
+                 "scenario does not notify in that round", id="fail-notify-of-earlier-failure"),
+    pytest.param([(4, ["fail_notify", 3, "bz", 1])], 5,
+                 "fail_notify in round 3 of a failure of edge 'bz' in round 1, which the "
+                 "scenario does not notify in that round", id="fail-notify-late"),
+    pytest.param([(10, ["fail", 5, "bc"])], 11,
+                 "fail of edge 'bc' in round 5, which is not in the scenario's failures",
+                 id="fail-of-other-edge"),
+    pytest.param([(6, ["recover", 4, "bz"])], 7,
+                 "recover of edge 'bz' in round 4, which is not in the scenario's recoveries",
+                 id="recover-in-other-round"),
+]
+
+
+@pytest.mark.parametrize("edits, lineno, message", FAULT_EDITS)
+def test_fault_event_off_the_schedule_refused(tmp_path, edits, lineno, message):
+    path, lines = fault_lines(tmp_path)
+    for index, event in edits:
+        if event is None:
+            del lines[index]
+        else:
+            lines[index] = json.dumps({"event": event})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"line {lineno}: {message}")):
+        load_trace(path)
+
+
+def test_fault_trace_loads_as_saved(tmp_path):
+    path, lines = fault_lines(tmp_path)
+    assert [json.loads(line)["event"][0] for line in lines[1:-1]] == [
+        "fail", "inject", "transmit", "fail_notify", "reroute", "recover", "transmit",
+        "transmit", "absorb", "fail", "inject", "transmit", "fail_notify", "reroute",
+        "transmit", "transmit", "absorb"]
+    assert load_trace(path).events_of("reroute")[1][-1] == 5
 
 
 # The lines of the saved run_small trace that the loader's typed lanes
@@ -531,6 +679,18 @@ def test_header_is_checked_as_stored(tmp_path, edit, message):
     lines[0] = edit(lines[0])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=message):
+        load_trace(path)
+
+
+def test_mistyped_header_scenario_is_a_parse_error(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["scenario"]["run"]["horizon"] = "6"
+    compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+    header["scenario_hash"] = hashlib.sha256(compact.encode()).hexdigest()
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape("run.horizon: expected int, got '6'")):
         load_trace(path)
 
 
