@@ -247,24 +247,6 @@ def strongly_connected(net: Network, removed=frozenset()) -> bool:
     return True
 
 
-def random_simple_path(rng: random.Random, net: Network, avoid, max_len: int):
-    """Edge-distinct random walk of 1..max_len hops, or None if stuck."""
-    node = rng.choice(net.sorted_nodes)
-    target = rng.randint(1, max_len)
-    path = []
-    used = set()
-    for _ in range(target):
-        options = [e for e in net.out_edges[node]
-                   if e not in used and e not in avoid]
-        if not options:
-            break
-        eid = rng.choice(options)
-        path.append(eid)
-        used.add(eid)
-        node = net.edges[eid].head
-    return tuple(path) if path else None
-
-
 class GreedyDriver:
     """Injects whenever the buckets can afford it, on random simple paths.
 
@@ -284,13 +266,29 @@ class GreedyDriver:
         self._reserve = None
 
     def __call__(self, engine: Engine, rnd: int):
-        if self.rng.random() >= self.inject_prob:
+        rng = self.rng
+        if rng.random() >= self.inject_prob:
             return []
-        path = random_simple_path(self.rng, engine.net, engine.visible_failed,
-                                  self.max_path_len)
-        if path is None:
+        # A random walk of 1..max_path_len hops from a random node, over
+        # distinct links with no visible failure; it stops where none is left.
+        net, avoid, choice = engine.net, engine.visible_failed, rng.choice
+        out_edges, edges = net.out_edges, net.edges
+        node = choice(net.sorted_nodes)
+        hops = rng.randint(1, self.max_path_len)
+        options = [e for e in out_edges[node] if e not in avoid] if avoid else out_edges[node]
+        if not options:
             return []
-        want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
+        eid = choice(options)
+        path = [eid]
+        for _ in range(hops - 1):
+            options = [e for e in out_edges[edges[eid].head] if e not in path and e not in avoid]
+            if not options:
+                break
+            eid = choice(options)
+            path.append(eid)
+        path = tuple(path)
+        max_burst = self.max_burst
+        want = rng.randint(1, max_burst) if max_burst > 1 else 1
         config = engine.config
         if config.enforce_buckets:
             # Whole tokens floor the level where int() of the Fraction would
@@ -304,11 +302,12 @@ class GreedyDriver:
                 afford = min(whole_tokens(edge) - reserve.tokens(edge, rnd)
                              for edge in path)
             else:
-                afford = min((whole_tokens(edge) for edge in path), default=0)
+                afford = min(map(whole_tokens, path))
             want = min(want, max(0, afford))
         if want < 1:
             return []
-        return [Injection(rnd, path) for _ in range(want)]
+        # An Injection is immutable, so one object serves the whole burst.
+        return [Injection(rnd, path)] * want
 
 
 class _ScriptReserve:

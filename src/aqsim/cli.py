@@ -66,7 +66,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    scenario_io.save_trace(trace, out / f"{stem}.trace.jsonl")
+    digest = scenario_io.save_trace(trace, out / f"{stem}.trace.jsonl")
     scenario_io.write_metrics_csv(trace, out / f"{stem}.metrics.csv")
     if trace.horizon >= 2 * args.window * args.k:
         report = analysis.probe_stability(trace, args.window, args.k, args.g)
@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
     print(f"ran {trace.horizon} rounds, {len(trace.events)} events, "
           f"max queued {max(trace.q_totals, default=0)}, "
           f"verdict {report_doc['verdict']}")
-    print(f"trace digest {trace.digest()}")
+    print(f"trace digest {digest}")
     return EXIT_OK
 
 
@@ -161,8 +161,8 @@ def _batch_one(out: Path, path: Path):
     """Run one scenario file of a batch and save its trace under ``out``."""
     config = scenario_io.load_scenario(path)
     trace = Engine(config).run()
-    scenario_io.save_trace(trace, out / f"{path.stem}.trace.jsonl")
-    return path.stem, max(trace.q_totals, default=0), trace.digest()
+    digest = scenario_io.save_trace(trace, out / f"{path.stem}.trace.jsonl")
+    return path.stem, max(trace.q_totals, default=0), digest
 
 
 def cmd_batch(args) -> int:

@@ -22,8 +22,9 @@ on their scheduled rounds, the countdown when a group is due, injection
 with a driver or scripted injections, transmission when a queue holds a
 packet, re-routing while a failure is visible. Steps 2 and 8 run every
 round. The trace records what happened, not the rounds: there is no
-per-round marker event, and per-edge queue lengths are derived from the
-events on demand.
+per-round marker event. The engine writes only the events and the queue
+totals; per-edge queue lengths and the per-packet records are derived
+from the events on demand.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
 ``promote_after_tau`` adds included. ``ScenarioConfig.validate`` pairs
@@ -222,6 +223,8 @@ class ExecutionTrace:
     """Full event log of a run plus the total queued after each round.
 
     Every event is a tuple ``(kind, round, ...)``, appended in round order.
+    The packet records and the per-edge queue lengths are derived from the
+    events on demand.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -229,7 +232,38 @@ class ExecutionTrace:
         self.horizon = config.horizon
         self.events: list[tuple] = []
         self.q_totals: list[int] = []
-        self.packets: dict[int, PacketRecord] = {}
+        self._records: dict[int, PacketRecord] = {}
+        self._folded: tuple[list | None, int] = (None, 0)  # the events list folded, how far
+
+    @property
+    def packets(self) -> dict[int, PacketRecord]:
+        """Per packet id, its record, folded from the inject, reroute and
+        absorb events.
+
+        A read folds only the events appended since the last one, so the
+        records stay current between engine steps; when ``events`` is
+        replaced by another list (or shrinks), the fold starts over.
+        """
+        events = self.events
+        folded, start = self._folded
+        if folded is not events or start > len(events):
+            self._records, start = {}, 0
+        records = self._records
+        for ev in events[start:]:
+            kind = ev[0]
+            if kind == "inject":
+                _, rnd, pid, path, priority = ev
+                records[pid] = PacketRecord(pid, rnd, priority, path, path)
+            elif kind == "absorb":
+                records[ev[2]].absorbed_round = ev[1]
+            elif kind == "reroute":
+                _, _, pid, old_suffix, new_suffix, _edge, _fail = ev
+                rec = records[pid]
+                kept = len(rec.final_path) - len(old_suffix)
+                rec.final_path = rec.final_path[:kept] + new_suffix
+                rec.rerouted = True
+        self._folded = events, len(events)
+        return records
 
     def events_of(self, kind: str):
         return [ev for ev in self.events if ev[0] == kind]
@@ -402,8 +436,8 @@ class Engine:
                     f"round {rnd}: buckets cannot afford the scripted injections, "
                     f"edge {result.insufficient_edge!r} is short",
                     round=rnd, edge=result.insufficient_edge)
-        packets, records = self._packets, self.trace.packets
-        queues, key, append = self.queues, self._key, self.trace.events.append
+        packets, queues, key = self._packets, self.queues, self._key
+        append = self.trace.events.append
         for inj in requests:
             pid = inj.id
             if pid is None:
@@ -414,7 +448,6 @@ class Engine:
                 raise ScenarioError(f"duplicate packet id {pid}")
             packets[pid] = pkt
             path = pkt.path
-            records[pid] = PacketRecord(pid, rnd, inj.priority, path, path)
             heappush(queues.setdefault(path[0], []), (key(pkt), pkt))
             append(("inject", rnd, pid, path, inj.priority))
         self._injected += len(requests)
@@ -422,7 +455,7 @@ class Engine:
     def _transmit(self, rnd: int):
         queues, failed, append = self.queues, self.failed, self.trace.events.append
         stalled_edges = self._stalls_by_round.get(rnd, ())
-        slowness, records = self._slowness, self.trace.packets
+        slowness = self._slowness
         staged: list[Packet] = []
         absorbed = 0
         for edge in sorted(queues):
@@ -448,9 +481,6 @@ class Engine:
             append(("transmit", rnd, edge, pkt.id))
             if pkt.idx == len(pkt.path):
                 absorbed += 1
-                rec = records[pkt.id]
-                rec.absorbed_round = rnd
-                rec.final_path = pkt.path
                 append(("absorb", rnd, pkt.id))
             else:
                 pkt.arrival_round = rnd
@@ -482,14 +512,10 @@ class Engine:
                 old_suffix = pkt.path[pkt.idx:]
                 pkt.path = pkt.path[: pkt.idx] + suffix
                 pkt.rerouted = True
-                rec = self.trace.packets[pkt.id]
-                rec.rerouted = True
-                rec.final_path = pkt.path
                 self._emit("reroute", rnd, pkt.id, old_suffix, suffix, edge, fail_round)
                 if pkt.absorbed:
                     # Remaining path was a detour back to the current node.
                     self._absorbed += 1
-                    rec.absorbed_round = rnd
                     self._emit("absorb", rnd, pkt.id)
                 else:
                     pkt.arrival_round = rnd
@@ -583,10 +609,11 @@ def validate_recovery(trace: ExecutionTrace) -> RecoveryVerdict:
         reroutes.setdefault((edge, fail_round), []).append(pid)
     failure_of = {(edge, rec): fail
                   for (edge, fail), rec in trace.config.fault_pairs().items() if rec}
+    packets = trace.packets
     violations = []
     for rec in trace.config.recoveries:
         for pid in reroutes.get((rec.edge, failure_of[rec.edge, rec.round]), ()):
-            absorbed = trace.packets[pid].absorbed_round
+            absorbed = packets[pid].absorbed_round
             if absorbed is None or absorbed >= rec.round:
                 violations.append(
                     RecoveryViolation(rec.edge, rec.round, pid, absorbed))

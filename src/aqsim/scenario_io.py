@@ -12,11 +12,11 @@ scenario itself), one record per event, then the total queued after each
 round. The header line is the compact, key-sorted JSON of the header
 record, and the hash is the SHA-256 of the scenario's compact, key-sorted
 JSON as it stands in that line, so a load hashes the stored bytes and
-never encodes the scenario again. The events are those the checkers and
-the packet audit read:
-inject, transmit, stall, group, annihilate, absorb, reroute, fail,
-fail_notify and recover. Per-edge queue lengths are not stored; they are
-a function of the events (``ExecutionTrace.queue_sizes``). The file
+never encodes the scenario again. The events are those the checkers
+read: inject, transmit, stall, group, annihilate, absorb, reroute, fail,
+fail_notify and recover. Per-edge queue lengths and packet records are
+not stored; they are functions of the events
+(``ExecutionTrace.queue_sizes``, ``ExecutionTrace.packets``). The file
 carries everything needed to reproduce the run.
 
 Loading checks the file against itself. Every event must be well formed
@@ -28,13 +28,14 @@ one of the policy's levels, each stall must be followed directly by its
 group, holding the edges its packet has still to cross, and an annihilate
 must end a group that was created and is not yet annihilated. A fail,
 fail_notify or recover must be the header scenario's, in its round, and
-fail a live edge or recover a failed one; a reroute must leave a failed
-edge and name the round it last failed. The running
-count of injections minus absorptions must equal the stored total after
-every round, so an edited total or a dropped event is refused with the
-first round where they disagree. Bytes that are not UTF-8 are refused with
-the line that holds them. Files of versions 1 to 3 are refused as an
-unsupported format.
+fail a live edge or recover a failed one, and every fail and recover the
+scenario schedules must be there, with every fail_notify due by the
+horizon. A reroute must leave a failed edge and name the round it last
+failed. The running count of injections minus absorptions must equal the
+stored total after every round, so an edited total or a dropped event is
+refused with the first round where they disagree. Bytes that are not
+UTF-8 are refused with the line that holds them. Files of versions 1 to 3
+are refused as an unsupported format.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .buckets import FORCED, VOLUNTARY, AdversaryType
-from .engine import (ExecutionTrace, FailureEvent, Injection, PacketRecord,
-                     RecoveryEvent, ScenarioConfig)
+from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
 from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
@@ -338,21 +338,32 @@ _HEADER_TAIL = f'","version":{TRACE_VERSION}}}'
 _HEADER_END = len(_HEADER_HASH) + 64 + len(_HEADER_TAIL)  # from the scenario's end
 
 
-def save_trace(trace: ExecutionTrace, path):
+def save_trace(trace: ExecutionTrace, path) -> str:
+    """Write the trace file; returns the trace's digest (``trace_digest``),
+    hashed from the same encoded chunks as the file."""
     scenario = _scenario_text(trace.config)
-    digest = hashlib.sha256(scenario.encode()).hexdigest()
+    scenario_sha = hashlib.sha256(scenario.encode()).hexdigest()
     events = trace.events
+    digest = hashlib.sha256(b"[")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_HEADER_HEAD + scenario + _HEADER_HASH + digest + _HEADER_TAIL + "\n")
+        fh.write(_HEADER_HEAD + scenario + _HEADER_HASH + scenario_sha + _HEADER_TAIL + "\n")
         for start in range(0, len(events), _CHUNK_LINES):
             # Events hold only str, int and tuples, so outside strings a "}"
             # closes a record, and a string holds no bare quote:
             # '},{"event":' occurs only between two records, and each line
-            # is what encoding its record alone would give.
+            # is what encoding its record alone would give. Without the
+            # record wrappers the chunk is the events' compact JSON.
             records = _encode_compact(
                 [{"event": ev} for ev in events[start:start + _CHUNK_LINES]])
             fh.write(records[1:-1].replace('},{"event":', '}\n{"event":') + "\n")
-        fh.write(_encode_compact({"q_totals": trace.q_totals}) + "\n")
+            if start:
+                digest.update(b",")
+            digest.update(records[10:-2].replace('},{"event":', ",").encode())
+        totals = _encode_compact(trace.q_totals)
+        fh.write('{"q_totals":' + totals + "}\n")
+    digest.update(b"]")
+    digest.update(totals.encode())
+    return digest.hexdigest()
 
 
 def load_trace(path) -> ExecutionTrace:
@@ -471,8 +482,9 @@ def _read_records(trace: ExecutionTrace, records):
     absorbed). An inject's priority must be one of the policy's levels, and
     each stall must be followed directly by its group, which holds the
     edges its packet has still to cross. The event, its lists made tuples,
-    is then appended, counted in its round's injections minus absorptions,
-    and folded into the packet audit records. Returns those per-round
+    is then appended and counted in its round's injections minus
+    absorptions. Once every record is read, each fault event the scenario
+    schedules by the horizon must have been seen. Returns the per-round
     counts and the stored totals.
 
     Well-typed transmit, absorb and inject events, most of any trace, take
@@ -484,8 +496,7 @@ def _read_records(trace: ExecutionTrace, records):
     config = trace.config
     edges = set(config.network.edges)
     levels = config.policy.levels if isinstance(config.policy, Prioritized) else 1
-    events, packets = trace.events, trace.packets
-    append = events.append
+    append = trace.events.append
     ahead: dict[int, tuple | None] = {}
     groups: dict[int, bool] = {}  # group id -> not yet annihilated
     faults = _Faults(config)
@@ -513,7 +524,6 @@ def _read_records(trace: ExecutionTrace, records):
                     if (kind == "absorb" and type(rnd) is int and rnd >= last_round
                             and type(pid) is int and ahead.get(pid) == ()):
                         ahead[pid] = None
-                        packets[pid].absorbed_round = rnd
                         net[rnd] = net.get(rnd, 0) - 1
                         last_round = rnd
                         append(("absorb", rnd, pid))
@@ -527,7 +537,6 @@ def _read_records(trace: ExecutionTrace, records):
                             and type(priority) is int and 0 <= priority < levels):
                         path = tuple(path)
                         ahead[pid] = path
-                        packets[pid] = PacketRecord(pid, rnd, priority, path, path)
                         net[rnd] = net.get(rnd, 0) + 1
                         last_round = rnd
                         append(("inject", rnd, pid, path, priority))
@@ -587,7 +596,6 @@ def _read_records(trace: ExecutionTrace, records):
                 if stalled is not None:
                     raise _unpaired(stalled)
                 ahead[pid] = path
-                packets[pid] = PacketRecord(pid, rnd, priority, path, path)
                 net[rnd] = net.get(rnd, 0) + 1
                 append(ev)
                 continue
@@ -602,7 +610,6 @@ def _read_records(trace: ExecutionTrace, records):
                 if stalled is not None:
                     raise _unpaired(stalled)
                 ahead[pid] = None
-                packets[pid].absorbed_round = rnd
                 net[rnd] = net.get(rnd, 0) - 1
                 append(ev)
                 continue
@@ -625,12 +632,10 @@ def _read_records(trace: ExecutionTrace, records):
                 stalled = ev
             else:
                 ahead[pid] = new_suffix
-                rec = packets[pid]
-                rec.final_path = rec.final_path[: len(rec.final_path) - len(rest)] + new_suffix
-                rec.rerouted = True
             append(ev)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+    faults.check_complete()
     return net, q_totals
 
 
@@ -658,7 +663,8 @@ class _Faults:
     A fail and a recover must be scheduled in their round, and must fail a
     live edge or recover a failed one. A fail_notify must come in the round
     its failure is notified, and a reroute must leave a failed edge and
-    name the round that edge last failed.
+    name the round that edge last failed. Every scheduled fail and recover,
+    and every fail_notify due by the horizon, must be read.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -666,9 +672,17 @@ class _Faults:
                             for ev in config.failures}
         self.recoveries = {(ev.edge, ev.round) for ev in config.recoveries}
         self.failed: dict[str, int] = {}  # failed edge -> the round it failed
+        # The scheduled fault events not read yet, as (round, kind, edge,
+        # failure round); a fail or recover names its own round last.
+        self.due = {(ev.round, "fail", ev.edge, ev.round) for ev in config.failures}
+        self.due.update((rnd, "fail_notify", edge, fail_round)
+                        for (edge, fail_round), rnd in self.notified_in.items()
+                        if rnd <= config.horizon)
+        self.due.update((ev.round, "recover", ev.edge, ev.round) for ev in config.recoveries)
 
     def check(self, kind: str, rnd: int, edge: str, fail_round=None):
         """Check a fail, fail_notify or recover event and apply it."""
+        self.due.discard((rnd, kind, edge, rnd if fail_round is None else fail_round))
         if kind == "fail_notify":
             if self.notified_in.get((edge, fail_round)) != rnd:
                 raise ParseError(
@@ -696,6 +710,14 @@ class _Faults:
             raise ParseError(
                 f"reroute of packet {pid} at {edge!r} names a failure in round "
                 f"{fail_round!r}; {edge!r} last failed in round {failed_in}")
+
+    def check_complete(self):
+        """Refuse the trace if a scheduled fault event was never read."""
+        if self.due:
+            rnd, kind, edge, fail_round = min(self.due)
+            of = f" of its failure in round {fail_round}" if kind == "fail_notify" else ""
+            raise ParseError(f"trace has no {kind} of edge {edge!r} in round {rnd}{of}, "
+                             "which the scenario schedules")
 
 
 def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool], faults: _Faults):

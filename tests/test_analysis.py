@@ -1,13 +1,14 @@
 import multiprocessing
 import os
 import pickle
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
+from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, _ScriptReserve, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
                             strongly_connected, sweep)
@@ -16,7 +17,7 @@ from aqsim.engine import (Engine, ExecutionTrace, FailureEvent, Injection,
                           ScenarioConfig, run)
 from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
-from aqsim.scenario_io import dumps_scenario
+from aqsim.scenario_io import dumps_scenario, scenario_hash
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -275,6 +276,124 @@ def test_greedy_driver_spends_no_token_a_later_script_needs(script):
         trace = Engine(cfg, driver=GreedyDriver(seed, inject_prob=1.0, max_path_len=1,
                                                 max_burst=2)).run()
         assert scripted_kept(cfg, trace), seed
+
+
+# gen_random_scenario configurations and the hashes of the scenarios they
+# made before the greedy driver was rewritten for speed: the generator
+# must keep drawing the same numbers.
+GENERATOR_PINS = [
+    pytest.param(dict(seed=3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG",
+                      horizon=400, failures=2),
+                 "de1bfd26ac6ed9e4bfb431c4127baa8078c39ca99cb01525d36c2e9dedfd15e9",
+                 id="two-failures"),
+    pytest.param(dict(seed=5, rate=Fraction(3, 4), burst=4, delay=3, tau=1, policy="NFS",
+                      horizon=400, max_burst=3),
+                 "b6e04683a4e4ad3567a0eae50c255f4d57e7aea4a11ae2e12c7dba764545f114",
+                 id="burst-4-max-burst-3"),
+    pytest.param(dict(seed=8, rate=Fraction(9, 10), burst=2, delay=4, tau=2, policy="SIS",
+                      horizon=400, stall_density=0.1, failures=1),
+                 "5139dba68209af3303c8680489757df52b1cd4efb067726d34c8d7243c3e707d",
+                 id="tau-2"),
+    pytest.param(dict(seed=9004, rate=Fraction(9, 10), burst=1, delay=1, tau=2,
+                      policy="FIFO", horizon=2000, stall_density=0.02, inject_prob=0.25,
+                      nodes=(6, 9)),
+                 "cc83efd347b83b773a1c501b2890ece806bd239db95d94f7cd186239cdd20320",
+                 id="criterion-6-like"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", GENERATOR_PINS)
+def test_generator_draws_are_pinned(kwargs, digest):
+    kwargs = dict(kwargs)
+    assert scenario_hash(gen_random_scenario(kwargs.pop("seed"), **kwargs)) == digest
+
+
+def oracle_simple_path(rng, net, avoid, max_len):
+    """The reference walk: edge-distinct, 1..max_len hops, or None if stuck."""
+    node = rng.choice(net.sorted_nodes)
+    target = rng.randint(1, max_len)
+    path = []
+    used = set()
+    for _ in range(target):
+        options = [e for e in net.out_edges[node] if e not in used and e not in avoid]
+        if not options:
+            break
+        eid = rng.choice(options)
+        path.append(eid)
+        used.add(eid)
+        node = net.edges[eid].head
+    return tuple(path) if path else None
+
+
+class OracleGreedyDriver:
+    """The reference greedy driver: one Injection per packet, each bucket
+    level read through a generator expression."""
+
+    def __init__(self, seed, inject_prob=0.9, max_path_len=4, max_burst=1):
+        self.rng = random.Random(seed)
+        self.inject_prob = inject_prob
+        self.max_path_len = max_path_len
+        self.max_burst = max_burst
+        self._reserve = None
+
+    def __call__(self, engine, rnd):
+        if self.rng.random() >= self.inject_prob:
+            return []
+        path = oracle_simple_path(self.rng, engine.net, engine.visible_failed,
+                                  self.max_path_len)
+        if path is None:
+            return []
+        want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
+        config = engine.config
+        if config.enforce_buckets:
+            whole_tokens = engine.buckets.whole_tokens
+            if config.injections:
+                reserve = self._reserve
+                if reserve is None or reserve.script is not config.injections:
+                    reserve = self._reserve = _ScriptReserve(config)
+                afford = min(whole_tokens(edge) - reserve.tokens(edge, rnd)
+                             for edge in path)
+            else:
+                afford = min((whole_tokens(edge) for edge in path), default=0)
+            want = min(want, max(0, afford))
+        if want < 1:
+            return []
+        return [Injection(rnd, path) for _ in range(want)]
+
+
+def driven_rounds(cfg, driver):
+    """Per round, the injections ``driver`` returned, and the run's trace."""
+    rounds = []
+
+    def record(engine, rnd):
+        out = driver(engine, rnd)
+        rounds.append((rnd, sorted(engine.visible_failed), out))
+        return out
+
+    return rounds, Engine(cfg, driver=record).run()
+
+
+@pytest.mark.parametrize("scripted", [False, True], ids=["co-run", "beside-a-script"])
+def test_greedy_driver_injects_as_the_oracle_does(scripted):
+    seen_failures = bursts = 0
+    for seed in range(6):
+        cfg = gen_random_scenario(seed, rate=Fraction(3, 4), burst=3, delay=2, tau=2,
+                                  policy="FTG", horizon=500, nodes=(4, 8),
+                                  failures=2)
+        if scripted:
+            # No stalls: an annihilation could leave the script short.
+            cfg = replace(cfg, injections=cfg.injections[:60], stalls={},
+                          annihilation_delays={})
+        else:
+            cfg = replace(cfg, injections=())
+        args = (seed + 77, 0.8, 5, 3)
+        got, trace = driven_rounds(cfg, GreedyDriver(*args))
+        want, _ = driven_rounds(cfg, OracleGreedyDriver(*args))
+        assert got == want, seed
+        seen_failures += sum(1 for _rnd, visible, out in got if visible and out)
+        bursts += sum(1 for _rnd, _visible, out in got if len(out) > 1)
+        assert sum(ev[0] == "inject" for ev in trace.events) > len(cfg.injections)
+    assert seen_failures > 100 and bursts > 100
 
 
 def square_in(x):

@@ -181,6 +181,25 @@ def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
     assert_every_reader_exits_2(trace)
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("fail", "trace has no fail of edge 'e003' in round 96"),
+    ("fail_notify", "trace has no fail_notify of edge 'e003' in round 97 of its failure "
+                    "in round 96"),
+])
+def test_trace_missing_a_scheduled_fault_event_is_a_parse_error(tmp_path, capsys, kind,
+                                                                 message):
+    # No packet re-routes at e003 after it fails in round 96, so only the
+    # schedule tells that the event is missing.
+    trace = generated_trace(tmp_path, "--failures", "2")
+    lines = trace.read_text().splitlines()
+    lines.remove(next(line for line in reversed(lines)
+                      if line.startswith(f'{{"event":["{kind}"')))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert_every_reader_exits_2(trace)
+    assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
+
+
 def test_gadget_gen_writes_expected_topology(tmp_path):
     out = tmp_path / "gadget.json"
     rc = main(["gen", "rerouting-gadget", "--branches", "3", "--cycles", "2",

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from aqsim.analysis import GreedyDriver, gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
-from aqsim.engine import (Engine, FailureEvent, Injection, RecoveryEvent,
+from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, RecoveryEvent,
                           RecoveryViolation, ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network
@@ -611,6 +611,93 @@ def test_driven_run_matches_stepping_every_round():
     kinds = {ev[0] for ev in ran.events}
     assert {"inject", "stall", "annihilate", "reroute", "fail_notify"} <= kinds
     assert len(ran.packets) > 200
+
+
+def oracle_records(events):
+    """The reference fold of the packet records over a whole event list."""
+    records = {}
+    for ev in events:
+        if ev[0] == "inject":
+            _, rnd, pid, path, priority = ev
+            records[pid] = PacketRecord(pid, rnd, priority, path, path)
+        elif ev[0] == "reroute":
+            rec = records[ev[2]]
+            rec.final_path = rec.final_path[: len(rec.final_path) - len(ev[3])] + ev[4]
+            rec.rerouted = True
+        elif ev[0] == "absorb":
+            records[ev[2]].absorbed_round = ev[1]
+    return records
+
+
+def engine_records(engine, absorbed_in):
+    """The packet records as the engine's own packets hold them;
+    ``absorbed_in`` maps each absorbed packet to its round."""
+    return {pid: PacketRecord(pid, pkt.injected_at, pkt.priority, pkt.original_path,
+                              pkt.path, absorbed_in.get(pid), pkt.rerouted)
+            for pid, pkt in engine._packets.items()}
+
+
+def detour_absorb_cfg():
+    # The packet waits at bc, which fails; its destination b is the node it
+    # waits at, so its re-route is empty and it is absorbed on the spot.
+    net = Network(["a", "b", "c"],
+                  [Edge("ab", "a", "b"), Edge("bc", "b", "c"), Edge("cb", "c", "b")])
+    return ScenarioConfig(
+        network=net, adversary=AdversaryType(ONE, 2, 2), policy="FIFO", horizon=5,
+        injections=(Injection(1, ("ab", "bc", "cb")),),
+        failures=(FailureEvent("bc", 1, notify_delay=1),), tau_prime=1)
+
+
+def derived_record_configs():
+    yield "reroute", detour_cfg()
+    yield "detour-absorb", detour_absorb_cfg()
+    yield "promoted", detour_cfg(failures=(), stalls={"bz": {2, 3}}, tau=2, tau_prime=1,
+                                 promote_after_tau=True)
+    yield "random-failures", gen_random_scenario(
+        3, rate=Fraction(9, 10), burst=4, delay=2, tau=2, policy="FIFO",
+        horizon=300, nodes=(4, 6), failures=2)
+    gadget = rerouting_gadget(branches=3, cycles=20).config
+    yield "gadget-prioritized", replace(
+        gadget, policy=Prioritized("SIS", 2), enforce_buckets=False,
+        injections=tuple(replace(inj, priority=i % 2)
+                         for i, inj in enumerate(gadget.injections)))
+
+
+@pytest.mark.parametrize("name, cfg", derived_record_configs(),
+                         ids=[name for name, _ in derived_record_configs()])
+def test_packet_records_are_current_after_every_step(name, cfg):
+    engine = Engine(cfg)
+    trace = engine.trace
+    absorbed_in = {}
+    for rnd in range(1, cfg.horizon + 1):
+        engine.step(rnd)
+        for pid, pkt in engine._packets.items():
+            if pkt.absorbed:
+                absorbed_in.setdefault(pid, rnd)
+        assert trace.packets == engine_records(engine, absorbed_in), rnd
+        assert trace.packets == oracle_records(trace.events), rnd
+    records = trace.packets.values()
+    assert any(rec.rerouted for rec in records)
+    if name == "detour-absorb":
+        assert trace.packets[0] == PacketRecord(0, 1, 0, ("ab", "bc", "cb"), ("ab",), 2, True)
+    if name == "gadget-prioritized":
+        assert {rec.priority for rec in records} == {0, 1}
+
+
+def test_packet_records_follow_a_replaced_event_list():
+    trace = run(detour_cfg(injections=(Injection(1, ("ab", "bz")), Injection(3, ("bc",)))))
+    events = trace.events
+    assert trace.packets == oracle_records(events) and trace.packets[0].rerouted
+    cut = next(i for i, ev in enumerate(events) if ev[0] == "reroute")
+    trace.events = events[:cut]
+    assert trace.packets == oracle_records(events[:cut])
+    assert not trace.packets[0].rerouted and 1 not in trace.packets
+    trace.events = events
+    assert trace.packets == oracle_records(events)
+    del events[cut:]
+    assert trace.packets == oracle_records(events[:cut])
+    trace.events = []
+    assert trace.packets == {}
 
 
 def test_validate_names_the_first_bad_injection_of_a_repeated_path():

@@ -481,6 +481,64 @@ def test_fault_trace_loads_as_saved(tmp_path):
     assert load_trace(path).events_of("reroute")[1][-1] == 5
 
 
+def quiet_fault_lines(tmp_path, horizon=8):
+    """A saved trace whose edge bc, which no packet uses, fails in round 2,
+    is notified in round 3 and recovers in round 5, those by the horizon."""
+    net = Network(["a", "b", "c"],
+                  [Edge("ab", "a", "b"), Edge("bc", "b", "c"), Edge("ca", "c", "a")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO",
+        horizon=horizon, injections=(Injection(1, ("ab",)),),
+        failures=(FailureEvent("bc", 2, 1),),
+        recoveries=(RecoveryEvent("bc", 5),) if horizon >= 5 else ())
+    path = tmp_path / "quiet.jsonl"
+    save_trace(run(cfg), path)
+    return path, path.read_text().splitlines()
+
+
+# Without its fail, the recover of bc would be refused as of a live edge.
+@pytest.mark.parametrize("kinds, message", [
+    (("fail", "recover"), "trace has no fail of edge 'bc' in round 2"),
+    (("fail_notify",), "trace has no fail_notify of edge 'bc' in round 3 of its failure in "
+                       "round 2"),
+    (("recover",), "trace has no recover of edge 'bc' in round 5"),
+], ids=["fail", "fail_notify", "recover"])
+def test_missing_scheduled_fault_event_refused(tmp_path, kinds, message):
+    path, lines = quiet_fault_lines(tmp_path)
+    load_trace(path)
+    for kind in kinds:
+        lines.remove(next(line for line in lines if line.startswith(f'{{"event":["{kind}"')))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(message + ", which the scenario schedules")):
+        load_trace(path)
+
+
+def test_missing_fault_events_are_named_first_round_first(tmp_path):
+    path, lines = quiet_fault_lines(tmp_path)
+    path.write_text("\n".join(line for line in lines if '"recover"' not in line
+                               and '"fail_notify"' not in line) + "\n")
+    with pytest.raises(ParseError, match="no fail_notify of edge 'bc' in round 3"):
+        load_trace(path)
+
+
+def test_traces_with_every_scheduled_fault_event_load(tmp_path):
+    # A notification due past the horizon is not delivered, so not required.
+    path, _lines = quiet_fault_lines(tmp_path, horizon=2)
+    assert [ev[0] for ev in load_trace(path).events_of("fail")] == ["fail"]
+    assert load_trace(path).events_of("fail_notify") == []
+    promoted = ScenarioConfig(
+        network=Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ab2", "a", "b")]),
+        adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
+        injections=(Injection(1, ("ab",)), Injection(2, ("ab",))),
+        stalls={"ab": {2, 3}}, tau=2, tau_prime=1, promote_after_tau=True)
+    gadget = rerouting_gadget(branches=2, cycles=5).config
+    for name, cfg in (("promoted", promoted), ("gadget", gadget)):
+        trace = run(cfg)
+        assert trace.events_of("fail") and trace.events_of("fail_notify"), name
+        save_trace(trace, tmp_path / f"{name}.jsonl")
+        assert load_trace(tmp_path / f"{name}.jsonl").events == trace.events, name
+
+
 # The lines of the saved run_small trace that the loader's typed lanes
 # take: inject, transmit and absorb events. Each field in turn is given a
 # value of the wrong type (text, null, bool, float) or made a list. The
@@ -996,6 +1054,14 @@ def test_digest_is_the_hash_of_the_compact_json(tmp_path):
     path = tmp_path / "t.jsonl"
     save_trace(trace, path)
     assert trace_digest(load_trace(path)) == trace_digest(trace)
+
+
+def test_save_trace_returns_the_trace_digest(tmp_path):
+    empty = ExecutionTrace(run_small().config)
+    empty.q_totals = [0] * empty.horizon
+    for name, trace in (*oracle_traces(), ("no-events", empty)):
+        assert save_trace(trace, tmp_path / f"{name}.jsonl") == trace_digest(trace), name
+    assert trace_digest(load_trace(tmp_path / "no-events.jsonl")) == trace_digest(empty)
 
 
 def test_digest_sees_every_field_and_total():
