@@ -524,8 +524,8 @@ def test_missing_fault_events_are_named_first_round_first(tmp_path):
 def test_traces_with_every_scheduled_fault_event_load(tmp_path):
     # A notification due past the horizon is not delivered, so not required.
     path, _lines = quiet_fault_lines(tmp_path, horizon=2)
-    assert [ev[0] for ev in load_trace(path).events_of("fail")] == ["fail"]
-    assert load_trace(path).events_of("fail_notify") == []
+    loaded = load_trace(path)
+    assert (len(loaded.events_of("fail")), loaded.events_of("fail_notify")) == (1, [])
     promoted = ScenarioConfig(
         network=Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ab2", "a", "b")]),
         adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
