@@ -111,6 +111,12 @@ class ScenarioConfig:
                 promoted.append(FailureEvent(edge, end + 1, self.tau_prime))
         self.failures = (*self.failures, *promoted)
 
+    @property
+    def last_round(self) -> int:
+        """The last round on record: the horizon, then the drain rounds in
+        which groups created near it still annihilate."""
+        return self.horizon + self.adversary.delay
+
     def validate(self):
         net = self.network
         if self.horizon < 0:
@@ -173,9 +179,12 @@ class ScenarioConfig:
             if start < end:
                 notified.setdefault(ev.edge, []).append((start, end))
         if notified:
+            # Each distinct path's edges that have windows, in path order.
+            crossing = {path: [edge for edge in path if edge in notified]
+                        for path in valid_paths}
             for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
-                for edge in path:
-                    windows = notified.get(edge, ())
+                for edge in crossing[path]:
+                    windows = notified[edge]
                     at = bisect_left(windows, (rnd + 1,)) - 1
                     if at >= 0 and rnd < windows[at][1]:
                         raise ScenarioError(
@@ -569,8 +578,7 @@ class Engine:
             round_(rnd)
         # Drain phase: groups created near the horizon still annihilate so
         # every stall's feedback round is on record.
-        for rnd in range(self.config.horizon + 1,
-                         self.config.horizon + self.config.adversary.delay + 1):
+        for rnd in range(self.config.horizon + 1, self.config.last_round + 1):
             self.buckets.tick()
             for how, group in self.buckets.tick_antitokens():
                 self._emit("annihilate", rnd, group.gid, how)

@@ -6,42 +6,46 @@ record and a typo that parses silently corrupts results. Rationals travel
 as "num/den" strings and never pass through floating point. Failures that
 ``promote_after_tau`` adds are written as failures, without the switch.
 
-A trace file (version 4) is line-delimited JSON: one header record
+A trace file (version 5) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
-scenario itself), one record per event, then the total queued after each
-round. The header line is the compact, key-sorted JSON of the header
-record, and the hash is the SHA-256 of the scenario's compact, key-sorted
-JSON as it stands in that line, so a load hashes the stored bytes and
-never encodes the scenario again. The events are those the checkers
-read: inject, transmit, stall, group, annihilate, absorb, reroute, fail,
-fail_notify and recover. Per-edge queue lengths and packet records are
-not stored; they are functions of the events
+scenario itself), one line per event, holding the event's compact JSON
+array ``[kind, round, ...]``, then a ``{"q_totals": [...]}`` record with
+the total queued after each round. The header line is the compact,
+key-sorted JSON of the header record, and the hash is the SHA-256 of the
+scenario's compact, key-sorted JSON as it stands in that line, so a load
+hashes the stored bytes and never encodes the scenario again. The events
+are those the checkers read: inject, transmit, stall, group, annihilate,
+absorb, reroute, fail, fail_notify and recover. Per-edge queue lengths
+and packet records are not stored; they are functions of the events
 (``ExecutionTrace.queue_sizes``, ``ExecutionTrace.packets``). The file
 carries everything needed to reproduce the run.
 
-Loading checks the file against itself. Every event must be well formed
-and in round order, and must move a packet that is queued where the event
-says: no second inject of one packet, no transmit, stall, reroute or
-absorb of a packet that was never injected or is already absorbed. Every
-edge an event names must be in the network, an inject's priority must be
-one of the policy's levels, each stall must be followed directly by its
-group, holding the edges its packet has still to cross, and an annihilate
-must end a group that was created and is not yet annihilated. A fail,
-fail_notify or recover must be the header scenario's, in its round, and
-fail a live edge or recover a failed one, and every fail and recover the
-scenario schedules must be there, with every fail_notify due by the
-horizon. A reroute must leave a failed edge and name the round it last
-failed. The running count of injections minus absorptions must equal the
-stored total after every round, so an edited total or a dropped event is
-refused with the first round where they disagree. Bytes that are not
-UTF-8 are refused with the line that holds them. Files of versions 1 to 3
-are refused as an unsupported format.
+Loading reads each line on its own, exactly as ``json.loads`` reads it,
+and checks the file against itself. Every event must be well formed, in
+round order and by the horizon (an annihilate by the end of the drain
+rounds that follow it), and must move a packet that is queued where the
+event says: no second inject of one packet, no transmit, stall, reroute
+or absorb of a packet that was never injected or is already absorbed.
+Every edge an event names must be in the network, an inject's priority
+must be one of the policy's levels, each stall must be followed directly
+by its group, holding the edges its packet has still to cross, and an
+annihilate must end a group that was created and is not yet annihilated.
+A fail, fail_notify or recover must be the header scenario's, in its
+round, and fail a live edge or recover a failed one, and every fail and
+recover the scenario schedules must be there, with every fail_notify due
+by the horizon, once. A reroute must leave a failed edge and name the
+round it last failed. The running count of injections minus absorptions
+must equal the stored total after every round, so an edited total or a
+dropped event is refused with the first round where they disagree. Bytes
+that are not UTF-8 are refused with the line that holds them. Files of
+versions 1 to 4 are refused as an unsupported format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -51,7 +55,7 @@ from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 
 class ParseError(ValueError):
@@ -88,12 +92,6 @@ def _is(value, kind) -> bool:
     return type(value) is kind
 
 
-def _fits(mapping, keys) -> bool:
-    """Whether ``mapping`` has the keys ``_require`` asks for; it formats no message."""
-    _required, allowed, required, _types = keys
-    return isinstance(mapping, dict) and allowed >= mapping.keys() >= required
-
-
 def _require(mapping, where, keys):
     required, allowed, _, types = keys
     if not isinstance(mapping, dict):
@@ -114,13 +112,15 @@ def _require(mapping, where, keys):
 def _entries(entries: list, where: str, keys) -> list:
     """``entries``, each of which must pass ``_require``.
 
-    The keys of each entry, then the types of each key's values over all
-    entries at once, are checked without formatting a message; only when a
-    check fails are the entries required one by one, so that the first
-    bad one is named.
+    The key sets of the entries, then the types of each key's values, are
+    checked over their distinct values, without a call per entry or a
+    message; only when a check fails are the entries required one by one,
+    so that the first bad one is named.
     """
-    fits = all(_fits(entry, keys) for entry in entries)
-    for key, kind in keys[3] if fits else ():
+    _required, allowed, required, types = keys
+    fits = set(map(type, entries)) <= {dict} and all(
+        allowed >= key_set >= required for key_set in set(map(frozenset, entries)))
+    for key, kind in types if fits else ():
         values = [entry[key] for entry in entries if key in entry]
         if type(kind) is list:
             fits = (set(map(type, values)) <= {list}
@@ -304,25 +304,32 @@ def scenario_hash(config: ScenarioConfig) -> str:
 
 
 _encode_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-# Trace lines encoded or decoded per json call: one call per line would
-# cost more in calls than in JSON, one for the whole file more in memory.
-_CHUNK_LINES = 1024
+# The fast path of the trace line decoder (``_read_records``): ``_scan(line,
+# 0)`` gives the JSON value that starts the line and the index where it ends.
+_scan = json.JSONDecoder().scan_once
+# Events encoded per json call: one call per event would cost more in calls
+# than in JSON, one for the whole trace more in memory.
+_CHUNK_EVENTS = 1024
+# Where the next event starts in the compact JSON of an event list: a list
+# of a kind and a round. A path is a list of strings, never followed by a
+# number, and a string holds no bare quote, so nowhere else in an event.
+_NEXT_EVENT = re.compile(r'\],(?=\["[a-z_]+",\d)')
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
     """Hash of the dynamic record: events plus per-round queue totals.
 
     SHA-256 over the compact JSON of the event list followed by the compact
-    JSON of ``q_totals``, the events encoded ``_CHUNK_LINES`` at a time.
+    JSON of ``q_totals``, the events encoded ``_CHUNK_EVENTS`` at a time.
     Per-edge queue lengths are a function of the events, so the digest
     covers them too. A saved and reloaded trace keeps its digest.
     """
     h = hashlib.sha256(b"[")
     events = trace.events
-    for start in range(0, len(events), _CHUNK_LINES):
+    for start in range(0, len(events), _CHUNK_EVENTS):
         if start:
             h.update(b",")
-        h.update(_encode_compact(events[start:start + _CHUNK_LINES])[1:-1].encode())
+        h.update(_encode_compact(events[start:start + _CHUNK_EVENTS])[1:-1].encode())
     h.update(b"]")
     h.update(_encode_compact(trace.q_totals).encode())
     return h.hexdigest()
@@ -347,18 +354,13 @@ def save_trace(trace: ExecutionTrace, path) -> str:
     digest = hashlib.sha256(b"[")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER_HEAD + scenario + _HEADER_HASH + scenario_sha + _HEADER_TAIL + "\n")
-        for start in range(0, len(events), _CHUNK_LINES):
-            # Events hold only str, int and tuples, so outside strings a "}"
-            # closes a record, and a string holds no bare quote:
-            # '},{"event":' occurs only between two records, and each line
-            # is what encoding its record alone would give. Without the
-            # record wrappers the chunk is the events' compact JSON.
-            records = _encode_compact(
-                [{"event": ev} for ev in events[start:start + _CHUNK_LINES]])
-            fh.write(records[1:-1].replace('},{"event":', '}\n{"event":') + "\n")
+        for start in range(0, len(events), _CHUNK_EVENTS):
+            chunk = _encode_compact(events[start:start + _CHUNK_EVENTS])[1:-1]
             if start:
                 digest.update(b",")
-            digest.update(records[10:-2].replace('},{"event":', ",").encode())
+            digest.update(chunk.encode())
+            # Each line is then what encoding its event alone would give.
+            fh.write(_NEXT_EVENT.sub("]\n", chunk) + "\n")
         totals = _encode_compact(trace.q_totals)
         fh.write('{"q_totals":' + totals + "}\n")
     digest.update(b"]")
@@ -371,7 +373,7 @@ def load_trace(path) -> ExecutionTrace:
     # never holds, so the line that holds them is found where it is decoded.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         trace = ExecutionTrace(_read_header(fh.readline()))
-        net, q_totals = _read_records(trace, _decode_chunks(fh.readlines()))
+        net, q_totals = _read_records(trace, fh)
     _check_totals(net, q_totals, trace.horizon)
     trace.q_totals = q_totals
     return trace
@@ -416,43 +418,15 @@ def _undecodable(text: str) -> bool:
     return False
 
 
-def _decode_lines(lines, first: int):
-    """Decode each line on its own; a line that is not UTF-8 JSON names its number."""
-    for lineno, line in enumerate(lines, first):
-        if _undecodable(line):
-            raise ParseError(f"line {lineno}: bytes that are not UTF-8")
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: {exc.msg}") from None
-
-
-def _decode_chunks(lines: list[str]):
-    """The records of the lines after the header, one per line.
-
-    A chunk of lines is decoded in one call when each line starts with "{",
-    ends with "}" and holds no other brace: a line that starts outside a
-    string then holds exactly one record, which ends on it, and a line
-    that continues the one before leaves the call with fewer records than
-    lines. Other chunks, and those holding bytes that are not UTF-8, are
-    decoded line by line.
-    """
-    for start in range(0, len(lines), _CHUNK_LINES):
-        chunk = lines[start:start + _CHUNK_LINES]
-        text = "".join(chunk)
-        count = len(chunk)
-        if (text[0] == "{" and text.endswith(("}", "}\n"))
-                and not _undecodable(text)
-                and text.count("}\n{") == count - 1
-                and text.count("{") == count == text.count("}")):
-            try:
-                records = json.loads("[" + ",".join(chunk) + "]")
-            except json.JSONDecodeError:
-                records = ()
-            if len(records) == count:
-                yield from records
-                continue
-        yield from _decode_lines(chunk, start + 2)
+def _decode_line(line: str, lineno: int):
+    """The record of a line as ``json.loads`` reads it, or a ParseError
+    naming the line: bytes that are not UTF-8 first, then bad JSON."""
+    if _undecodable(line):
+        raise ParseError(f"line {lineno}: bytes that are not UTF-8")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: {exc.msg}") from None
 
 
 def _tuplify(value: list) -> tuple:
@@ -473,19 +447,22 @@ def _is_path(value, edges) -> bool:
         isinstance(e, str) and e in edges for e in value)
 
 
-def _read_records(trace: ExecutionTrace, records):
-    """Check the records after the header and fold their events into ``trace``.
+def _read_records(trace: ExecutionTrace, lines):
+    """Decode and check the lines after the header and fold their events
+    into ``trace``.
 
-    One pass. Each event must be well formed, in round order and move a
-    packet that is queued where the event says; ``ahead`` maps each
-    injected packet to the edges it has still to cross (``None`` once
-    absorbed). An inject's priority must be one of the policy's levels, and
-    each stall must be followed directly by its group, which holds the
-    edges its packet has still to cross. The event, its lists made tuples,
-    is then appended and counted in its round's injections minus
-    absorptions. Once every record is read, each fault event the scenario
-    schedules by the horizon must have been seen. Returns the per-round
-    counts and the stored totals.
+    One pass. Each line is decoded as ``json.loads`` decodes it on its own,
+    by the fast path of ``_scan`` when the value fills the line. Each event
+    must be well formed, in round order, by the horizon (an annihilate by
+    the end of the drain rounds) and move a packet that is queued where the
+    event says; ``ahead`` maps each injected packet to the edges it has
+    still to cross (``None`` once absorbed). An inject's priority must be
+    one of the policy's levels, and each stall must be followed directly by
+    its group, which holds the edges its packet has still to cross. The
+    event, its lists made tuples, is then appended and counted in its
+    round's injections minus absorptions. Once every line is read, each
+    fault event the scenario schedules by the horizon must have been seen.
+    Returns the per-round counts and the stored totals.
 
     Well-typed transmit, absorb and inject events, most of any trace, take
     a lane of their own that runs their checks in the same order. An event
@@ -496,6 +473,8 @@ def _read_records(trace: ExecutionTrace, records):
     config = trace.config
     edges = set(config.network.edges)
     levels = config.policy.levels if isinstance(config.policy, Prioritized) else 1
+    horizon = config.horizon
+    drained = config.last_round  # the last round of an annihilate
     append = trace.events.append
     ahead: dict[int, tuple | None] = {}
     groups: dict[int, bool] = {}  # group id -> not yet annihilated
@@ -504,56 +483,56 @@ def _read_records(trace: ExecutionTrace, records):
     q_totals = None
     last_round = 1
     stalled = None  # the stall event whose group is the next record
-    for lineno, doc in enumerate(records, 2):
-        if stalled is None and type(doc) is dict:
-            ev = doc.get("event")
-            if type(ev) is list:
-                n = len(ev)
-                if n == 4:
-                    kind, rnd, edge, pid = ev
-                    if (kind == "transmit" and type(rnd) is int and rnd >= last_round
-                            and type(pid) is int):
-                        rest = ahead.get(pid)
-                        if rest and rest[0] == edge:
-                            ahead[pid] = rest[1:]
-                            last_round = rnd
-                            append(("transmit", rnd, edge, pid))
-                            continue
-                elif n == 3:
-                    kind, rnd, pid = ev
-                    if (kind == "absorb" and type(rnd) is int and rnd >= last_round
-                            and type(pid) is int and ahead.get(pid) == ()):
-                        ahead[pid] = None
-                        net[rnd] = net.get(rnd, 0) - 1
-                        last_round = rnd
-                        append(("absorb", rnd, pid))
-                        continue
-                elif n == 5:
-                    kind, rnd, pid, path, priority = ev
-                    if (kind == "inject" and type(rnd) is int and rnd >= last_round
-                            and type(pid) is int and pid not in ahead
-                            and type(path) is list and path
-                            and all(type(e) is str and e in edges for e in path)
-                            and type(priority) is int and 0 <= priority < levels):
-                        path = tuple(path)
-                        ahead[pid] = path
-                        net[rnd] = net.get(rnd, 0) + 1
-                        last_round = rnd
-                        append(("inject", rnd, pid, path, priority))
-                        continue
+    for lineno, line in enumerate(lines, 2):
         try:
-            if type(doc) is not dict:
-                raise ParseError("unknown record")
-            if "event" not in doc:
-                if "q_totals" not in doc:
+            ev, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end is None or line[end:] != "\n" or not line.isascii() and _undecodable(line):
+            ev = _decode_line(line, lineno)
+        if stalled is None and type(ev) is list:
+            n = len(ev)
+            if n == 4:
+                kind, rnd, edge, pid = ev
+                if (kind == "transmit" and type(rnd) is int and last_round <= rnd <= horizon
+                        and type(pid) is int):
+                    rest = ahead.get(pid)
+                    if rest and rest[0] == edge:
+                        ahead[pid] = rest[1:]
+                        last_round = rnd
+                        append(("transmit", rnd, edge, pid))
+                        continue
+            elif n == 3:
+                kind, rnd, pid = ev
+                if (kind == "absorb" and type(rnd) is int and last_round <= rnd <= horizon
+                        and type(pid) is int and ahead.get(pid) == ()):
+                    ahead[pid] = None
+                    net[rnd] = net.get(rnd, 0) - 1
+                    last_round = rnd
+                    append(("absorb", rnd, pid))
+                    continue
+            elif n == 5:
+                kind, rnd, pid, path, priority = ev
+                if (kind == "inject" and type(rnd) is int and last_round <= rnd <= horizon
+                        and type(pid) is int and pid not in ahead
+                        and type(path) is list and path
+                        and all(type(e) is str and e in edges for e in path)
+                        and type(priority) is int and 0 <= priority < levels):
+                    path = tuple(path)
+                    ahead[pid] = path
+                    net[rnd] = net.get(rnd, 0) + 1
+                    last_round = rnd
+                    append(("inject", rnd, pid, path, priority))
+                    continue
+        try:
+            if type(ev) is not list:
+                if not (type(ev) is dict and "q_totals" in ev):
                     raise ParseError("unknown record")
                 if stalled is not None:
                     raise _unpaired(stalled)
-                q_totals = doc["q_totals"]
+                q_totals = ev["q_totals"]
                 continue
-            ev = doc["event"]
-            if not (type(ev) is list and len(ev) >= 2 and type(ev[0]) is str
-                    and type(ev[1]) is int):
+            if not (len(ev) >= 2 and type(ev[0]) is str and type(ev[1]) is int):
                 raise ParseError("an event is a list [kind, round, ...]")
             kind, rnd = ev[0], ev[1]
             if _EVENT_FIELDS.get(kind) != len(ev):
@@ -566,6 +545,12 @@ def _read_records(trace: ExecutionTrace, records):
                 raise ParseError(f"event of round {rnd}; rounds start at 1")
             if rnd < last_round:
                 raise ParseError(f"event of round {rnd} after round {last_round}")
+            if rnd > horizon:
+                if kind != "annihilate":
+                    raise ParseError(f"{kind} event of round {rnd}, after the horizon {horizon}")
+                if rnd > drained:
+                    raise ParseError(f"annihilate event of round {rnd}, after the drain "
+                                     f"rounds {horizon + 1}..{drained}")
             last_round = rnd
             if kind == "transmit" or kind == "stall":
                 pid = ev[3]
@@ -664,7 +649,8 @@ class _Faults:
     live edge or recover a failed one. A fail_notify must come in the round
     its failure is notified, and a reroute must leave a failed edge and
     name the round that edge last failed. Every scheduled fail and recover,
-    and every fail_notify due by the horizon, must be read.
+    and every fail_notify due by the horizon, must be read, a fail_notify
+    once.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -682,13 +668,18 @@ class _Faults:
 
     def check(self, kind: str, rnd: int, edge: str, fail_round=None):
         """Check a fail, fail_notify or recover event and apply it."""
-        self.due.discard((rnd, kind, edge, rnd if fail_round is None else fail_round))
         if kind == "fail_notify":
             if self.notified_in.get((edge, fail_round)) != rnd:
                 raise ParseError(
                     f"fail_notify in round {rnd} of a failure of edge {edge!r} in round "
                     f"{fail_round}, which the scenario does not notify in that round")
-        elif kind == "fail":
+            if (rnd, kind, edge, fail_round) not in self.due:
+                raise ParseError(f"fail_notify in round {rnd} of the failure of edge {edge!r} "
+                                 f"in round {fail_round} is repeated")
+            self.due.remove((rnd, kind, edge, fail_round))
+            return
+        self.due.discard((rnd, kind, edge, rnd))
+        if kind == "fail":
             if (edge, rnd) not in self.notified_in:
                 raise ParseError(f"fail of edge {edge!r} in round {rnd}, which is not in "
                                  "the scenario's failures")
@@ -768,8 +759,6 @@ def _check_totals(net: dict[int, int], q_totals, horizon: int):
         raise ParseError("q_totals is not a list of integers")
     if len(q_totals) != horizon:
         raise ParseError(f"q_totals has {len(q_totals)} rounds, the horizon is {horizon}")
-    if any(not 1 <= rnd <= horizon for rnd in net):
-        raise ParseError(f"trace injects or absorbs packets outside rounds 1..{horizon}")
     queued = 0
     for rnd, stored in enumerate(q_totals, 1):
         queued += net.get(rnd, 0)

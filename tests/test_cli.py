@@ -11,6 +11,7 @@ import pytest
 
 from aqsim.cli import build_parser, main
 from aqsim.scenario_io import load_scenario
+from trace_lines import event_line, first_event, is_event_line, line_event
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHECK_MODES = ("admissibility", "regular", "stall-bound", "recovery")
@@ -64,15 +65,15 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
     cfg = load_scenario(scenario)
     edge = sorted(cfg.network.edges)[0]
     pids = range(900, 900 + cfg.adversary.burst + 2)
-    flood = [json.dumps({"event": ["inject", 5, pid, [edge], 0]}) for pid in pids]
-    at = next(i for i, line in enumerate(lines) if line.startswith('{"event"')
-              and json.loads(line)["event"][1] > 5)
+    flood = [event_line(["inject", 5, pid, [edge], 0]) for pid in pids]
+    at = next(i for i, line in enumerate(lines)
+              if is_event_line(line) and line_event(line)[1] > 5)
     trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
     # The extra packets are never absorbed, so the stored totals give it away.
     assert main(["check", str(trace), "--mode", "admissibility"]) == 2
     # Sent and absorbed in the round they enter, they keep the totals
     # consistent and only the admissibility check can refuse them.
-    flood += [json.dumps({"event": [kind, 5, *args]}) for pid in pids
+    flood += [event_line([kind, 5, *args]) for pid in pids
               for kind, *args in (("transmit", edge, pid), ("absorb", pid))]
     trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
     assert main(["check", str(trace), "--mode", "admissibility"]) == 1
@@ -84,9 +85,8 @@ def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
     main(["run", str(scenario), "--out", str(out_dir)])
     trace = out_dir / "scenario.trace.jsonl"
     lines = trace.read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith('{"event":["absorb"'))
-    rnd = json.loads(lines[at])["event"][1]
-    lines[at] = json.dumps({"event": ["absorb", rnd, 123456]})
+    at = first_event(lines, "absorb")
+    lines[at] = event_line(["absorb", line_event(lines[at])[1], 123456])
     trace.write_text("\n".join(lines) + "\n")
     for mode in CHECK_MODES:
         assert main(["check", str(trace), "--mode", mode]) == 2
@@ -111,37 +111,34 @@ def assert_every_reader_exits_2(trace):
 
 def test_trace_with_bytes_that_are_not_utf8_is_a_parse_error(tmp_path, capsys):
     trace = generated_trace(tmp_path)
-    data = trace.read_bytes()
-    at = data.rindex(b'{"event"', 0, len(data) - 200)
-    trace.write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+    lines = trace.read_bytes().split(b"\n")
+    at = max(i for i, line in enumerate(lines) if is_event_line(line.decode()))
+    lines[at] = b"\xff\xfe" + lines[at]
+    trace.write_bytes(b"\n".join(lines))
     assert_every_reader_exits_2(trace)
-    lineno = data[:at].count(b"\n") + 1
-    assert f"line {lineno}: bytes that are not UTF-8" in capsys.readouterr().err
+    assert f"line {at + 1}: bytes that are not UTF-8" in capsys.readouterr().err
 
 
 def edit_first(kind, edit):
     """Replace the first event of ``kind`` in a trace's lines by ``edit(event)``."""
     def apply(lines):
-        at = next(i for i, line in enumerate(lines)
-                  if line.startswith(f'{{"event":["{kind}"'))
-        lines[at] = json.dumps({"event": edit(json.loads(lines[at])["event"])})
+        at = first_event(lines, kind)
+        lines[at] = event_line(edit(line_event(lines[at])))
     return apply
 
 
 def drop_first(kind):
     """Delete the first event of ``kind`` from a trace's lines."""
     def apply(lines):
-        del lines[next(i for i, line in enumerate(lines)
-                       if line.startswith(f'{{"event":["{kind}"'))]
+        del lines[first_event(lines, kind)]
     return apply
 
 
 def after_first(kind, make):
     """Insert ``make(event)`` after the first event of ``kind`` in a trace's lines."""
     def apply(lines):
-        at = next(i for i, line in enumerate(lines)
-                  if line.startswith(f'{{"event":["{kind}"'))
-        lines.insert(at + 1, json.dumps({"event": make(json.loads(lines[at])["event"])}))
+        at = first_event(lines, kind)
+        lines.insert(at + 1, event_line(make(line_event(lines[at]))))
     return apply
 
 
@@ -167,12 +164,14 @@ def after_first(kind, make):
     after_first("fail", lambda ev: ["recover", ev[1], ev[2]]),
     edit_first("fail", lambda ev: ev[:2] + ["e000"]),
     edit_first("fail_notify", lambda ev: ev[:3] + [ev[3] - 1]),
+    after_first("fail_notify", lambda ev: ev),
 ], ids=["group-edge", "group-members", "group-id", "stall-group", "annihilate-unknown",
         "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
         "inject-priority", "group-packet", "group-members-not-remaining", "stall-without-group",
         "group-without-stall", "reroute-failure-round-not-a-round",
         "reroute-other-failure-round", "reroute-at-live-edge", "fail-of-failed-edge",
-        "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure"])
+        "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure",
+        "fail-notify-repeated"])
 def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
     trace = generated_trace(tmp_path, "--failures", "2")
     lines = trace.read_text().splitlines()
@@ -192,8 +191,7 @@ def test_trace_missing_a_scheduled_fault_event_is_a_parse_error(tmp_path, capsys
     # schedule tells that the event is missing.
     trace = generated_trace(tmp_path, "--failures", "2")
     lines = trace.read_text().splitlines()
-    lines.remove(next(line for line in reversed(lines)
-                      if line.startswith(f'{{"event":["{kind}"')))
+    lines.remove(next(line for line in reversed(lines) if is_event_line(line, kind)))
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert_every_reader_exits_2(trace)

@@ -20,6 +20,7 @@ from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 from aqsim.reduction import _replay_config, build_two_priority_trace
 from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
                                save_trace, trace_digest)
+from trace_lines import before_the_totals, event_line, first_event
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -769,11 +770,30 @@ def load_time_refusals():
                         injections=tuple(Injection(r, ("ab",)) for r in range(1, 6)))
     unpaired = detour_cfg(failures=(FailureEvent("bz", 1), FailureEvent("bz", 3)))
 
-    # The first event of a kind, replaced in a saved run of detour_cfg().
+    def replace_first(kind, event):
+        def edit(lines):
+            lines[first_event(lines, kind)] = event_line(event)
+        return edit
+
+    def repeat_first(kind):
+        def edit(lines):
+            at = first_event(lines, kind)
+            lines.insert(at + 1, lines[at])
+        return edit
+
+    def as_version_4(lines):
+        header = json.loads(lines[0])
+        header["version"] = 4
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+
+    # Edits of the lines of a saved run of detour_cfg().
     trace_edits = [
-        ("reroute", ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", [["x"]]]),
-        ("fail", ["fail", 1, "cz"]),
-        ("fail_notify", ["fail_notify", 2, "bz", 2]),
+        replace_first("reroute", ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", [["x"]]]),
+        replace_first("fail", ["fail", 1, "cz"]),
+        replace_first("fail_notify", ["fail_notify", 2, "bz", 2]),
+        repeat_first("fail_notify"),
+        before_the_totals(["transmit", 11, "ab", 0]),
+        as_version_4,
     ]
 
     results = []
@@ -788,10 +808,9 @@ def load_time_refusals():
         path = Path(tmp) / "trace.jsonl"
         save_trace(run(detour_cfg()), path)
         saved = path.read_text().splitlines()
-        for kind, event in trace_edits:
+        for edit in trace_edits:
             lines = list(saved)
-            at = next(i for i, text in enumerate(lines) if text.startswith(f'{{"event":["{kind}"'))
-            lines[at] = json.dumps({"event": event})
+            edit(lines)
             path.write_text("\n".join(lines) + "\n")
             try:
                 load_trace(path)
@@ -814,6 +833,10 @@ LOAD_TIME_REFUSALS = [
                    "failures"),
     ("ParseError", "line 5: fail_notify in round 2 of a failure of edge 'bz' in round 2, "
                    "which the scenario does not notify in that round"),
+    ("ParseError", "line 6: fail_notify in round 2 of the failure of edge 'bz' in round 1 "
+                   "is repeated"),
+    ("ParseError", "line 10: transmit event of round 11, after the horizon 10"),
+    ("ParseError", "unsupported trace format 'aqsim-trace' v4"),
     ("ParseError", "run.horizon: expected int, got '10'"),
 ]
 

@@ -16,6 +16,7 @@ from aqsim.scenario_io import (ParseError, dumps_scenario, format_rational,
                                load_scenario, load_trace, loads_scenario,
                                parse_rational, save_scenario, save_trace,
                                scenario_hash, trace_digest, write_metrics_csv)
+from trace_lines import before_the_totals, event_line, first_event, line_event
 
 HALF = Fraction(1, 2)
 
@@ -216,11 +217,11 @@ def test_trace_rebuilds_rerouted_paths(tmp_path):
     assert loaded.packets[0].final_path == ("ab", "bc", "cz")
     assert loaded.packets[0].rerouted
     lines = path.read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if '"reroute"' in line)
-    ev = json.loads(lines[at])["event"]
+    at = first_event(lines, "reroute")
+    ev = line_event(lines[at])
     assert ev[3] == ["bz"]
     ev[3] = ["ab", "bz"]
-    lines[at] = json.dumps({"event": ev})
+    lines[at] = event_line(ev)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="reroute of packet 0 does not match its path"):
         load_trace(path)
@@ -270,9 +271,9 @@ def test_edited_queue_total_refused(tmp_path):
 
 def test_deleted_absorb_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
-    absorbs = [i for i, line in enumerate(lines) if '"absorb"' in line]
-    assert json.loads(lines[absorbs[0]])["event"] == ["absorb", 3, 0]
-    del lines[absorbs[0]]
+    at = first_event(lines, "absorb")
+    assert line_event(lines[at]) == ["absorb", 3, 0]
+    del lines[at]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="from round 3: 1 stored, 2 injected"):
         load_trace(path)
@@ -282,7 +283,7 @@ def test_events_out_of_round_order_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
     # The annihilate moves ahead of the round-3 events but stays after the
     # group it ends, so the round order is the first thing wrong.
-    assert json.loads(lines[8])["event"] == ["annihilate", 4, 0, "forced"]
+    assert line_event(lines[8]) == ["annihilate", 4, 0, "forced"]
     lines[5], lines[8] = lines[8], lines[5]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 7: event of round 3 after round 4"):
@@ -397,7 +398,7 @@ INCONSISTENT_EDITS = [
 @pytest.mark.parametrize("index, event, message", INCONSISTENT_EDITS)
 def test_inconsistent_event_refused(tmp_path, index, event, message):
     path, lines = saved_lines(tmp_path)
-    lines[index] = json.dumps({"event": event})
+    lines[index] = event_line(event)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"line {index + 1}: {message}"):
         load_trace(path)
@@ -466,15 +467,96 @@ def test_fault_event_off_the_schedule_refused(tmp_path, edits, lineno, message):
         if event is None:
             del lines[index]
         else:
-            lines[index] = json.dumps({"event": event})
+            lines[index] = event_line(event)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=re.escape(f"line {lineno}: {message}")):
         load_trace(path)
 
 
+def test_repeated_fail_notify_refused(tmp_path):
+    path, lines = fault_lines(tmp_path)
+    assert line_event(lines[4]) == ["fail_notify", 2, "bz", 1]
+    lines.insert(5, lines[4])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(
+            "line 6: fail_notify in round 2 of the failure of edge 'bz' in round 1 is repeated")):
+        load_trace(path)
+
+
+def at_round(index, rnd):
+    """Move the event on line ``index`` to round ``rnd``."""
+    def edit(lines):
+        event = line_event(lines[index])
+        event[1] = rnd
+        lines[index] = event_line(event)
+    return edit
+
+
+# Edits of the saved run_small trace (horizon 6, annihilation delay 2)
+# that put an event after the horizon: (edits, the refused line, message).
+# The transmit, absorb and inject would each pass a typed lane but for
+# their round; the other kinds take the generic checks.
+AFTER_THE_HORIZON = [
+    pytest.param([at_round(9, 7), at_round(10, 7)], 10,
+                 "transmit event of round 7, after the horizon 6", id="transmit"),
+    pytest.param([at_round(10, 7)], 11, "absorb event of round 7, after the horizon 6",
+                 id="absorb"),
+    pytest.param([before_the_totals(["inject", 7, 2, ["bc"], 0])], 12,
+                 "inject event of round 7, after the horizon 6", id="inject"),
+    pytest.param([before_the_totals(["stall", 7, "bc", 1, 1])], 12,
+                 "stall event of round 7, after the horizon 6", id="stall"),
+    pytest.param([before_the_totals(["group", 8, 1, "bc", 1, ["bc"]])], 12,
+                 "group event of round 8, after the horizon 6", id="group"),
+    pytest.param([before_the_totals(["reroute", 7, 1, ["bc"], ["bc"], "bc", 1])], 12,
+                 "reroute event of round 7, after the horizon 6", id="reroute"),
+    pytest.param([before_the_totals(["fail", 7, "bc"])], 12,
+                 "fail event of round 7, after the horizon 6", id="fail"),
+    pytest.param([before_the_totals(["fail_notify", 7, "bc", 6])], 12,
+                 "fail_notify event of round 7, after the horizon 6", id="fail_notify"),
+    pytest.param([before_the_totals(["recover", 7, "bc"])], 12,
+                 "recover event of round 7, after the horizon 6", id="recover"),
+    pytest.param([before_the_totals(["annihilate", 9, 0, "forced"])], 12,
+                 "annihilate event of round 9, after the drain rounds 7..8", id="annihilate"),
+]
+
+
+@pytest.mark.parametrize("edits, lineno, message", AFTER_THE_HORIZON)
+def test_event_after_the_horizon_refused(tmp_path, edits, lineno, message):
+    path, lines = saved_lines(tmp_path)
+    for edit in edits:
+        edit(lines)
+    path.write_text(joined(lines))
+    with pytest.raises(ParseError, match=re.escape(f"line {lineno}: {message}")):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("rnd", [7, 8])
+def test_annihilate_in_the_drain_rounds_loads(tmp_path, rnd):
+    path, lines = saved_lines(tmp_path)
+    assert line_event(lines.pop(8)) == ["annihilate", 4, 0, "forced"]
+    before_the_totals(["annihilate", rnd, 0, "forced"])(lines)
+    path.write_text(joined(lines))
+    assert load_trace(path).events[-1] == ("annihilate", rnd, 0, "forced")
+
+
+def test_transmit_after_the_horizon_of_a_generated_trace_refused(tmp_path):
+    _cfg, trace = gen_random_scenario(
+        1, rate=Fraction(9, 10), burst=4, delay=2, tau=1, policy="FTG", horizon=200,
+        failures=2, with_trace=True)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert trace.events[-1][1] == 200
+    before_the_totals(["transmit", 201, "e005", 330])(lines)
+    path.write_text(joined(lines))
+    with pytest.raises(ParseError, match=re.escape(
+            f"line {len(lines) - 1}: transmit event of round 201, after the horizon 200")):
+        load_trace(path)
+
+
 def test_fault_trace_loads_as_saved(tmp_path):
     path, lines = fault_lines(tmp_path)
-    assert [json.loads(line)["event"][0] for line in lines[1:-1]] == [
+    assert [line_event(line)[0] for line in lines[1:-1]] == [
         "fail", "inject", "transmit", "fail_notify", "reroute", "recover", "transmit",
         "transmit", "absorb", "fail", "inject", "transmit", "fail_notify", "reroute",
         "transmit", "transmit", "absorb"]
@@ -507,7 +589,7 @@ def test_missing_scheduled_fault_event_refused(tmp_path, kinds, message):
     path, lines = quiet_fault_lines(tmp_path)
     load_trace(path)
     for kind in kinds:
-        lines.remove(next(line for line in lines if line.startswith(f'{{"event":["{kind}"')))
+        del lines[first_event(lines, kind)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=re.escape(message + ", which the scenario schedules")):
         load_trace(path)
@@ -623,8 +705,8 @@ LANE_RULE_EDITS = [
 @pytest.mark.parametrize("index, event, message", [*lane_field_edits(), *LANE_RULE_EDITS])
 def test_lane_refusals_read_as_the_generic_checks(tmp_path, index, event, message):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[index])["event"] == LANE_LINES[index]
-    lines[index] = json.dumps({"event": event})
+    assert line_event(lines[index]) == LANE_LINES[index]
+    lines[index] = event_line(event)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line {index + 1}: {message}"):
         load_trace(path)
@@ -632,7 +714,7 @@ def test_lane_refusals_read_as_the_generic_checks(tmp_path, index, event, messag
 
 def test_group_without_its_stall_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[3])["event"] == ["stall", 2, "bc", 0, 0]
+    assert line_event(lines[3]) == ["stall", 2, "bc", 0, 0]
     del lines[3]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 4: group 0 does not directly follow the stall "
@@ -642,21 +724,26 @@ def test_group_without_its_stall_refused(tmp_path):
 
 def test_stall_before_the_totals_refused(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[9])["event"] == ["transmit", 4, "bc", 1]
-    lines[9:11] = [json.dumps({"event": ["stall", 4, "bc", 1, 1]})]
+    assert line_event(lines[9]) == ["transmit", 4, "bc", 1]
+    lines[9:11] = [event_line(["stall", 4, "bc", 1, 1])]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"line {len(lines)}: stall of packet 1 at 'bc' in "
                                          "round 4 is not followed by its group"):
         load_trace(path)
 
 
-@pytest.mark.parametrize("record", ['{"q_totals": 3}', '{"q_totals": [1, 1, 1, 0, 0, "0"]}',
-                                    '[1, 1, 1, 0, 0, 0]'])
-def test_malformed_record_refused(tmp_path, record):
+# A list is read as an event, so a bare list of totals is refused as one.
+@pytest.mark.parametrize("record, message", [
+    pytest.param(record, message, id=record) for record, message in (
+        ('{"q_totals": 3}', "^q_totals is not a list of integers$"),
+        ('{"q_totals": [1, 1, 1, 0, 0, "0"]}', "^q_totals is not a list of integers$"),
+        ('[1, 1, 1, 0, 0, 0]', re.escape("line 12: an event is a list [kind, round, ...]")),
+        ('7', "^line 12: unknown record$"))])
+def test_malformed_record_refused(tmp_path, record, message):
     path, lines = saved_lines(tmp_path)
     lines[-1] = record
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="q_totals is not a list of integers|unknown record"):
+    with pytest.raises(ParseError, match=message):
         load_trace(path)
 
 
@@ -679,6 +766,18 @@ def test_version_2_trace_refused(tmp_path):
         dumps_scenario(run_small().config).encode()).hexdigest()
     path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
     with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v2"):
+        load_trace(path)
+
+
+def test_version_4_trace_refused(tmp_path):
+    # A version 4 file held each event as {"event": [kind, round, ...]},
+    # under a header of the same layout; the version is refused first.
+    path, lines = saved_lines(tmp_path)
+    header = lines[0].replace('"version":5}', '"version":4}')
+    events = [json.dumps({"event": line_event(line)}, separators=(",", ":"))
+              for line in lines[1:-1]]
+    path.write_text("\n".join([header, *events, lines[-1]]) + "\n")
+    with pytest.raises(ParseError, match="^unsupported trace format 'aqsim-trace' v4$"):
         load_trace(path)
 
 
@@ -754,26 +853,26 @@ def test_mistyped_header_scenario_is_a_parse_error(tmp_path):
 
 def test_trace_file_holds_no_per_round_markers_or_sizes(tmp_path):
     path, lines = saved_lines(tmp_path)
-    kinds = {json.loads(line)["event"][0] for line in lines[1:-1]}
+    kinds = {line_event(line)[0] for line in lines[1:-1]}
     assert kinds == {"inject", "transmit", "stall", "group", "annihilate", "absorb"}
     assert list(json.loads(lines[-1])) == ["q_totals"]
 
 
 def test_saved_trace_bytes(tmp_path):
-    # Each event line is what json.dumps({"event": ev}, separators=(",", ":"))
-    # gives, and the hash is over the compact, key-sorted scenario.
+    # Each event line is what json.dumps(ev, separators=(",", ":")) gives,
+    # and the hash is over the compact, key-sorted scenario.
     path, lines = saved_lines(tmp_path)
     assert lines[1:] == [
-        '{"event":["inject",1,0,["ab","bc"],0]}',
-        '{"event":["transmit",1,"ab",0]}',
-        '{"event":["stall",2,"bc",0,0]}',
-        '{"event":["group",2,0,"bc",0,["bc"]]}',
-        '{"event":["inject",3,1,["bc"],0]}',
-        '{"event":["transmit",3,"bc",0]}',
-        '{"event":["absorb",3,0]}',
-        '{"event":["annihilate",4,0,"forced"]}',
-        '{"event":["transmit",4,"bc",1]}',
-        '{"event":["absorb",4,1]}',
+        '["inject",1,0,["ab","bc"],0]',
+        '["transmit",1,"ab",0]',
+        '["stall",2,"bc",0,0]',
+        '["group",2,0,"bc",0,["bc"]]',
+        '["inject",3,1,["bc"],0]',
+        '["transmit",3,"bc",0]',
+        '["absorb",3,0]',
+        '["annihilate",4,0,"forced"]',
+        '["transmit",4,"bc",1]',
+        '["absorb",4,1]',
         '{"q_totals":[1,1,1,0,0,0]}',
     ]
     assert path.read_text().endswith("}\n")
@@ -784,7 +883,7 @@ def test_saved_trace_bytes(tmp_path):
     assert lines[0] == json.dumps(header, sort_keys=True, separators=(",", ":"))
     compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
     head = '{"format":"aqsim-trace","scenario":'
-    tail = f',"scenario_hash":"{header["scenario_hash"]}","version":4}}'
+    tail = f',"scenario_hash":"{header["scenario_hash"]}","version":5}}'
     assert lines[0] == head + compact + tail
     assert compact.startswith('{"adversary":{"b":2,"delta":2,"r":"1/1"')
     assert header["scenario_hash"] == hashlib.sha256(compact.encode()).hexdigest()
@@ -810,14 +909,14 @@ def two_records_on_one_line(lines):
 
 def split_record(lines):
     # The group record split inside a string: decoded in one call, the two
-    # lines are one group event with edge "},{".
-    lines[4:5] = ['{"event":["group",2,0,"}', '{",0,["bc"]]}']
+    # lines are one group event with edge ",bc".
+    lines[4:5] = ['["group",2,0,"', 'bc",0,["bc"]]']
     return joined(lines)
 
 
 def split_record_and_two_on_one_line(lines):
-    # With two records joined on a later line, the one call would give as
-    # many records as there are lines.
+    # With two records joined on a later line, a decode of all lines in one
+    # call would give as many records as there are lines.
     split_record(lines)
     lines[7:9] = [lines[7] + "," + lines[8]]
     return joined(lines)
@@ -832,13 +931,13 @@ UNDECODABLE_EDITS = [
                  "line 6: Expecting value", id="blank"),
     pytest.param(lambda lines: joined(lines)[:-5],
                  "line 12: Expecting ',' delimiter", id="truncated-last-line"),
-    pytest.param(replaced(4, '{"event":["group",2,'), "line 5: Expecting value",
+    pytest.param(replaced(4, '["group",2,'), "line 5: Expecting value",
                  id="truncated-mid-file"),
     pytest.param(two_records_on_one_line, "line 7: Extra data", id="two-records"),
     pytest.param(split_record, "line 5: Invalid control character", id="split-record"),
     pytest.param(split_record_and_two_on_one_line, "line 5: Invalid control character",
                  id="split-record-and-two-records"),
-    pytest.param(replaced(6, '{"event":["transmit",3,"b\u2028c",0]}'),
+    pytest.param(replaced(6, '["transmit",3,"b\u2028c",0]'),
                  r"line 7: transmit of packet 0 at 'b\\u2028c', where it is not queued",
                  id="u2028-in-string"),
     pytest.param(lambda lines: joined(lines[:6] + [lines[6] + "\u2028"] + lines[7:]),
@@ -857,7 +956,7 @@ def test_undecodable_line_named(tmp_path, edit, message):
 @pytest.mark.parametrize("lineno, at", [
     pytest.param(1, 2, id="header"),
     pytest.param(5, 2, id="between-records"),
-    pytest.param(5, 30, id="inside-a-string"),
+    pytest.param(5, 15, id="inside-a-string"),
     pytest.param(12, 2, id="totals-line"),
 ])
 def test_bytes_that_are_not_utf8_name_their_line(tmp_path, lineno, at):
@@ -879,7 +978,7 @@ def test_bytes_that_are_not_utf8_past_the_first_chunk_of_lines(tmp_path):
     save_trace(trace, path)
     raw = path.read_bytes().split(b"\n")
     assert len(raw) > 2000
-    raw[1500] = raw[1500][:-1] + b"\xff\xfe}"
+    raw[1500] = raw[1500][:-1] + b"\xff\xfe]"
     path.write_bytes(b"\n".join(raw))
     with pytest.raises(ParseError, match="^line 1501: bytes that are not UTF-8$"):
         load_trace(path)
@@ -894,17 +993,18 @@ def test_bytes_that_do_not_decode_come_after_an_earlier_error(tmp_path):
     path = tmp_path / "t.jsonl"
     save_trace(trace, path)
     lines = path.read_text().splitlines()
-    lines[1] = json.dumps({"event": ["absorb", 1, 123456]})
+    lines[1] = event_line(["absorb", 1, 123456])
     path.write_bytes(joined(lines).encode() + b"\xff\n")
     assert path.stat().st_size > 64 * 1024
     with pytest.raises(ParseError, match="line 2: absorb of packet 123456"):
         load_trace(path)
 
 
+# A record in the version 4 layout is no record of a version 5 file.
 @pytest.mark.parametrize("lineno, record, message", [
     (1500, "not json", "Expecting value"),
-    (2100, '{"event":["absorb",1000000,123456]}',
-     "absorb of packet 123456, which is never injected"),
+    (2100, '{"event":["absorb",1000000,123456]}', "unknown record"),
+    (2100, '["absorb",1000,123456]', "absorb of packet 123456, which is never injected"),
 ])
 def test_error_past_the_first_chunk_of_lines_named(tmp_path, lineno, record, message):
     _cfg, trace = gen_random_scenario(
@@ -940,8 +1040,8 @@ def oracle_load(path):
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         docs = [json.loads(line) for line in fh]
-    events = [oracle_tuplify(doc["event"]) for doc in docs if "event" in doc]
-    (q_totals,) = [doc["q_totals"] for doc in docs if "q_totals" in doc]
+    events = [oracle_tuplify(doc) for doc in docs if isinstance(doc, list)]
+    (q_totals,) = [doc["q_totals"] for doc in docs if isinstance(doc, dict)]
     packets = {}
     for ev in events:
         if ev[0] == "inject":
@@ -977,8 +1077,11 @@ def test_load_trace_matches_the_per_line_oracle(tmp_path):
             header_line = fh.readline().removesuffix("\n")
         header = json.loads(header_line)
         assert header_line == json.dumps(header, sort_keys=True, separators=(",", ":")), name
-        assert header["version"] == 4, name
+        assert header["version"] == 5, name
         assert header["scenario_hash"] == scenario_hash(trace.config), name
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[1:-2]
+        assert lines == [json.dumps(ev, separators=(",", ":")) for ev in trace.events], name
         assert dumps_scenario(loaded.config) == dumps_scenario(trace.config), name
         assert loaded.events == events == trace.events, name
         for ev in loaded.events:
@@ -993,21 +1096,107 @@ def test_load_trace_matches_the_per_line_oracle(tmp_path):
 
 
 def test_lines_read_one_by_one_load_the_same(tmp_path):
-    # Lines that a one-call decode must not take: spaces around a record, a
-    # brace or a U+2028 inside a string. The file still loads as the oracle
-    # reads it, with the list nested in the group event made a tuple too.
-    # The odd string and the nested list sit in a key of the group's record
-    # that the loader does not read: every field of the event is checked.
+    # Lines that the decoder's fast path does not take: spaces around a
+    # record and records with spaces inside. The file still loads as the
+    # oracle reads it, with the lists nested in the events made tuples.
     path, lines = saved_lines(tmp_path)
     lines[2] = " " + lines[2] + "\t"
-    lines[4] = '{"event":["group",2,0,"bc",0,["bc"]],"note":[["b{c}\u2028"]]}'
-    lines[8] = json.dumps(json.loads(lines[8]))
+    lines[4] = json.dumps(line_event(lines[4]))
+    lines[8] = json.dumps(line_event(lines[8]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = load_trace(path)
     events, q_totals, packets = oracle_load(path)
     assert loaded.events == events
     assert events[3] == ("group", 2, 0, "bc", 0, ("bc",))
     assert (loaded.q_totals, loaded.packets) == (q_totals, packets)
+
+
+# Edge ids that a cut of the events' JSON in the wrong place would get
+# wrong: the text that starts an event, a kind, brackets, a quote,
+# non-ASCII and U+2028.
+ODD_IDS = ('],["inject",1', 'b"]z', "inject", "\u00e9\u2028[c]")
+
+
+def odd_trace():
+    """A detour run over edges with odd ids. Its reroute is followed by a
+    detour that starts at the edge called "inject"."""
+    ab, bz, bc, cz = ODD_IDS
+    net = Network(["a", "b", "c", "z"], [Edge(ab, "a", "b"), Edge(bz, "b", "z"),
+                                         Edge(bc, "b", "c"), Edge(cz, "c", "z")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
+        injections=(Injection(1, (ab, bz)), Injection(2, (bc, cz))),
+        stalls={cz: frozenset({3, 4})}, failures=(FailureEvent(bz, 1, notify_delay=1),))
+    return run(cfg)
+
+
+def test_saved_lines_are_the_compact_json_of_each_event(tmp_path):
+    trace = odd_trace()
+    assert ("reroute", 2, 0, (ODD_IDS[1],), ODD_IDS[2:], ODD_IDS[1], 1) in trace.events
+    assert {"group", "annihilate", "fail_notify"} <= {ev[0] for ev in trace.events}
+    path = tmp_path / "odd.jsonl"
+    digest = save_trace(trace, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:-2] == [json.dumps(ev, separators=(",", ":")) for ev in trace.events]
+    assert lines[-2:] == [json.dumps({"q_totals": trace.q_totals}, separators=(",", ":")), ""]
+    loaded = load_trace(path)
+    assert loaded.events == trace.events
+    assert trace_digest(loaded) == digest
+
+
+def json_loads_oracle(path):
+    """Per-line ``json.loads`` of the lines after the header: the loader's
+    message for the first line it refuses, or else the events."""
+    docs = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, 2):
+            try:
+                docs.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                return f"line {lineno}: {exc.msg}"
+    return [oracle_tuplify(doc) for doc in docs if isinstance(doc, list)]
+
+
+def padded(lines):
+    lines[2] = " \t" + lines[2] + "  "
+
+
+def two_on_one_line(lines):
+    lines[3:5] = [lines[3] + "," + lines[4]]
+
+
+def split_in_a_string(lines):
+    at = lines[5].index("inject", 2)
+    lines[5:6] = [lines[5][:at], lines[5][at:]]
+
+
+def raw_u2028_in_a_string(lines):
+    assert sum("\\u2028" in line for line in lines[1:]) > 5
+    lines[1:] = [line.replace("\\u2028", "\u2028") for line in lines[1:]]
+
+
+def u2028_after_a_record(lines):
+    lines[6] += "\u2028"
+
+
+@pytest.mark.parametrize("edit, loads", [
+    (padded, True), (two_on_one_line, False), (split_in_a_string, False),
+    (raw_u2028_in_a_string, True), (u2028_after_a_record, False),
+], ids=["padded", "two-on-one-line", "split-in-a-string", "raw-u2028-in-a-string",
+        "u2028-after-a-record"])
+def test_lines_load_as_json_loads_reads_them_one_by_one(tmp_path, edit, loads):
+    path = tmp_path / "odd.jsonl"
+    save_trace(odd_trace(), path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = json_loads_oracle(path)
+    if loads:
+        assert load_trace(path).events == expected == odd_trace().events
+    else:
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            load_trace(path)
 
 
 def oracle_metrics_csv(trace, path):
@@ -1059,8 +1248,13 @@ def test_digest_is_the_hash_of_the_compact_json(tmp_path):
 def test_save_trace_returns_the_trace_digest(tmp_path):
     empty = ExecutionTrace(run_small().config)
     empty.q_totals = [0] * empty.horizon
-    for name, trace in (*oracle_traces(), ("no-events", empty)):
-        assert save_trace(trace, tmp_path / f"{name}.jsonl") == trace_digest(trace), name
+    for name, trace in (*oracle_traces(), ("odd-ids", odd_trace()), ("no-events", empty)):
+        path = tmp_path / f"{name}.jsonl"
+        digest = save_trace(trace, path)
+        # The hash of the event lines joined as one JSON list, then the totals.
+        *events, totals = path.read_text(encoding="utf-8").split("\n")[1:-1]
+        text = "[" + ",".join(events) + "]" + totals.removeprefix('{"q_totals":')[:-1]
+        assert digest == trace_digest(trace) == hashlib.sha256(text.encode()).hexdigest(), name
     assert trace_digest(load_trace(tmp_path / "no-events.jsonl")) == trace_digest(empty)
 
 
