@@ -61,7 +61,6 @@ def cmd_run(args) -> int:
         if args.policy is not None:
             updates["policy"] = parse_policy(args.policy)
         config = dataclasses.replace(config, **updates)
-        config.validate()
     trace = Engine(config).run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .buckets import AdversaryType, BucketSystem
 from .errors import ModelViolation, ScenarioError
@@ -54,8 +55,7 @@ from .policies import POLICY_NAMES, Prioritized, packet_key, select_packet  # no
 HIGH_ID_BASE = 10 ** 9  # explicit ids at or above this never collide with auto ids
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     round: int
     path: tuple[str, ...]
     priority: int = 0
@@ -155,6 +155,9 @@ class ScenarioConfig:
         for (edge, rnd), delay in self.annihilation_delays.items():
             if edge not in net.edges:
                 raise ScenarioError(f"annihilation delay references unknown edge {edge!r}")
+            if rnd not in self.stalls.get(edge, ()):
+                raise ScenarioError(
+                    f"annihilation delay for ({edge}, {rnd}), which is not a stall round")
             if not 0 <= delay <= self.adversary.delay:
                 raise ScenarioError(
                     f"annihilation delay {delay} for ({edge}, {rnd}) outside "

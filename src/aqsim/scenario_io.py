@@ -6,7 +6,17 @@ record and a typo that parses silently corrupts results. Rationals travel
 as "num/den" strings and never pass through floating point. Failures that
 ``promote_after_tau`` adds are written as failures, without the switch.
 
-A trace file (version 5) is line-delimited JSON: one header record
+A scenario document (format ``aqsim-scenario``, version 2) stores the
+injection script as columns: a table of the distinct paths, in the order
+the script first uses them, and lists of rounds and path indices, with
+priority and id lists only where some injection sets them. Each stall
+row holds an edge's stall rounds and, lined up with them, their
+annihilation delays, null where the scenario gives none. Columns are
+type-checked whole, over the distinct types of their entries; only a
+failing check walks them to name the first bad entry. A document without
+a version (version 1) is refused.
+
+A trace file (version 6) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
 scenario itself), one line per event, holding the event's compact JSON
 array ``[kind, round, ...]``, then a ``{"q_totals": [...]}`` record with
@@ -36,9 +46,10 @@ recover the scenario schedules must be there, with every fail_notify due
 by the horizon, once. A reroute must leave a failed edge and name the
 round it last failed. The running count of injections minus absorptions
 must equal the stored total after every round, so an edited total or a
-dropped event is refused with the first round where they disagree. Bytes
-that are not UTF-8 are refused with the line that holds them. Files of
-versions 1 to 4 are refused as an unsupported format.
+dropped event is refused with the first round where they disagree, and
+the totals record must be the last. Bytes that are not UTF-8 are refused
+with the line that holds them. Files of versions 1 to 5 are refused as an
+unsupported format.
 """
 
 from __future__ import annotations
@@ -47,15 +58,18 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import repeat
 
 from .buckets import FORCED, VOLUNTARY, AdversaryType
 from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
 from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
+SCENARIO_FORMAT = "aqsim-scenario"
+SCENARIO_VERSION = 2
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 
 class ParseError(ValueError):
@@ -78,22 +92,54 @@ def parse_rational(text: str) -> Fraction:
 
 def _keys(required, optional=None):
     """An object schema from its required and optional keys, each mapped to
-    the type of its value (see ``_is``): the required keys, every key it
-    allows, the required keys as a set, and the (key, type) pairs."""
-    types = {**required, **(optional or {})}
-    return tuple(required), frozenset(types), frozenset(required), tuple(types.items())
+    the kind of its value (see ``_fits``): the required keys, every key it
+    allows, the required keys as a set, and the (key, kind) pairs."""
+    kinds = {**required, **(optional or {})}
+    return tuple(required), frozenset(kinds), frozenset(required), tuple(kinds.items())
 
 
-def _is(value, kind) -> bool:
-    """Whether ``value`` is of type ``kind`` itself (no bool is an int), or,
-    where ``kind`` is a list of one type, a list of values of that type."""
+_NULL = type(None)
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a type itself (no bool is an int),
+    one of a tuple of types, or, where ``kind`` is a list of one kind, a
+    list of values of that kind. A list of plain values is checked over the
+    distinct types of its entries, without a call per entry."""
+    if type(kind) is tuple:
+        return type(value) in kind
+    if type(kind) is not list:
+        return type(value) is kind
+    if type(value) is not list:
+        return False
+    entry = kind[0]
+    if type(entry) is list:
+        return all(_fits(v, entry) for v in value)
+    return set(map(type, value)) <= (set(entry) if type(entry) is tuple else {entry})
+
+
+def _shown(kind) -> str:
     if type(kind) is list:
-        return type(value) is list and all(type(v) is kind[0] for v in value)
-    return type(value) is kind
+        entry = kind[0]
+        return ("a list of lists of " + _shown(entry[0]) if type(entry) is list
+                else "a list of " + _shown(entry))
+    if type(kind) is tuple:
+        return " or ".join(_shown(k) for k in kind)
+    return "null" if kind is _NULL else kind.__name__
+
+
+def _mistyped(value, kind, where: str) -> ParseError:
+    """The error for a ``value`` that does not fit ``kind``, naming the
+    first entry of a list that does not fit, at any depth."""
+    if type(kind) is list and type(value) is list:
+        for i, v in enumerate(value):
+            if not _fits(v, kind[0]):
+                return _mistyped(v, kind[0], f"{where}[{i}]")
+    return ParseError(f"{where}: expected {_shown(kind)}, got {value!r}")
 
 
 def _require(mapping, where, keys):
-    required, allowed, _, types = keys
+    required, allowed, _, kinds = keys
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected an object")
     for key in mapping:
@@ -102,50 +148,43 @@ def _require(mapping, where, keys):
     for key in required:
         if key not in mapping:
             raise ParseError(f"{where}: missing key {key!r}")
-    for key, kind in types:
-        if key in mapping and not _is(mapping[key], kind):
-            shown = f"a list of {kind[0].__name__}" if type(kind) is list else kind.__name__
-            raise ParseError(f"{where}.{key}: expected {shown}, got {mapping[key]!r}")
+    for key, kind in kinds:
+        if key in mapping and not _fits(mapping[key], kind):
+            raise _mistyped(mapping[key], kind, f"{where}.{key}")
     return mapping
 
 
 def _entries(entries: list, where: str, keys) -> list:
     """``entries``, each of which must pass ``_require``.
 
-    The key sets of the entries, then the types of each key's values, are
-    checked over their distinct values, without a call per entry or a
-    message; only when a check fails are the entries required one by one,
-    so that the first bad one is named.
+    The key sets of the entries, then the values of each key, are checked
+    over the distinct key sets and value types, without a call per entry;
+    only when a check fails are the entries required one by one, so that
+    the first bad one is named.
     """
-    _required, allowed, required, types = keys
+    _required, allowed, required, kinds = keys
     fits = set(map(type, entries)) <= {dict} and all(
         allowed >= key_set >= required for key_set in set(map(frozenset, entries)))
-    for key, kind in types if fits else ():
-        values = [entry[key] for entry in entries if key in entry]
-        if type(kind) is list:
-            fits = (set(map(type, values)) <= {list}
-                    and set(map(type, chain.from_iterable(values))) <= {kind[0]})
-        else:
-            fits = set(map(type, values)) <= {kind}
-        if not fits:
-            break
+    if fits:
+        fits = all(_fits([entry[key] for entry in entries if key in entry], [kind])
+                   for key, kind in kinds)
     if not fits:
         for i, entry in enumerate(entries):
             _require(entry, f"{where}[{i}]", keys)
     return entries
 
 
-_SCENARIO_KEYS = _keys(dict.fromkeys(("network", "adversary", "policy", "schedules", "run"),
-                                     dict))
+_SCENARIO_KEYS = _keys({"format": str, "version": int,
+                        **dict.fromkeys(("network", "adversary", "policy", "schedules", "run"),
+                                        dict)})
 _NETWORK_KEYS = _keys({"nodes": [str], "edges": list})
 _EDGE_KEYS = _keys({"id": str, "tail": str, "head": str}, {"slowness": int})
 _ADVERSARY_KEYS = _keys({"r": str, "b": int, "delta": int, "tau": int, "tau_prime": int})
 _POLICY_KEYS = _keys({"name": str}, {"priorities": int})
-_SCHEDULES_KEYS = _keys({}, dict.fromkeys(
-    ("injections", "stalls", "annihilations", "failures", "recoveries"), list))
-_INJECTION_KEYS = _keys({"round": int, "path": [str]}, {"priority": int, "id": int})
-_STALL_KEYS = _keys({"edge": str, "rounds": [int]})
-_ANNIHILATION_KEYS = _keys({"edge": str, "round": int, "delay": int})
+_SCHEDULES_KEYS = _keys({}, {"paths": [[str]], "injections": dict, "stalls": list,
+                             "failures": list, "recoveries": list})
+_INJECTION_KEYS = _keys({"round": [int], "path": [int]}, {"priority": [int], "id": [int]})
+_STALL_KEYS = _keys({"edge": str, "rounds": [int], "delays": [(int, _NULL)]})
 _FAILURE_KEYS = _keys({"edge": str, "round": int}, {"notify_delay": int})
 _RECOVERY_KEYS = _keys({"edge": str, "round": int})
 _RUN_KEYS = _keys({"horizon": int},
@@ -170,20 +209,28 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         policy_doc = {"name": policy.base, "priorities": policy.levels}
     else:
         policy_doc = {"name": policy}
-    injections = []
-    for inj in config.injections:
-        entry = {"round": inj.round, "path": list(inj.path)}
-        if inj.priority:
-            entry["priority"] = inj.priority
-        if inj.id is not None:
-            entry["id"] = inj.id
-        injections.append(entry)
+    paths: dict[tuple, int] = {}  # each distinct path -> its index, in first-use order
+    script = config.injections
+    injections = {"round": [inj.round for inj in script],
+                  "path": [paths.setdefault(inj.path, len(paths)) for inj in script]}
+    if any(inj.priority for inj in script):
+        injections["priority"] = [inj.priority for inj in script]
+    if any(inj.id is not None for inj in script):
+        injections["id"] = [inj.id for inj in script]
+    delays = config.annihilation_delays
+    stalls = []
+    for edge in sorted(config.stalls):
+        rounds = sorted(config.stalls[edge])
+        stalls.append({"edge": edge, "rounds": rounds,
+                       "delays": [delays.get((edge, rnd)) for rnd in rounds]})
     run = {"horizon": config.horizon}
     if config.seed is not None:
         run["seed"] = config.seed
     if not config.enforce_buckets:
         run["enforce_buckets"] = False
     return {
+        "format": SCENARIO_FORMAT,
+        "version": SCENARIO_VERSION,
         "network": {"nodes": list(net.sorted_nodes), "edges": edges},
         "adversary": {
             "r": format_rational(config.adversary.rate),
@@ -194,12 +241,9 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         },
         "policy": policy_doc,
         "schedules": {
+            "paths": [list(path) for path in paths],
             "injections": injections,
-            "stalls": [{"edge": edge, "rounds": sorted(config.stalls[edge])}
-                       for edge in sorted(config.stalls)],
-            "annihilations": [
-                {"edge": edge, "round": rnd, "delay": config.annihilation_delays[(edge, rnd)]}
-                for edge, rnd in sorted(config.annihilation_delays)],
+            "stalls": stalls,
             "failures": [
                 {"edge": ev.edge, "round": ev.round, "notify_delay": ev.notify_delay}
                 for ev in config.failures],
@@ -213,10 +257,16 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """The scenario of a scenario document.
 
-    Every key must be known and every value of its type, or a ParseError
-    names the field: a mistyped value never reaches the model.
+    A document of another format or version is refused first. Every key
+    must be known and every value of its type, or a ParseError names the
+    field: a mistyped value never reaches the model.
     """
+    if isinstance(doc, dict) and "version" not in doc:
+        raise ParseError("unsupported scenario format v1: the document has no version; "
+                         f"v{SCENARIO_VERSION} is read")
     _require(doc, "scenario", _SCENARIO_KEYS)
+    if doc["format"] != SCENARIO_FORMAT or doc["version"] != SCENARIO_VERSION:
+        raise ParseError(f"unsupported scenario format {doc['format']!r} v{doc['version']}")
     net_doc = _require(doc["network"], "network", _NETWORK_KEYS)
     edges = [Edge(entry["id"], entry["tail"], entry["head"], entry.get("slowness", 1))
              for entry in _entries(net_doc["edges"], "network.edges", _EDGE_KEYS)]
@@ -232,15 +282,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     policy = parse_policy(pol_doc["name"], pol_doc.get("priorities"))
 
     sched = _require(doc["schedules"], "schedules", _SCHEDULES_KEYS)
-    injections = tuple(
-        Injection(entry["round"], tuple(entry["path"]), entry.get("priority", 0),
-                  entry.get("id"))
-        for entry in _entries(sched.get("injections", []), "injections", _INJECTION_KEYS))
-    stalls = {entry["edge"]: frozenset(entry["rounds"])
-              for entry in _entries(sched.get("stalls", []), "stalls", _STALL_KEYS)}
-    delays = {(entry["edge"], entry["round"]): entry["delay"]
-              for entry in _entries(sched.get("annihilations", []), "annihilations",
-                                    _ANNIHILATION_KEYS)}
+    stalls, delays = _stall_rows(sched.get("stalls", []))
     failures = tuple(
         FailureEvent(entry["edge"], entry["round"], entry.get("notify_delay", 0))
         for entry in _entries(sched.get("failures", []), "failures", _FAILURE_KEYS))
@@ -254,7 +296,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         adversary=adversary,
         policy=policy,
         horizon=run_doc["horizon"],
-        injections=injections,
+        injections=_injection_columns(sched),
         stalls=stalls,
         annihilation_delays=delays,
         failures=failures,
@@ -266,6 +308,55 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         enforce_buckets=run_doc.get("enforce_buckets", True),
     )
     return config.validate()
+
+
+# Builds an Injection from its four fields, all in C: every tuple of the
+# columns' zip has exactly the four.
+_injection = partial(tuple.__new__, Injection)
+
+
+def _injection_columns(sched: dict) -> tuple[Injection, ...]:
+    """The injections of the schedules' columns, each path looked up in the
+    path table. The columns must be of one length, and every path index
+    must be in the table."""
+    if "injections" not in sched:
+        return ()
+    columns = _require(sched["injections"], "injections", _INJECTION_KEYS)
+    rounds, at = columns["round"], columns["path"]
+    n = len(rounds)
+    for key, column in columns.items():
+        if len(column) != n:
+            raise ParseError(
+                f"injections.{key} has {len(column)} entries, injections.round has {n}")
+    paths = [tuple(path) for path in sched.get("paths", [])]
+    if at and not (min(at) >= 0 and max(at) < len(paths)):
+        i = next(i for i, p in enumerate(at) if not 0 <= p < len(paths))
+        raise ParseError(
+            f"injections.path[{i}]: {at[i]} is not an index of the {len(paths)} paths")
+    return tuple(map(_injection, zip(rounds, map(paths.__getitem__, at),
+                                     columns.get("priority", repeat(0, n)),
+                                     columns.get("id", repeat(None, n)))))
+
+
+def _stall_rows(rows: list) -> tuple[dict, dict]:
+    """The stall rounds per edge, and the annihilation delays per stalled
+    (edge, round), of the stall rows. Each row's delays line up with its
+    rounds, a null where the scenario gives none; an edge has one row, and
+    a round is listed once."""
+    stalls: dict[str, frozenset] = {}
+    delays: dict[tuple[str, int], int] = {}
+    for i, row in enumerate(_entries(rows, "stalls", _STALL_KEYS)):
+        edge, rounds, row_delays = row["edge"], row["rounds"], row["delays"]
+        if len(row_delays) != len(rounds):
+            raise ParseError(f"stalls[{i}]: {len(row_delays)} delays for {len(rounds)} rounds")
+        if edge in stalls:
+            raise ParseError(f"stalls[{i}]: a second row for edge {edge!r}")
+        stalls[edge] = frozenset(rounds)
+        if len(stalls[edge]) != len(rounds):
+            raise ParseError(f"stalls[{i}].rounds: a round is listed twice")
+        delays.update(((edge, rnd), delay) for rnd, delay in zip(rounds, row_delays)
+                      if delay is not None)
+    return stalls, delays
 
 
 def dumps_scenario(config: ScenarioConfig) -> str:
@@ -460,9 +551,10 @@ def _read_records(trace: ExecutionTrace, lines):
     one of the policy's levels, and each stall must be followed directly by
     its group, which holds the edges its packet has still to cross. The
     event, its lists made tuples, is then appended and counted in its
-    round's injections minus absorptions. Once every line is read, each
-    fault event the scenario schedules by the horizon must have been seen.
-    Returns the per-round counts and the stored totals.
+    round's injections minus absorptions. The totals record ends the
+    records: a line after it is refused. Each fault event the scenario
+    schedules by the horizon must then have been seen. Returns the
+    per-round counts and the stored totals.
 
     Well-typed transmit, absorb and inject events, most of any trace, take
     a lane of their own that runs their checks in the same order. An event
@@ -483,7 +575,8 @@ def _read_records(trace: ExecutionTrace, lines):
     q_totals = None
     last_round = 1
     stalled = None  # the stall event whose group is the next record
-    for lineno, line in enumerate(lines, 2):
+    numbered = enumerate(lines, 2)
+    for lineno, line in numbered:
         try:
             ev, end = _scan(line, 0)
         except (StopIteration, ValueError):
@@ -531,7 +624,7 @@ def _read_records(trace: ExecutionTrace, lines):
                 if stalled is not None:
                     raise _unpaired(stalled)
                 q_totals = ev["q_totals"]
-                continue
+                break
             if not (len(ev) >= 2 and type(ev[0]) is str and type(ev[1]) is int):
                 raise ParseError("an event is a list [kind, round, ...]")
             kind, rnd = ev[0], ev[1]
@@ -620,6 +713,8 @@ def _read_records(trace: ExecutionTrace, lines):
             append(ev)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+    for lineno, _line in numbered:
+        raise ParseError(f"line {lineno}: a record after the q_totals record")
     faults.check_complete()
     return net, q_totals
 

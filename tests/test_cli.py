@@ -4,13 +4,17 @@ import importlib.util
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from aqsim.buckets import AdversaryType
 from aqsim.cli import build_parser, main
-from aqsim.scenario_io import load_scenario
+from aqsim.engine import ScenarioConfig
+from aqsim.netmodel import Edge, Network
+from aqsim.scenario_io import load_scenario, load_trace, save_scenario, trace_digest
 from trace_lines import event_line, first_event, is_event_line, line_event
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -119,6 +123,62 @@ def test_trace_with_bytes_that_are_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert f"line {at + 1}: bytes that are not UTF-8" in capsys.readouterr().err
 
 
+def test_second_totals_record_is_a_parse_error(tmp_path, capsys):
+    # A copy of the totals line, edited, before the last line: the loader
+    # must stop at the first totals record, not let the second replace it.
+    trace = generated_trace(tmp_path, "--failures", "2")
+    lines = trace.read_text().splitlines()
+    totals = json.loads(lines[-1])
+    lines.insert(len(lines) - 1, json.dumps({"q_totals": [9, *totals["q_totals"]]},
+                                            separators=(",", ":")))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert_every_reader_exits_2(trace)
+    message = f"parse error: line {len(lines)}: a record after the q_totals record"
+    assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
+
+
+def test_run_horizon_before_a_promoted_failure_exits_3(tmp_path, capsys):
+    # Promotion of the stall rounds 2 and 3 (tau 2) fails ab in round 4.
+    net = Network(["a", "b"], [Edge("ab", "a", "b")])
+    cfg = ScenarioConfig(network=net, adversary=AdversaryType(Fraction(1, 2), 2, 2),
+                         policy="FTG", horizon=10, stalls={"ab": {2, 3}}, tau=2,
+                         promote_after_tau=True)
+    scenario = tmp_path / "promoted.json"
+    save_scenario(cfg, scenario)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir), "--horizon", "4"]) == 0
+    capsys.readouterr()
+    assert main(["run", str(scenario), "--out", str(out_dir), "--horizon", "3"]) == 3
+    assert capsys.readouterr().err == "model violation: failure round outside horizon\n"
+
+
+# Digests of gen random runs of 2 000 rounds on 8 nodes, recorded with
+# version 1 scenario files: a run from a saved scenario must not change.
+PINNED_RUNS = [
+    (101, 0, "a9756fbc1b61cbf339025f3aa6360bfa08e9892e6aaf575968ff08ff7b2b32da"),
+    (102, 0, "576f965f824690a5fb9e6fbbb78cf3d407a37d5a4f0ece5e3862c86130ada154"),
+    (103, 0, "38e53ff5ca2e5b5d6b313100ea4509bfd5c72143ae452b2491485ccef1bf37e3"),
+    (201, 2, "424b8386c58fd2e25fdb432a6b09d04c0217544d21663c65a1469f6105d471ac"),
+    (202, 2, "e6ed551940899637e031b63c8e91beb5e4aa58b71d4a9fbd279a592417581d8e"),
+    (203, 2, "bc04a9dab4be18f995ebad479be07a8d82cef6998057db1c5a3db9256f64b928"),
+]
+
+
+@pytest.mark.parametrize("seed, failures, digest", PINNED_RUNS,
+                         ids=[f"s{seed}" for seed, _f, _d in PINNED_RUNS])
+def test_runs_of_saved_scenarios_are_pinned(tmp_path, capsys, seed, failures, digest):
+    scenario = tmp_path / f"s{seed}.json"
+    assert main(["gen", "random", "--seed", str(seed), "--horizon", "2000",
+                 "--nodes-min", "8", "--nodes-max", "8", "--failures", str(failures),
+                 "--out", str(scenario)]) == 0
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"trace digest {digest}"
+    assert trace_digest(load_trace(out_dir / f"s{seed}.trace.jsonl")) == digest
+
+
 def edit_first(kind, edit):
     """Replace the first event of ``kind`` in a trace's lines by ``edit(event)``."""
     def apply(lines):
@@ -220,9 +280,7 @@ def test_gadget_run_reports_growth(tmp_path):
 def test_unaffordable_scenario_exits_3(tmp_path):
     scenario = gen(tmp_path)
     doc = json.loads(scenario.read_text())
-    doc["schedules"]["injections"] = [
-        {"round": 1, "path": doc["schedules"]["injections"][0]["path"]}
-        for _ in range(6)]
+    doc["schedules"]["injections"] = {"round": [1] * 6, "path": [0] * 6}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 3
@@ -237,11 +295,12 @@ def test_parse_error_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("field, edit", [
-    ("stalls[0].rounds", lambda doc: doc["schedules"]["stalls"][0]["rounds"].append("x")),
-    ("injections[0].round", lambda doc: doc["schedules"]["injections"][0].update(round="3")),
+    ("stalls[0].rounds[0]", lambda doc: doc["schedules"]["stalls"][0]["rounds"].insert(0, "x")),
+    ("injections.round[0]", lambda doc: doc["schedules"]["injections"]["round"].insert(0, "3")),
     ("run.horizon", lambda doc: doc["run"].update(horizon="50")),
-    ("injections[0].path", lambda doc: doc["schedules"]["injections"][0].update(path=5)),
-], ids=["stall-round", "injection-round", "horizon", "injection-path"])
+    ("injections.path[0]", lambda doc: doc["schedules"]["injections"]["path"].insert(0, 0.0)),
+    ("schedules.paths[0]", lambda doc: doc["schedules"]["paths"].insert(0, 5)),
+], ids=["stall-round", "injection-round", "horizon", "injection-path", "path"])
 def test_mistyped_scenario_field_exits_2(tmp_path, capsys, field, edit):
     scenario = gen(tmp_path)
     doc = json.loads(scenario.read_text())
@@ -315,8 +374,7 @@ def unparsable(scenarios):
 
 def unaffordable(scenarios):
     doc = json.loads((scenarios / "s2.json").read_text())
-    doc["schedules"]["injections"] = [
-        {"round": 1, "path": doc["schedules"]["injections"][0]["path"]} for _ in range(6)]
+    doc["schedules"]["injections"] = {"round": [1] * 6, "path": [0] * 6}
     (scenarios / "s2.json").write_text(json.dumps(doc))
 
 

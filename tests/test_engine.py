@@ -308,7 +308,7 @@ def cross_check_configs():
             for cfg in (gadget, random_cfg):
                 injections = cfg.injections
                 if isinstance(policy, Prioritized):
-                    injections = tuple(replace(inj, priority=i % 2)
+                    injections = tuple(inj._replace(priority=i % 2)
                                        for i, inj in enumerate(injections))
                 # Another policy changes which packets the scripted stalls
                 # hit, and so the bucket levels: only selection is checked.
@@ -660,7 +660,7 @@ def derived_record_configs():
     gadget = rerouting_gadget(branches=3, cycles=20).config
     yield "gadget-prioritized", replace(
         gadget, policy=Prioritized("SIS", 2), enforce_buckets=False,
-        injections=tuple(replace(inj, priority=i % 2)
+        injections=tuple(inj._replace(priority=i % 2)
                          for i, inj in enumerate(gadget.injections)))
 
 
@@ -781,10 +781,12 @@ def load_time_refusals():
             lines.insert(at + 1, lines[at])
         return edit
 
-    def as_version_4(lines):
-        header = json.loads(lines[0])
-        header["version"] = 4
-        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    def as_version(version):
+        def edit(lines):
+            header = json.loads(lines[0])
+            header["version"] = version
+            lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return edit
 
     # Edits of the lines of a saved run of detour_cfg().
     trace_edits = [
@@ -793,17 +795,39 @@ def load_time_refusals():
         replace_first("fail_notify", ["fail_notify", 2, "bz", 2]),
         repeat_first("fail_notify"),
         before_the_totals(["transmit", 11, "ab", 0]),
-        as_version_4,
+        as_version(4),
+        as_version(5),
+    ]
+
+    def set_in(keys, value):
+        def edit(doc):
+            *path, last = keys
+            for key in path:
+                doc = doc[key]
+            doc[last] = value
+        return edit
+
+    def as_scenario_version_1(doc):
+        del doc["format"], doc["version"]
+
+    # Edits of the scenario document of a stalled detour_cfg().
+    doc_edits = [
+        set_in(("run", "horizon"), "10"),
+        as_scenario_version_1,
+        set_in(("schedules", "injections", "path"), [1]),
+        set_in(("schedules", "injections", "round"), [1, 2]),
+        set_in(("schedules", "stalls", 0, "delays"), [1]),
+        set_in(("schedules", "injections", "round"), ["1"]),
     ]
 
     results = []
-    for cfg in (promoted, replace(promoted, failures=(FailureEvent("ab", 2, 1),)), unpaired):
+    stalled = detour_cfg(stalls={"ab": {2, 5}}, annihilation_delays={("ab", 2): 1})
+    for cfg in (promoted, replace(promoted, failures=(FailureEvent("ab", 2, 1),)), unpaired,
+                replace(stalled, annihilation_delays={("ab", 3): 1})):
         try:
             cfg.validate()
         except ScenarioError as exc:
             results.append(("ScenarioError", str(exc)))
-    doc = json.loads(dumps_scenario(detour_cfg()))
-    doc["run"]["horizon"] = "10"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         save_trace(run(detour_cfg()), path)
@@ -816,6 +840,9 @@ def load_time_refusals():
                 load_trace(path)
             except ParseError as exc:
                 results.append(("ParseError", str(exc)))
+    for edit in doc_edits:
+        doc = json.loads(dumps_scenario(stalled))
+        edit(doc)
         try:
             loads_scenario(json.dumps(doc))
         except ParseError as exc:
@@ -827,6 +854,7 @@ LOAD_TIME_REFUSALS = [
     ("ScenarioError", "round 4: injection routed over 'ab' after its failure notification"),
     ("ScenarioError", "round 3: injection routed over 'ab' after its failure notification"),
     ("ScenarioError", "edge 'bz' fault events must alternate failure/recovery"),
+    ("ScenarioError", "annihilation delay for (ab, 3), which is not a stall round"),
     ("ParseError", "line 6: reroute of packet 0 at 'bz' names a failure in round (('x',),); "
                    "'bz' last failed in round 1"),
     ("ParseError", "line 2: fail of edge 'cz' in round 1, which is not in the scenario's "
@@ -837,7 +865,13 @@ LOAD_TIME_REFUSALS = [
                    "is repeated"),
     ("ParseError", "line 10: transmit event of round 11, after the horizon 10"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v4"),
+    ("ParseError", "unsupported trace format 'aqsim-trace' v5"),
     ("ParseError", "run.horizon: expected int, got '10'"),
+    ("ParseError", "unsupported scenario format v1: the document has no version; v2 is read"),
+    ("ParseError", "injections.path[0]: 1 is not an index of the 1 paths"),
+    ("ParseError", "injections.path has 1 entries, injections.round has 2"),
+    ("ParseError", "stalls[0]: 1 delays for 2 rounds"),
+    ("ParseError", "injections.round[0]: expected int, got '1'"),
 ]
 
 

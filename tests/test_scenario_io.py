@@ -3,13 +3,16 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aqsim.analysis import gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
-from aqsim.engine import (ExecutionTrace, FailureEvent, Injection, PacketRecord,
-                          RecoveryEvent, ScenarioConfig, run)
+from aqsim.engine import (HIGH_ID_BASE, ExecutionTrace, FailureEvent, Injection,
+                          PacketRecord, RecoveryEvent, ScenarioConfig, run)
+from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import Prioritized
 from aqsim.scenario_io import (ParseError, dumps_scenario, format_rational,
@@ -76,6 +79,78 @@ def test_round_trip_of_generated_scenarios():
         assert dumps_scenario(loads_scenario(dumps_scenario(cfg))) == dumps_scenario(cfg)
 
 
+ROUND_TRIP_NET = Network(
+    ["a", "b", "c"],
+    [Edge("ab", "a", "b"), Edge("bc", "b", "c", slowness=2), Edge("ac", "a", "c"),
+     Edge("ca", "c", "a"), Edge("cb", "c", "b")])
+# The injections' paths, none over ca or cb, the only edges that fail.
+ROUND_TRIP_PATHS = [("ab",), ("ab", "bc"), ("bc",), ("ac",), ("ac", "cb")]
+
+
+@st.composite
+def v2_scenarios(draw):
+    """Scenarios whose documents use every part of the version 2 layout:
+    priorities, explicit ids (some at or above HIGH_ID_BASE), delays given
+    for some stall rounds only, failures with recoveries, and promotion."""
+    horizon = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 3))
+    script = draw(st.lists(st.tuples(st.integers(1, horizon), st.sampled_from(ROUND_TRIP_PATHS),
+                                     st.integers(0, levels - 1)), max_size=8))
+    ids = [None] * len(script)
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.one_of(st.integers(0, 50),
+                                      st.integers(HIGH_ID_BASE, HIGH_ID_BASE + 50)),
+                            min_size=len(script), max_size=len(script), unique=True))
+    injections = tuple(Injection(rnd, path, priority, pid)
+                       for (rnd, path, priority), pid in zip(script, ids))
+    tau = draw(st.integers(1, 2))
+    stalls, delays = {}, {}
+    for edge in draw(st.sets(st.sampled_from(sorted(ROUND_TRIP_NET.edges)))):
+        rounds = draw(st.sets(st.integers(1, horizon + 2), min_size=1, max_size=4))
+        stalls[edge] = frozenset(rounds)
+        for rnd in sorted(rounds):
+            delay = draw(st.one_of(st.none(), st.integers(0, 2)))
+            if delay is not None:
+                delays[edge, rnd] = delay
+    failures, recoveries = [], []
+    for edge in ("ca", "cb"):
+        marks = sorted(draw(st.sets(st.integers(1, horizon), max_size=3)))
+        for i, rnd in enumerate(marks):
+            if i % 2:
+                recoveries.append(RecoveryEvent(edge, rnd))
+            else:
+                failures.append(FailureEvent(edge, rnd, draw(st.integers(0, 2))))
+    cfg = ScenarioConfig(
+        network=ROUND_TRIP_NET, adversary=AdversaryType(Fraction(3, 4), 2, 2),
+        policy=Prioritized("FTG", levels) if levels > 1 else "FIFO", horizon=horizon,
+        injections=injections, stalls=stalls, annihilation_delays=delays,
+        failures=tuple(failures), recoveries=tuple(recoveries), tau=tau, tau_prime=2,
+        seed=draw(st.one_of(st.none(), st.integers(0, 99))),
+        promote_after_tau=draw(st.booleans()), enforce_buckets=draw(st.booleans()))
+    try:
+        cfg.validate()
+    except ScenarioError:
+        # A promoted failure can fall on an edge an injection crosses after
+        # its notification, or next to a scheduled failure of ca or cb.
+        assume(False)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(v2_scenarios())
+def test_v2_documents_round_trip(cfg):
+    text = dumps_scenario(cfg)
+    back = loads_scenario(text)
+    assert dumps_scenario(back) == text
+    for name in ("adversary", "policy", "horizon", "injections", "stalls",
+                 "annihilation_delays", "failures", "recoveries", "tau", "tau_prime",
+                 "seed", "enforce_buckets"):
+        assert getattr(back, name) == getattr(cfg, name), name
+    columns = json.loads(text)["schedules"]["injections"]
+    assert ("priority" in columns) == any(inj.priority for inj in cfg.injections)
+    assert ("id" in columns) == any(inj.id is not None for inj in cfg.injections)
+
+
 def test_promoted_failures_are_saved_as_failures():
     cfg = dataclasses.replace(sample_config(), stalls={"bc": frozenset({3, 4})},
                               failures=(), recoveries=())
@@ -101,22 +176,30 @@ def mistyped(edit):
 
 MISTYPED_FIELDS = [
     pytest.param(lambda doc: doc["schedules"]["stalls"][0].update(rounds=[3, "x"]),
-                 "stalls[0].rounds: expected a list of int, got [3, 'x']", id="stall-round"),
-    pytest.param(lambda doc: doc["schedules"]["injections"][1].update(round="3"),
-                 "injections[1].round: expected int, got '3'", id="injection-round"),
+                 "stalls[0].rounds[1]: expected int, got 'x'", id="stall-round"),
+    pytest.param(lambda doc: doc["schedules"]["injections"]["round"].__setitem__(1, "3"),
+                 "injections.round[1]: expected int, got '3'", id="injection-round"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(round=3),
+                 "injections.round: expected a list of int, got 3", id="injection-rounds"),
+    pytest.param(lambda doc: doc["schedules"]["injections"]["priority"].__setitem__(1, True),
+                 "injections.priority[1]: expected int, got True", id="injection-priority"),
     pytest.param(lambda doc: doc["run"].update(horizon="50"),
                  "run.horizon: expected int, got '50'", id="horizon"),
-    pytest.param(lambda doc: doc["schedules"]["injections"][0].update(path=5),
-                 "injections[0].path: expected a list of str, got 5", id="injection-path"),
-    pytest.param(lambda doc: doc["schedules"]["injections"][0].update(path=["ab", ["bc"]]),
-                 "injections[0].path: expected a list of str, got ['ab', ['bc']]",
+    pytest.param(lambda doc: doc["schedules"]["injections"]["path"].__setitem__(0, "0"),
+                 "injections.path[0]: expected int, got '0'", id="injection-path"),
+    pytest.param(lambda doc: doc["schedules"]["paths"].__setitem__(0, 5),
+                 "schedules.paths[0]: expected a list of str, got 5", id="path"),
+    pytest.param(lambda doc: doc["schedules"]["paths"].__setitem__(1, ["ab", ["bc"]]),
+                 "schedules.paths[1][1]: expected str, got ['bc']",
                  id="injection-path-nested"),
+    pytest.param(lambda doc: doc["schedules"].update(paths=[]),
+                 "injections.path[0]: 0 is not an index of the 0 paths", id="no-paths"),
     pytest.param(lambda doc: doc["adversary"].update(b=True),
                  "adversary.b: expected int, got True", id="burst-bool"),
     pytest.param(lambda doc: doc["adversary"].update(r=0.75),
                  "adversary.r: expected str, got 0.75", id="rate-float"),
-    pytest.param(lambda doc: doc["schedules"]["annihilations"][0].update(delay=1.0),
-                 "annihilations[0].delay: expected int, got 1.0", id="annihilation-delay"),
+    pytest.param(lambda doc: doc["schedules"]["stalls"][0]["delays"].__setitem__(0, 1.0),
+                 "stalls[0].delays[0]: expected int or null, got 1.0", id="annihilation-delay"),
     pytest.param(lambda doc: doc["schedules"]["failures"][0].update(edge=["ac"]),
                  "failures[0].edge: expected str, got ['ac']", id="failure-edge"),
     pytest.param(lambda doc: doc["schedules"].update(recoveries={"edge": "ac"}),
@@ -128,6 +211,8 @@ MISTYPED_FIELDS = [
                  "network.nodes: expected a list of str, got 'abc'", id="nodes"),
     pytest.param(lambda doc: doc["run"].update(enforce_buckets=0),
                  "run.enforce_buckets: expected bool, got 0", id="enforce-buckets"),
+    pytest.param(lambda doc: doc.update(version="2"),
+                 "scenario.version: expected int, got '2'", id="version"),
 ]
 
 
@@ -135,6 +220,79 @@ MISTYPED_FIELDS = [
 def test_mistyped_field_is_a_parse_error_naming_it(edit, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         loads_scenario(json.dumps(mistyped(edit)))
+
+
+def as_version_1(doc):
+    """The document in the version 1 layout: no format or version, one
+    object per injection and one per annihilation delay."""
+    del doc["format"], doc["version"]
+    sched = doc["schedules"]
+    paths, columns = sched.pop("paths"), sched["injections"]
+    sched["injections"] = [{"round": rnd, "path": paths[at]}
+                           for rnd, at in zip(columns["round"], columns["path"])]
+    sched["annihilations"] = [{"edge": row["edge"], "round": rnd, "delay": delay}
+                              for row in sched["stalls"]
+                              for rnd, delay in zip(row["rounds"], row.pop("delays"))
+                              if delay is not None]
+
+
+V2_REFUSALS = [
+    pytest.param(as_version_1,
+                 "unsupported scenario format v1: the document has no version; v2 is read",
+                 id="version-1"),
+    pytest.param(lambda doc: doc.update(version=3),
+                 "unsupported scenario format 'aqsim-scenario' v3", id="version-3"),
+    pytest.param(lambda doc: doc.update(format="aqsim-trace"),
+                 "unsupported scenario format 'aqsim-trace' v2", id="other-format"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(path=[0, -1]),
+                 "injections.path[1]: -1 is not an index of the 2 paths", id="path-negative"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(path=[2, 1]),
+                 "injections.path[0]: 2 is not an index of the 2 paths", id="path-past-table"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(path=[0]),
+                 "injections.path has 1 entries, injections.round has 2", id="path-short"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(priority=[0]),
+                 "injections.priority has 1 entries, injections.round has 2",
+                 id="priority-short"),
+    pytest.param(lambda doc: doc["schedules"]["injections"].update(id=[4, 5, 6]),
+                 "injections.id has 3 entries, injections.round has 2", id="id-long"),
+    pytest.param(lambda doc: doc["schedules"]["stalls"][0].update(delays=[1, None, 0]),
+                 "stalls[0]: 3 delays for 2 rounds", id="delays-long"),
+    pytest.param(lambda doc: doc["schedules"]["stalls"][0].pop("delays"),
+                 "stalls[0]: missing key 'delays'", id="delays-missing"),
+    pytest.param(lambda doc: doc["schedules"]["stalls"].append(
+                     {"edge": "bc", "rounds": [7], "delays": [0]}),
+                 "stalls[1]: a second row for edge 'bc'", id="stall-edge-twice"),
+    pytest.param(lambda doc: doc["schedules"]["stalls"][0].update(rounds=[3, 3]),
+                 "stalls[0].rounds: a round is listed twice", id="stall-round-twice"),
+    pytest.param(lambda doc: doc["schedules"].update(annihilations=[]),
+                 "schedules: unknown key 'annihilations'", id="annihilations"),
+]
+
+
+@pytest.mark.parametrize("edit, message", V2_REFUSALS)
+def test_v2_document_refused(edit, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        loads_scenario(json.dumps(mistyped(edit)))
+
+
+def test_schedules_may_be_left_out():
+    doc = json.loads(dumps_scenario(sample_config()))
+    doc["schedules"] = {}
+    cfg = loads_scenario(json.dumps(doc))
+    assert (cfg.injections, cfg.stalls, cfg.annihilation_delays) == ((), {}, {})
+    assert (cfg.failures, cfg.recoveries) == ((), ())
+
+
+def test_readme_scenario_loads_and_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):readme.index("## Trace files")]
+    text = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = loads_scenario(text)
+    assert cfg.injections == (Injection(3, ("ab", "bc"), 0, 0), Injection(4, ("bc",), 1, 1),
+                              Injection(6, ("ab", "bc"), 0, 2))
+    assert cfg.annihilation_delays == {("bc", 3): 1}
+    assert json.loads(dumps_scenario(cfg)) == json.loads(text)
+    assert run(cfg).q_totals[-1] == 0
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -773,7 +931,7 @@ def test_version_4_trace_refused(tmp_path):
     # A version 4 file held each event as {"event": [kind, round, ...]},
     # under a header of the same layout; the version is refused first.
     path, lines = saved_lines(tmp_path)
-    header = lines[0].replace('"version":5}', '"version":4}')
+    header = lines[0].replace('"version":6}', '"version":4}')
     events = [json.dumps({"event": line_event(line)}, separators=(",", ":"))
               for line in lines[1:-1]]
     path.write_text("\n".join([header, *events, lines[-1]]) + "\n")
@@ -883,12 +1041,20 @@ def test_saved_trace_bytes(tmp_path):
     assert lines[0] == json.dumps(header, sort_keys=True, separators=(",", ":"))
     compact = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
     head = '{"format":"aqsim-trace","scenario":'
-    tail = f',"scenario_hash":"{header["scenario_hash"]}","version":5}}'
+    tail = f',"scenario_hash":"{header["scenario_hash"]}","version":6}}'
     assert lines[0] == head + compact + tail
-    assert compact.startswith('{"adversary":{"b":2,"delta":2,"r":"1/1"')
+    assert compact == (
+        '{"adversary":{"b":2,"delta":2,"r":"1/1","tau":1,"tau_prime":1},'
+        '"format":"aqsim-scenario",'
+        '"network":{"edges":[{"head":"b","id":"ab","tail":"a"},'
+        '{"head":"c","id":"bc","tail":"b"}],"nodes":["a","b","c"]},'
+        '"policy":{"name":"FIFO"},"run":{"horizon":6},'
+        '"schedules":{"failures":[],"injections":{"path":[0,1],"round":[1,3]},'
+        '"paths":[["ab","bc"],["bc"]],"recoveries":[],'
+        '"stalls":[{"delays":[null],"edge":"bc","rounds":[2]}]},"version":2}')
     assert header["scenario_hash"] == hashlib.sha256(compact.encode()).hexdigest()
     assert header["scenario_hash"] == (
-        "b3349a5da6d408447c0ade104ddfeba25b87a3e9ccda717f73bebb4539deb81d")
+        "f283c0796e628d26d6872c14e9b0dd6254e6073f442c9d0de9cb5d711efd230d")
 
 
 def joined(lines):
@@ -972,7 +1138,7 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, lineno, at):
 
 def test_bytes_that_are_not_utf8_past_the_first_chunk_of_lines(tmp_path):
     _cfg, trace = gen_random_scenario(
-        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=400,
+        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=500,
         nodes=(8, 8), with_trace=True)
     path = tmp_path / "t.jsonl"
     save_trace(trace, path)
@@ -988,7 +1154,7 @@ def test_bytes_that_do_not_decode_come_after_an_earlier_error(tmp_path):
     # The file decodes in blocks of bytes. With the bad bytes past the first
     # block, reading line by line reports the event error on line 2 first.
     _cfg, trace = gen_random_scenario(
-        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=400,
+        3, rate=HALF, burst=2, delay=2, tau=1, policy="FTG", horizon=500,
         nodes=(8, 8), with_trace=True)
     path = tmp_path / "t.jsonl"
     save_trace(trace, path)
@@ -1077,7 +1243,7 @@ def test_load_trace_matches_the_per_line_oracle(tmp_path):
             header_line = fh.readline().removesuffix("\n")
         header = json.loads(header_line)
         assert header_line == json.dumps(header, sort_keys=True, separators=(",", ":")), name
-        assert header["version"] == 5, name
+        assert header["version"] == 6, name
         assert header["scenario_hash"] == scenario_hash(trace.config), name
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")[1:-2]
