@@ -384,8 +384,16 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
 
     Injections are decided by running the engine once with a greedy
     driver, so the recorded script is feasible by construction: replaying
-    it reproduces the co-run bit for bit.
+    it reproduces the co-run bit for bit. Parameters no scenario can
+    have are refused before the first draw.
     """
+    adversary = AdversaryType(rate, burst, delay)
+    if tau < 1 or tau_prime < 1:
+        raise ScenarioError("tau and tau_prime must be positive")
+    if horizon < 0:
+        raise ScenarioError("horizon must be >= 0")
+    if failures < 0:
+        raise ScenarioError("failures must be >= 0")
     rng = random.Random(seed)
     net = random_network(rng, *nodes)
     stalls = {}
@@ -427,7 +435,7 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
 
     config = ScenarioConfig(
         network=net,
-        adversary=AdversaryType(rate, burst, delay),
+        adversary=adversary,
         policy=policy,
         horizon=horizon,
         stalls=stalls,

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, feedback, reduction, scenario_io
@@ -136,9 +135,13 @@ def cmd_gen(args) -> int:
         config = analysis.rerouting_gadget(
             args.branches, args.burst, args.fail_duration, args.cycles).config
     else:
+        if args.nodes_min > args.nodes_max:
+            print(f"empty node range: --nodes-min {args.nodes_min} is above "
+                  f"--nodes-max {args.nodes_max}", file=sys.stderr)
+            return EXIT_USAGE
         config = analysis.gen_random_scenario(
             args.seed,
-            rate=Fraction(args.r),
+            rate=scenario_io.parse_rational(args.r),
             burst=args.b,
             delay=args.delta,
             tau=args.tau,
@@ -188,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--horizon", type=int)
     p_run.add_argument("--policy", choices=POLICY_NAMES)
-    p_run.add_argument("--window", type=int, default=50)
-    p_run.add_argument("--k", type=int, default=4)
-    p_run.add_argument("--g", type=int, default=1)
+    p_run.add_argument("--window", type=_positive_int, default=50)
+    p_run.add_argument("--k", type=_positive_int, default=4)
+    p_run.add_argument("--g", type=_positive_int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="verify a trace file")

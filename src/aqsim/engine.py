@@ -14,7 +14,9 @@ contract and tests depend on it:
      is a heap on the policy's key, computed when the packet enters it,
      so selection reads the top and a transmission pops it
   7. re-routing of packets whose next edge is failed and visibly so, in
-     (arrival round, id) order; routes are looked up once per failure state
+     (arrival round, id) order. Each (node, destination) route is computed
+     once per set of failed links and kept for the whole run, so a failed
+     set that recurs reuses the routes found for it before
   8. queue total and the packet-conservation check
 
 A phase runs only in rounds where it has work: faults and notifications
@@ -53,6 +55,12 @@ from .netmodel import Network, Packet, shortest_path_avoiding, validate_path
 from .policies import POLICY_NAMES, Prioritized, packet_key, select_packet  # noqa: F401
 
 HIGH_ID_BASE = 10 ** 9  # explicit ids at or above this never collide with auto ids
+
+
+def _arrival_order(entry):
+    """Sort key of a queue entry ``(policy key, packet)``: arrival round, id."""
+    pkt = entry[1]
+    return pkt.arrival_round, pkt.id
 
 
 class Injection(NamedTuple):
@@ -330,7 +338,48 @@ class ExecutionTrace:
         return [dict(sizes) for sizes in self._fold_queues()]
 
     def queue_series(self, edge: str) -> list[int]:
-        return [sizes.get(edge, 0) for sizes in self._fold_queues()]
+        """Per round 1..horizon, the length of ``edge``'s queue after it.
+
+        Folds one count, as ``_fold_queues`` folds every queue: a packet
+        joins the queue when it is injected or re-routed with ``edge`` first,
+        or when it crosses the edge just before ``edge`` on its path (paths
+        repeat no edge), and leaves it when it crosses or is re-routed away.
+        """
+        size = 0
+        series: list[int] = []
+        feeds: dict[int, str] = {}  # pid -> the edge it crosses into edge's queue
+        rnd, horizon = 1, self.horizon
+        for ev in self.events:
+            if ev[1] > rnd:
+                if ev[1] > horizon:
+                    break
+                series += [size] * (ev[1] - rnd)
+                rnd = ev[1]
+            kind = ev[0]
+            if kind == "transmit":
+                if ev[2] == edge:
+                    size -= 1
+                elif ev[3] in feeds and feeds[ev[3]] == ev[2]:
+                    del feeds[ev[3]]
+                    size += 1
+                continue
+            if kind == "inject":
+                pid, ahead = ev[2], ev[3]
+            elif kind == "reroute":
+                _, _, pid, _old, ahead, left, _fail = ev
+                if left == edge:
+                    size -= 1
+                feeds.pop(pid, None)
+            else:
+                continue
+            if edge in ahead:
+                at = ahead.index(edge)
+                if at:
+                    feeds[pid] = ahead[at - 1]
+                else:
+                    size += 1
+        series += [size] * (horizon - rnd + 1)
+        return series
 
     def digest(self) -> str:
         from .scenario_io import trace_digest
@@ -358,7 +407,10 @@ class Engine:
         self.queues: dict[str, list[tuple[tuple, Packet]]] = {}  # heaps of (key, packet)
         self._key = packet_key(config.policy)
         self._slowness = {eid: e.slowness for eid, e in self.net.edges.items()}
+        # Per set of failed links, the live route suffix of each (node,
+        # destination) asked for so far; ``_routes`` is the current set's.
         self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
+        self._routes_by_failed: dict[frozenset[str], dict] = {frozenset(): self._routes}
         self.failed: set[str] = set()
         self.visible_failed: set[str] = set()
         self._active_failure: dict[str, int] = {}
@@ -390,32 +442,25 @@ class Engine:
     def _emit(self, *ev):
         self.trace.events.append(ev)
 
-    def _enqueue(self, pkt: Packet):
-        """Queue a packet at its next edge; its key fields hold until it leaves."""
-        heappush(self.queues.setdefault(pkt.path[pkt.idx], []), (self._key(pkt), pkt))
-
     def waiting(self, edge: str) -> list[Packet]:
         """The packets queued at edge, in (arrival round, id) order."""
-        return sorted((pkt for _, pkt in self.queues.get(edge, ())),
-                      key=lambda p: (p.arrival_round, p.id))
-
-    def _destination(self, pkt: Packet) -> str:
-        return self.net.edges[pkt.path[-1]].head
+        return [pkt for _, pkt in sorted(self.queues.get(edge, ()), key=_arrival_order)]
 
     # -- the round pipeline ----------------------------------------------------
 
     def _apply_faults(self, rnd: int):
         for rec in self._recoveries_by_round.get(rnd, ()):
             self.failed.discard(rec.edge)
-            self._routes.clear()
             self.visible_failed.discard(rec.edge)
             self._active_failure.pop(rec.edge, None)
             self._emit("recover", rnd, rec.edge)
         for ev in self._failures_by_round.get(rnd, ()):
             self.failed.add(ev.edge)
-            self._routes.clear()
             self._active_failure[ev.edge] = ev.round
             self._emit("fail", rnd, ev.edge)
+        # A route depends only on the network and the failed set, so the
+        # routes found for a set stay valid whenever that set recurs.
+        self._routes = self._routes_by_failed.setdefault(frozenset(self.failed), {})
 
     def _deliver_notifications(self, rnd: int):
         for edge, fail_round in self._notify_by_round.get(rnd, ()):
@@ -505,34 +550,42 @@ class Engine:
             heappush(queues.setdefault(pkt.path[pkt.idx], []), (key(pkt), pkt))
 
     def _reroute_blocked(self, rnd: int):
+        queues, edges, routes = self.queues, self.net.edges, self._routes
+        key, append = self._key, self.trace.events.append
+        absorbed = 0
         for edge in sorted(self.visible_failed):
-            if edge not in self.queues:
+            queue = queues.pop(edge, None)
+            if queue is None:
                 continue
+            if len(queue) > 1:
+                queue.sort(key=_arrival_order)
             fail_round = self._active_failure[edge]
-            node = self.net.edges[edge].tail
-            for pkt in self.waiting(edge):
-                dest = self._destination(pkt)
-                if (node, dest) not in self._routes:
-                    self._routes[node, dest] = shortest_path_avoiding(
+            node = edges[edge].tail
+            for _, pkt in queue:
+                path, idx = pkt.path, pkt.idx
+                dest = edges[path[-1]].head
+                try:
+                    suffix = routes[node, dest]
+                except KeyError:
+                    # Looked up at call time, where perfbench's tracer patches it.
+                    suffix = routes[node, dest] = shortest_path_avoiding(
                         self.net, node, dest, self.failed)
-                suffix = self._routes[node, dest]
                 if suffix is None:
                     raise ScenarioError(
                         f"round {rnd}: packet {pkt.id} at {edge!r} cannot reach "
                         f"{dest!r} avoiding failed links {sorted(self.failed)}",
                         round=rnd, edge=edge)
-                old_suffix = pkt.path[pkt.idx:]
-                pkt.path = pkt.path[: pkt.idx] + suffix
+                pkt.path = path[:idx] + suffix
                 pkt.rerouted = True
-                self._emit("reroute", rnd, pkt.id, old_suffix, suffix, edge, fail_round)
-                if pkt.absorbed:
-                    # Remaining path was a detour back to the current node.
-                    self._absorbed += 1
-                    self._emit("absorb", rnd, pkt.id)
-                else:
+                append(("reroute", rnd, pkt.id, path[idx:], suffix, edge, fail_round))
+                if suffix:
                     pkt.arrival_round = rnd
-                    self._enqueue(pkt)
-            del self.queues[edge]
+                    heappush(queues.setdefault(suffix[0], []), (key(pkt), pkt))
+                else:
+                    # Remaining path was a detour back to the current node.
+                    absorbed += 1
+                    append(("absorb", rnd, pkt.id))
+        self._absorbed += absorbed
 
     def _round(self, rnd: int):
         """Run one round's pipeline, appending its events to the trace.

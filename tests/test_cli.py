@@ -405,6 +405,40 @@ def test_batch_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not (tmp_path / "traces").exists()
 
 
+@pytest.mark.parametrize("option", ["--window", "--k", "--g"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_run_rejects_a_non_positive_probe_parameter(tmp_path, capsys, option, value):
+    scenario = gen(tmp_path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(scenario), "--out", str(out_dir), option, value])
+    assert exit_.value.code == 2
+    assert f"{option}: must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--nodes-min", "9", "--nodes-max", "5"], 2,
+     "empty node range: --nodes-min 9 is above --nodes-max 5"),
+    (["--tau", "0"], 3, "model violation: tau and tau_prime must be positive"),
+    (["--tau-prime", "0"], 3, "model violation: tau and tau_prime must be positive"),
+    (["--horizon", "-1"], 3, "model violation: horizon must be >= 0"),
+    (["--r", "abc"], 2, "parse error: bad rational 'abc'"),
+    (["--r", "0/0"], 2, "parse error: bad rational '0/0'"),
+    (["--delta", "-1"], 3, "model violation: feedback delay must be a positive integer"),
+    (["--failures", "-1"], 3, "model violation: failures must be >= 0"),
+], ids=["node-range", "tau", "tau-prime", "horizon", "rate", "rate-zero-denominator",
+        "delta", "failures"])
+def test_bad_gen_random_argument_exits_without_a_traceback(tmp_path, capsys, args, code,
+                                                           message):
+    out = tmp_path / "scenario.json"
+    assert main(["gen", "random", "--out", str(out), *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_batch_workers_default_fits_the_cores():
     args = build_parser().parse_args(["batch", "scenarios"])
     assert args.workers == min(4, os.cpu_count() or 1)

@@ -15,7 +15,7 @@ from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, RecoveryEvent,
                           RecoveryViolation, ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ModelViolation, ScenarioError
-from aqsim.netmodel import Edge, Network
+from aqsim.netmodel import Edge, Network, shortest_path_avoiding
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 from aqsim.reduction import _replay_config, build_two_priority_trace
 from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
@@ -265,14 +265,14 @@ def test_second_failure_reroutes_again():
         assert len(set(suffix)) == len(suffix)  # each new suffix is simple
 
 
-def test_reroutes_see_every_failure_and_recovery_since_the_last():
+def recurring_failure_cfg():
     # Stalls at ab space three packets out; each meets bz failed, while the
     # parallel bz2 fails, recovers and fails again between their arrivals.
     net = Network(
         ["a", "b", "c", "z"],
         [Edge("ab", "a", "b"), Edge("bz", "b", "z"), Edge("bz2", "b", "z"),
          Edge("bc", "b", "c"), Edge("cz", "c", "z")])
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         network=net, adversary=AdversaryType(ONE, 4, 2), policy="FIFO",
         horizon=12, tau_prime=1, enforce_buckets=False,
         injections=tuple(Injection(1, ("ab", "bz")) for _ in range(3)),
@@ -281,9 +281,82 @@ def test_reroutes_see_every_failure_and_recovery_since_the_last():
                   FailureEvent("bz2", 1, notify_delay=1),
                   FailureEvent("bz2", 7, notify_delay=0)),
         recoveries=(RecoveryEvent("bz2", 3),))
-    reroutes = run(cfg).events_of("reroute")
+
+
+def test_reroutes_see_every_failure_and_recovery_since_the_last():
+    reroutes = run(recurring_failure_cfg()).events_of("reroute")
     assert [(ev[1], ev[2], ev[4]) for ev in reroutes] == [
         (2, 0, ("bc", "cz")), (5, 1, ("bz2",)), (9, 2, ("bc", "cz"))]
+
+
+def failed_in(cfg, rnd):
+    """The links down in round ``rnd``, read off the scheduled failures and
+    recoveries alone: a link is down from its failure round up to the
+    round before its recovery."""
+    marks = sorted([(ev.round, ev.edge, True) for ev in cfg.failures]
+                   + [(ev.round, ev.edge, False) for ev in cfg.recoveries])
+    down = {}
+    for mark_round, edge, fails in marks:
+        if mark_round <= rnd:
+            down[edge] = fails
+    return frozenset(edge for edge, fails in down.items() if fails)
+
+
+def route_queries(cfg, trace):
+    """Per re-route event, the query a route lookup answers and its answer:
+    (failed set, node, destination) and the new suffix."""
+    edges = cfg.network.edges
+    for _, rnd, _pid, old_suffix, new_suffix, edge, _fail in trace.events_of("reroute"):
+        yield (failed_in(cfg, rnd), edges[edge].tail, edges[old_suffix[-1]].head), new_suffix
+
+
+def route_oracle_configs():
+    yield "gadget", rerouting_gadget(branches=3, burst=12, fail_duration=12, cycles=10).config
+    for seed in range(1, 6):
+        yield f"random-{seed}", gen_random_scenario(
+            seed, rate=Fraction(9, 10), burst=4, delay=2, tau=2, policy="FIFO",
+            horizon=300, nodes=(4, 8), failures=2)
+    yield "fail-recover-fail", recurring_failure_cfg()
+
+
+@pytest.mark.parametrize("name, cfg", route_oracle_configs(),
+                         ids=[name for name, _cfg in route_oracle_configs()])
+def test_kept_routes_match_a_fresh_shortest_path(name, cfg):
+    queries = list(route_queries(cfg, run(cfg)))
+    assert queries
+    for (failed, node, dest), suffix in queries:
+        assert suffix == shortest_path_avoiding(cfg.network, node, dest, failed)
+
+
+def count_route_computations(monkeypatch):
+    """The engine's route computations from here on, as (failed set, node,
+    destination) queries, in call order."""
+    calls = []
+
+    def counted(net, src, dst, avoid):
+        calls.append((frozenset(avoid), src, dst))
+        return shortest_path_avoiding(net, src, dst, avoid)
+
+    monkeypatch.setattr("aqsim.engine.shortest_path_avoiding", counted)
+    return calls
+
+
+def test_recurring_failed_set_reuses_its_routes(monkeypatch):
+    cfg = recurring_failure_cfg()
+    calls = count_route_computations(monkeypatch)
+    queries = [query for query, _suffix in route_queries(cfg, run(cfg))]
+    # Rounds 2 and 9 both re-route from b to z around {bz, bz2}.
+    assert queries[0] == queries[2] == (frozenset({"bz", "bz2"}), "b", "z")
+    assert calls == list(dict.fromkeys(queries))
+
+
+def test_routes_are_computed_once_per_failed_set_node_and_destination(monkeypatch):
+    cfg = rerouting_gadget(branches=2, cycles=6).config
+    calls = count_route_computations(monkeypatch)
+    queries = [query for query, _suffix in route_queries(cfg, run(cfg))]
+    # Every cycle fails and recovers both b links, so the failed sets recur.
+    assert len(set(queries)) < len(queries)
+    assert calls == list(dict.fromkeys(queries))
 
 
 def test_reroutes_follow_arrival_then_id_not_policy_order():
@@ -566,6 +639,60 @@ def test_derived_queue_sizes_match_the_engine_queues(cfg):
     for edge in cfg.network.edges:
         assert trace.queue_series(edge) == [sizes.get(edge, 0) for sizes in observed]
     assert trace.events_of("reroute") and max(trace.q_totals) > 1
+
+
+def queue_series_cases(tmp_path):
+    """Traces to check the one-edge queue series on, with what each covers."""
+    random_cfg = gen_random_scenario(
+        5, rate=Fraction(9, 10), burst=4, delay=2, tau=2, policy="FIFO",
+        horizon=300, nodes=(4, 8), failures=2)
+    path = tmp_path / "random.trace.jsonl"
+    save_trace(run(random_cfg), path)
+    # Annihilations of stalls near the horizon fall in the drain rounds.
+    yield "saved-random", load_trace(path), lambda t: t.events[-1][1] > t.horizon
+    held_out = rerouting_gadget(branches=3, burst=12, fail_duration=12, cycles=10)
+    yield "held-out-gadget", run(held_out.config), lambda t: t.events_of("reroute")
+    # With the horizon pushed out the hub drains, and the last event comes
+    # before the horizon.
+    drained = replace(held_out.config, horizon=held_out.config.horizon + 400)
+    yield "drained-gadget", run(drained), lambda t: t.events[-1][1] < t.horizon
+
+
+def test_queue_series_matches_the_fold_of_every_queue(tmp_path):
+    for name, trace, covers in queue_series_cases(tmp_path):
+        assert covers(trace), name
+        sizes = trace.queue_sizes()
+        assert len(sizes) == trace.horizon
+        for edge in trace.config.network.edges:
+            assert trace.queue_series(edge) == [s.get(edge, 0) for s in sizes], (name, edge)
+
+
+# trace.digest() of rerouting_gadget at the benchmark's two shapes, burst
+# and failure 10 and the held-out 12, under every policy; recorded before
+# routes were kept per set of failed links.
+GADGET_DIGESTS = {
+    (2, 10, 20): {
+        "FIFO": "b216b8c891d22727bd1dcef440b23b93a18fc4e62e81af8fa5fd5004b3da44ba",
+        "SIS": "1d52118be3f567ff033b0f1716091c4a9cee70398b0c7e8e1b62cfc41cab70b9",
+        "other": "8325214b501d47699d8dbacbe00b2fe9d402bd30cc36b07db32449f56fd4dfdb",
+    },
+    (3, 12, 16): {
+        "FIFO": "d3c9f7ac3bb87e9188b35f0ed1d2cf4cd0a64a6c65be14202f3139b9b80694d7",
+        "SIS": "8c4a9f88aeb17460929af444787c34f9a80fb5a9d821003d02638e7a80455431",
+        "other": "8922eb24a3bcc2f6eaf1c8e2c96030760254aba8894c66fde756acfad00d245d",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", GADGET_DIGESTS, ids=lambda s: "{}br-{}b-{}c".format(*s))
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_gadget_digests_are_pinned(shape, policy):
+    branches, burst, cycles = shape
+    gadget = rerouting_gadget(branches=branches, burst=burst, fail_duration=burst,
+                              cycles=cycles)
+    digests = GADGET_DIGESTS[shape]
+    trace = run(replace(gadget.config, policy=policy))
+    assert trace.digest() == digests.get(policy, digests["other"])
 
 
 def stepped_run(engine):
