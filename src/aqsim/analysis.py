@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -189,16 +188,14 @@ def injections_after_notification(trace: ExecutionTrace):
     The engine refuses these outright; this checker exists for imported
     traces. Returns a list of (round, packet id, edge).
     """
-    notified_at: dict[tuple[str, int], int] = {}
-    for _, rnd, edge, fail_round in trace.events_of("fail_notify"):
-        notified_at[(edge, fail_round)] = rnd
-    recovered_at = trace.config.fault_pairs()
+    windows: dict[str, list[tuple[int, int]]] = {}
+    for (edge, _fail_round), window in trace.config.notified_windows().items():
+        windows.setdefault(edge, []).append(window)
     bad = []
     for _, rnd, pid, path, _pri in trace.events_of("inject"):
         for edge in path:
-            for (e, fail_round), note in notified_at.items():
-                until = recovered_at.get((e, fail_round)) or rnd + 1
-                if e == edge and note <= rnd < until:
+            for first, end in windows.get(edge, ()):
+                if first <= rnd < end:
                     bad.append((rnd, pid, edge))
     return bad
 
@@ -252,9 +249,8 @@ class GreedyDriver:
 
     Deterministic given its seed. Respects refusals by probing levels
     before submitting, and never routes over a link with a delivered
-    failure notification. Beside a scripted run it leaves on each edge the
-    tokens the script still needs (``_ScriptReserve``), so its injections
-    do not leave a scripted one short, antitoken annihilations aside.
+    failure notification. It drives scriptless scenarios: its injections
+    are the run's only ones, as in the co-run of ``gen_random_scenario``.
     """
 
     def __init__(self, seed: int, inject_prob: float = 0.9, max_path_len: int = 4,
@@ -263,7 +259,6 @@ class GreedyDriver:
         self.inject_prob = inject_prob
         self.max_path_len = max_path_len
         self.max_burst = max_burst
-        self._reserve = None
 
     def __call__(self, engine: Engine, rnd: int):
         rng = self.rng
@@ -289,74 +284,15 @@ class GreedyDriver:
         path = tuple(path)
         max_burst = self.max_burst
         want = rng.randint(1, max_burst) if max_burst > 1 else 1
-        config = engine.config
-        if config.enforce_buckets:
+        if engine.config.enforce_buckets:
             # Whole tokens floor the level where int() of the Fraction would
             # truncate it; the two differ only below zero, and max(0, ...)
             # clamps both to 0.
-            whole_tokens = engine.buckets.whole_tokens
-            if config.injections:
-                reserve = self._reserve
-                if reserve is None or reserve.script is not config.injections:
-                    reserve = self._reserve = _ScriptReserve(config)
-                afford = min(whole_tokens(edge) - reserve.tokens(edge, rnd)
-                             for edge in path)
-            else:
-                afford = min(map(whole_tokens, path))
-            want = min(want, max(0, afford))
+            want = min(want, max(0, min(map(engine.buckets.whole_tokens, path))))
         if want < 1:
             return []
         # An Injection is immutable, so one object serves the whole burst.
         return [Injection(rnd, path)] * want
-
-
-class _ScriptReserve:
-    """The tokens a scripted run must keep on each edge, round by round.
-
-    An edge's level before the injection phase of a scripted round must
-    cover that round's scripted demand. Between phases the level gains the
-    rate and clamps at the burst, so the level kept after round t's
-    purchases serves every later scripted round when it is at least
-    max(0, cover(n) - (n - t) * rate), with n the next scripted round on
-    the edge and cover(n) its demand plus what it must keep in turn.
-    Levels are scaled by the rate denominator, as in ``BucketSystem``.
-    Antitoken annihilations are not foreseen: they depend on the run.
-    """
-
-    def __init__(self, config: ScenarioConfig):
-        self.script = config.injections
-        self._num = config.adversary.rate.numerator
-        self._den = config.adversary.rate.denominator
-        demand: dict[str, dict[int, int]] = {}
-        for inj in config.injections:
-            for edge in inj.path:
-                per_round = demand.setdefault(edge, {})
-                per_round[inj.round] = per_round.get(inj.round, 0) + 1
-        # edge -> (its scripted rounds in order, their covers, demand per round)
-        self._edges: dict[str, tuple[list[int], list[int], dict[int, int]]] = {}
-        for edge, per_round in demand.items():
-            rounds = sorted(per_round)
-            covers = [0] * len(rounds)
-            for i in range(len(rounds) - 1, -1, -1):
-                covers[i] = (per_round[rounds[i]] * self._den
-                             + self._kept(rounds, covers, i + 1, rounds[i]))
-            self._edges[edge] = rounds, covers, per_round
-
-    def _kept(self, rounds, covers, i, rnd) -> int:
-        """The scaled level to keep after round ``rnd``, whose next scripted
-        round is ``rounds[i]``."""
-        if i == len(rounds):
-            return 0
-        return max(0, covers[i] - (rounds[i] - rnd) * self._num)
-
-    def tokens(self, edge: str, rnd: int) -> int:
-        """Whole tokens the script needs on ``edge`` in round ``rnd``."""
-        entry = self._edges.get(edge)
-        if entry is None:
-            return 0
-        rounds, covers, per_round = entry
-        kept = self._kept(rounds, covers, bisect_right(rounds, rnd), rnd)
-        return per_round.get(rnd, 0) - (-kept // self._den)
 
 
 def _stall_rounds(rng: random.Random, horizon: int, tau: int, density: float):
@@ -405,6 +341,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
               for edge in sorted(stalls) for rnd in sorted(stalls[edge])}
 
     fail_events = []
+    if failures > len(net.edges):
+        raise ScenarioError(
+            f"{failures} failures asked of a network of {len(net.edges)} edges")
     if failures:
         chosen = []
         for eid in sorted(net.edges, key=lambda e: rng.random()):

@@ -23,6 +23,14 @@ VOLUNTARY = "voluntary"
 FORCED = "forced"
 
 
+def annihilation(stall_round: int, delay: int, max_delay: int) -> tuple[int, str]:
+    """The round and manner in which the group of a stall in ``stall_round``
+    annihilates, given its annihilation delay in [0, max_delay]: round
+    stall_round + delay, forced exactly when the delay is the maximum (the
+    group expires), voluntary otherwise."""
+    return stall_round + delay, FORCED if delay == max_delay else VOLUNTARY
+
+
 @dataclass(frozen=True)
 class AdversaryType:
     """Injection rate, burstiness and maximum feedback delay."""
@@ -47,19 +55,21 @@ class AntitokenGroup:
     (including the edge it stalled on). All members share the creation
     round, count down from the feedback delay in lockstep, and vanish
     atomically; the group's annihilation round is when the feedback about
-    the stall arrives.
+    the stall arrives. That round and the manner (forced or voluntary) are
+    fixed when the group is created, by ``annihilation``.
     """
 
     __slots__ = ("gid", "stall_edge", "stall_round", "packet_id", "edges",
-                 "due_round", "alive", "annihilated_at")
+                 "due_round", "manner", "alive", "annihilated_at")
 
-    def __init__(self, gid, stall_edge, stall_round, packet_id, edges, due_round):
+    def __init__(self, gid, stall_edge, stall_round, packet_id, edges, due_round, manner):
         self.gid = gid
         self.stall_edge = stall_edge
         self.stall_round = stall_round
         self.packet_id = packet_id
         self.edges = tuple(edges)
         self.due_round = due_round
+        self.manner = manner
         self.alive = True
         self.annihilated_at = None
 
@@ -159,19 +169,20 @@ class BucketSystem:
         ``delay_choice`` is the adversary's annihilation delay in
         [0, delay]; None or delay means letting the group expire, the
         maximally delayed feedback. A zero delay annihilates immediately.
+        The group annihilates as ``annihilation`` rules.
         """
-        d = self.adversary.delay if delay_choice is None else delay_choice
-        if not 0 <= d <= self.adversary.delay:
-            raise ScenarioError(
-                f"annihilation delay {d} outside [0, {self.adversary.delay}]")
+        max_delay = self.adversary.delay
+        d = max_delay if delay_choice is None else delay_choice
+        if not 0 <= d <= max_delay:
+            raise ScenarioError(f"annihilation delay {d} outside [0, {max_delay}]")
         gid = self._next_gid
         self._next_gid += 1
-        group = AntitokenGroup(gid, stall_edge, self.round, packet_id,
-                               remaining_edges, self.round + d)
+        group = AntitokenGroup(gid, stall_edge, self.round, packet_id, remaining_edges,
+                               *annihilation(self.round, d, max_delay))
         self.groups[gid] = group
         events = []
         if d == 0:
-            events.append(self._annihilate(group, VOLUNTARY))
+            events.append(self._annihilate(group, group.manner))
         else:
             self._due.setdefault(group.due_round, []).append(gid)
         return group, events
@@ -207,10 +218,8 @@ class BucketSystem:
         events = []
         for gid in sorted(self._due.pop(self.round, ())):
             group = self.groups[gid]
-            if not group.alive:
-                continue
-            how = FORCED if group.value(self.round, self.adversary.delay) == 0 else VOLUNTARY
-            events.append(self._annihilate(group, how))
+            if group.alive:
+                events.append(self._annihilate(group, group.manner))
         return events
 
     def live_groups(self):

@@ -9,7 +9,9 @@ contract and tests depend on it:
   4. delivery of due permanent-failure notifications
   5. adversary injections (joint bucket feasibility, applied atomically)
   6. per live edge with a waiting packet: policy selection, then either a
-     stall (antitoken group created) or a transmission; transit arrivals
+     stall (its event names the antitoken group it creates, whose
+     annihilation round and manner ``buckets.annihilation`` fixes) or a
+     transmission; transit arrivals
      are staged so no packet crosses two links in one round. Each queue
      is a heap on the policy's key, computed when the packet enters it,
      so selection reads the top and a transmission pops it
@@ -29,10 +31,14 @@ totals; per-edge queue lengths and the per-packet records are derived
 from the events on demand.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
-``promote_after_tau`` adds included. ``ScenarioConfig.validate`` pairs
-them and refuses every scripted injection over a link with a notified
-failure, so step 1 raises nothing and step 5 refuses only a driver's
-injection.
+``promote_after_tau`` adds included. ``ScenarioConfig.fault_events`` is
+the one list of the fail, recover and fail_notify events they make, in
+the order a run writes them: steps 1 and 4 append its tuples, and the
+trace loader checks a file's fault events against it.
+``ScenarioConfig.notified_windows`` gives the rounds in which each failure
+is visible; ``validate`` refuses every scripted injection over a link in
+such a window, so step 1 raises nothing and step 5 refuses only a
+driver's injection.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
@@ -182,13 +188,10 @@ class ScenarioConfig:
                 raise ScenarioError(f"recovery references unknown edge {ev.edge!r}")
             if not 1 <= ev.round <= self.horizon:
                 raise ScenarioError("recovery round outside horizon")
-        pairs = self.fault_pairs()
         # Per edge, in order, the windows [notification, recovery) refusing injections.
         notified: dict[str, list[tuple[int, int]]] = {}
-        for ev in sorted(self.failures, key=lambda ev: ev.round):
-            start, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or self.horizon + 1
-            if start < end:
-                notified.setdefault(ev.edge, []).append((start, end))
+        for (edge, _), window in sorted(self.notified_windows().items()):
+            notified.setdefault(edge, []).append(window)
         if notified:
             # Each distinct path's edges that have windows, in path order.
             crossing = {path: [edge for edge in path if edge in notified]
@@ -202,6 +205,35 @@ class ScenarioConfig:
                             f"round {rnd}: injection routed over {edge!r} after its "
                             "failure notification", round=rnd, edge=edge)
         return self
+
+    def fault_events(self) -> list[tuple]:
+        """The fail, recover and fail_notify events a run writes, in the
+        order it writes them: per round, the recoveries, then the failures,
+        each in config order, then the notifications due that round, in the
+        order of their failures. Only notifications due by the horizon are
+        listed; the others are never delivered."""
+        keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
+                 for i, ev in enumerate(self.recoveries)]
+        for i, ev in enumerate(self.failures):
+            keyed.append(((ev.round, 1, i), ("fail", ev.round, ev.edge)))
+            notified = ev.round + ev.notify_delay
+            if notified <= self.horizon:
+                keyed.append(((notified, 2, i), ("fail_notify", notified, ev.edge, ev.round)))
+        keyed.sort()
+        return [ev for _, ev in keyed]
+
+    def notified_windows(self) -> dict[tuple[str, int], tuple[int, int]]:
+        """``{(edge, failure round): (first, end)}``: the rounds [first, end)
+        from the failure's notification to its recovery, or to horizon + 1
+        without one, in which the failure is visible. Only non-empty windows
+        are listed: a failure recovered by its notification is never seen."""
+        pairs = self.fault_pairs()
+        windows = {}
+        for ev in self.failures:
+            first, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or self.horizon + 1
+            if first < end:
+                windows[ev.edge, ev.round] = first, end
+        return windows
 
     def fault_pairs(self) -> dict[tuple[str, int], int | None]:
         """``{(edge, failure round): its recovery round, or None}``. Per edge,
@@ -426,21 +458,15 @@ class Engine:
         for edge, rounds in config.stalls.items():
             for t in rounds:
                 self._stalls_by_round.setdefault(t, set()).add(edge)
-        self._failures_by_round: dict[int, list[FailureEvent]] = {}
-        self._notify_by_round: dict[int, list[tuple[str, int]]] = {}
-        for ev in config.failures:
-            self._failures_by_round.setdefault(ev.round, []).append(ev)
-            self._notify_by_round.setdefault(
-                ev.round + ev.notify_delay, []).append((ev.edge, ev.round))
-        self._recoveries_by_round: dict[int, list[RecoveryEvent]] = {}
-        for rec in config.recoveries:
-            self._recoveries_by_round.setdefault(rec.round, []).append(rec)
-        self._fault_rounds = set(self._failures_by_round) | set(self._recoveries_by_round)
+        # The fault schedule's events by round: recoveries and failures,
+        # which step 1 applies, and notifications, which step 4 delivers.
+        self._faults_by_round: dict[int, list[tuple]] = {}
+        self._notify_by_round: dict[int, list[tuple]] = {}
+        for ev in config.fault_events():
+            by_round = self._notify_by_round if ev[0] == "fail_notify" else self._faults_by_round
+            by_round.setdefault(ev[1], []).append(ev)
 
     # -- plumbing ------------------------------------------------------------
-
-    def _emit(self, *ev):
-        self.trace.events.append(ev)
 
     def waiting(self, edge: str) -> list[Packet]:
         """The packets queued at edge, in (arrival round, id) order."""
@@ -449,22 +475,25 @@ class Engine:
     # -- the round pipeline ----------------------------------------------------
 
     def _apply_faults(self, rnd: int):
-        for rec in self._recoveries_by_round.get(rnd, ()):
-            self.failed.discard(rec.edge)
-            self.visible_failed.discard(rec.edge)
-            self._active_failure.pop(rec.edge, None)
-            self._emit("recover", rnd, rec.edge)
-        for ev in self._failures_by_round.get(rnd, ()):
-            self.failed.add(ev.edge)
-            self._active_failure[ev.edge] = ev.round
-            self._emit("fail", rnd, ev.edge)
+        append = self.trace.events.append
+        for ev in self._faults_by_round[rnd]:
+            kind, _, edge = ev
+            if kind == "recover":
+                self.failed.discard(edge)
+                self.visible_failed.discard(edge)
+                self._active_failure.pop(edge, None)
+            else:
+                self.failed.add(edge)
+                self._active_failure[edge] = rnd
+            append(ev)
         # A route depends only on the network and the failed set, so the
         # routes found for a set stay valid whenever that set recurs.
         self._routes = self._routes_by_failed.setdefault(frozenset(self.failed), {})
 
     def _deliver_notifications(self, rnd: int):
-        for edge, fail_round in self._notify_by_round.get(rnd, ()):
-            self._emit("fail_notify", rnd, edge, fail_round)
+        for ev in self._notify_by_round[rnd]:
+            _, _, edge, fail_round = ev
+            self.trace.events.append(ev)
             # A notification for an already recovered edge is delivered but
             # imposes no constraint.
             if edge in self.failed and self._active_failure.get(edge) == fail_round:
@@ -525,7 +554,6 @@ class Engine:
                     edge, pkt.path[pkt.idx:], pkt.id,
                     self.config.annihilation_delays.get((edge, rnd)))
                 append(("stall", rnd, edge, pkt.id, group.gid))
-                append(("group", rnd, group.gid, edge, pkt.id, group.edges))
                 for how, g in inline:
                     append(("annihilate", rnd, g.gid, how))
                 continue
@@ -593,7 +621,7 @@ class Engine:
         Phases are looked up on the engine each round, so an instance
         attribute can stand in for one.
         """
-        if rnd in self._fault_rounds:
+        if rnd in self._faults_by_round:
             self._apply_faults(rnd)
         buckets = self.buckets
         buckets.tick()
@@ -634,10 +662,11 @@ class Engine:
             round_(rnd)
         # Drain phase: groups created near the horizon still annihilate so
         # every stall's feedback round is on record.
+        append = self.trace.events.append
         for rnd in range(self.config.horizon + 1, self.config.last_round + 1):
             self.buckets.tick()
             for how, group in self.buckets.tick_antitokens():
-                self._emit("annihilate", rnd, group.gid, how)
+                append(("annihilate", rnd, group.gid, how))
         return self.trace
 
 

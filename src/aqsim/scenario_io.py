@@ -16,7 +16,7 @@ type-checked whole, over the distinct types of their entries; only a
 failing check walks them to name the first bad entry. A document without
 a version (version 1) is refused.
 
-A trace file (version 6) is line-delimited JSON: one header record
+A trace file (version 7) is line-delimited JSON: one header record
 binding the trace to the scenario (content hash plus the embedded
 scenario itself), one line per event, holding the event's compact JSON
 array ``[kind, round, ...]``, then a ``{"q_totals": [...]}`` record with
@@ -24,32 +24,35 @@ the total queued after each round. The header line is the compact,
 key-sorted JSON of the header record, and the hash is the SHA-256 of the
 scenario's compact, key-sorted JSON as it stands in that line, so a load
 hashes the stored bytes and never encodes the scenario again. The events
-are those the checkers read: inject, transmit, stall, group, annihilate,
-absorb, reroute, fail, fail_notify and recover. Per-edge queue lengths
-and packet records are not stored; they are functions of the events
+are those the checkers read: inject, transmit, stall, annihilate, absorb,
+reroute, fail, fail_notify and recover. A stall names the antitoken group
+it creates; the group's members, the edges its packet has still to
+cross, are not stored. Per-edge queue lengths and packet records are not
+stored either; they are functions of the events
 (``ExecutionTrace.queue_sizes``, ``ExecutionTrace.packets``). The file
 carries everything needed to reproduce the run.
 
 Loading reads each line on its own, exactly as ``json.loads`` reads it,
-and checks the file against itself. Every event must be well formed, in
-round order and by the horizon (an annihilate by the end of the drain
-rounds that follow it), and must move a packet that is queued where the
-event says: no second inject of one packet, no transmit, stall, reroute
-or absorb of a packet that was never injected or is already absorbed.
-Every edge an event names must be in the network, an inject's priority
-must be one of the policy's levels, each stall must be followed directly
-by its group, holding the edges its packet has still to cross, and an
-annihilate must end a group that was created and is not yet annihilated.
-A fail, fail_notify or recover must be the header scenario's, in its
-round, and fail a live edge or recover a failed one, and every fail and
-recover the scenario schedules must be there, with every fail_notify due
-by the horizon, once. A reroute must leave a failed edge and name the
-round it last failed. The running count of injections minus absorptions
-must equal the stored total after every round, so an edited total or a
-dropped event is refused with the first round where they disagree, and
-the totals record must be the last. Bytes that are not UTF-8 are refused
-with the line that holds them. Files of versions 1 to 5 are refused as an
-unsupported format.
+and checks the file against itself and its scenario. Every event must be
+well formed, in round order and by the horizon (an annihilate by the end
+of the drain rounds that follow it), and must move a packet that is
+queued where the event says: no second inject of one packet, no
+transmit, stall, reroute or absorb of a packet that was never injected or
+is already absorbed. Every edge an event names must be in the network,
+and an inject's priority must be one of the policy's levels. What the
+scenario determines is checked by equality with the scenario's one
+definition of it. A stall must be in a round the scenario schedules for
+its edge and create a new group id; its group must be annihilated once,
+in the round and manner ``buckets.annihilation`` gives for the stall's
+delay. The fail, recover and fail_notify events must be exactly
+``ScenarioConfig.fault_events``, in its order. A reroute must follow the
+fail_notify of the failure it names and lie in that failure's window of
+``ScenarioConfig.notified_windows``. The running count of injections
+minus absorptions must equal the stored total after every round, so an
+edited total or a dropped event is refused with the first round where
+they disagree, and the totals record must be the last. Bytes that are
+not UTF-8 are refused with the line that holds them. Files of versions 1
+to 6 are refused as an unsupported format.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from .buckets import FORCED, VOLUNTARY, AdversaryType
+from .buckets import AdversaryType, annihilation
 from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
 from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
@@ -69,7 +72,7 @@ from .policies import POLICY_NAMES, Prioritized, parse_policy
 SCENARIO_FORMAT = "aqsim-scenario"
 SCENARIO_VERSION = 2
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 
 class ParseError(ValueError):
@@ -526,16 +529,41 @@ def _tuplify(value: list) -> tuple:
 
 
 # The number of fields of each kind of event, kind and round included.
-_EVENT_FIELDS = {"inject": 5, "transmit": 4, "stall": 5, "group": 6,
-                 "annihilate": 4, "absorb": 3, "reroute": 7, "fail": 3,
-                 "fail_notify": 4, "recover": 3}
+_EVENT_FIELDS = {"inject": 5, "transmit": 4, "stall": 5, "annihilate": 4, "absorb": 3,
+                 "reroute": 7, "fail": 3, "fail_notify": 4, "recover": 3}
 # The fields that hold a path: the only lists in a well-formed event.
-_PATH_FIELDS = {"inject": (3,), "group": (5,), "reroute": (3, 4)}
+_PATH_FIELDS = {"inject": (3,), "reroute": (3, 4)}
 
 
 def _is_path(value, edges) -> bool:
     return isinstance(value, tuple) and all(
         isinstance(e, str) and e in edges for e in value)
+
+
+def _fault_text(ev: tuple) -> str:
+    """A fail, fail_notify or recover event in words."""
+    kind, rnd, edge = ev[:3]
+    of = f" of its failure in round {ev[3]!r}" if kind == "fail_notify" else ""
+    return f"{kind} of edge {edge!r} in round {rnd}{of}"
+
+
+def _is_scheduled(ev: tuple, faults: list[tuple]) -> bool:
+    """Whether the fault event ``ev`` is one of ``faults``. The round is an
+    int; so must a failure round be, or True would equal 1."""
+    return ev in faults and (ev[0] != "fail_notify" or type(ev[3]) is int)
+
+
+def _off_schedule(ev: tuple, faults: list[tuple], at: int) -> ParseError:
+    """The error for a fault event that is not ``faults[at]``, the next of
+    the schedule: that one is missing when ``ev`` comes later in it."""
+    if at == len(faults):
+        return ParseError(f"{_fault_text(ev)}, after the scenario's last fault event")
+    expected = _fault_text(faults[at])
+    if _is_scheduled(ev, faults[at + 1:]):
+        return ParseError(f"trace has no {expected}, which the scenario schedules before "
+                          f"this {_fault_text(ev)}")
+    return ParseError(f"{_fault_text(ev)}, where the scenario's next fault event is the "
+                      f"{expected}")
 
 
 def _read_records(trace: ExecutionTrace, lines):
@@ -548,12 +576,18 @@ def _read_records(trace: ExecutionTrace, lines):
     the end of the drain rounds) and move a packet that is queued where the
     event says; ``ahead`` maps each injected packet to the edges it has
     still to cross (``None`` once absorbed). An inject's priority must be
-    one of the policy's levels, and each stall must be followed directly by
-    its group, which holds the edges its packet has still to cross. The
-    event, its lists made tuples, is then appended and counted in its
-    round's injections minus absorptions. The totals record ends the
-    records: a line after it is refused. Each fault event the scenario
-    schedules by the horizon must then have been seen. Returns the
+    one of the policy's levels. The events the scenario determines are
+    checked against it by equality: a stall must be in a round the
+    scenario schedules for its edge, once, and creates the next group id
+    (they count the stalls from 0), which its annihilate must end in the
+    round and manner ``annihilation`` gives;
+    each fail, recover and fail_notify must be the next event of
+    ``ScenarioConfig.fault_events``; a reroute must come after the
+    fail_notify of the failure it names, within that failure's notified
+    window. The event, its lists made tuples, is then appended and counted
+    in its round's injections minus absorptions. The totals record ends
+    the records: a line after it is refused. Every scheduled fault event
+    must then have been read, and every group annihilated. Returns the
     per-round counts and the stored totals.
 
     Well-typed transmit, absorb and inject events, most of any trace, take
@@ -567,14 +601,22 @@ def _read_records(trace: ExecutionTrace, lines):
     levels = config.policy.levels if isinstance(config.policy, Prioritized) else 1
     horizon = config.horizon
     drained = config.last_round  # the last round of an annihilate
+    # Per edge, the scheduled stall rounds not read yet.
+    stalls_left = {edge: set(rounds) for edge, rounds in config.stalls.items()}
+    delays = config.annihilation_delays
+    max_delay = config.adversary.delay
+    faults = config.fault_events()
+    fault_at = 0  # the index in ``faults`` of the next fault event
+    windows = config.notified_windows()
+    notice = {ev[2:]: i for i, ev in enumerate(faults) if ev[0] == "fail_notify"}
     append = trace.events.append
     ahead: dict[int, tuple | None] = {}
-    groups: dict[int, bool] = {}  # group id -> not yet annihilated
-    faults = _Faults(config)
+    # Per group id, the (round, manner) of its annihilation, None once read.
+    # Ids count the stalls from 0, so the next stall creates len(groups).
+    groups: list[tuple[int, str] | None] = []
     net: dict[int, int] = {}  # round -> injections minus absorptions
     q_totals = None
     last_round = 1
-    stalled = None  # the stall event whose group is the next record
     numbered = enumerate(lines, 2)
     for lineno, line in numbered:
         try:
@@ -583,7 +625,7 @@ def _read_records(trace: ExecutionTrace, lines):
             end = None
         if end is None or line[end:] != "\n" or not line.isascii() and _undecodable(line):
             ev = _decode_line(line, lineno)
-        if stalled is None and type(ev) is list:
+        if type(ev) is list:
             n = len(ev)
             if n == 4:
                 kind, rnd, edge, pid = ev
@@ -621,8 +663,6 @@ def _read_records(trace: ExecutionTrace, lines):
             if type(ev) is not list:
                 if not (type(ev) is dict and "q_totals" in ev):
                     raise ParseError("unknown record")
-                if stalled is not None:
-                    raise _unpaired(stalled)
                 q_totals = ev["q_totals"]
                 break
             if not (len(ev) >= 2 and type(ev[0]) is str and type(ev[1]) is int):
@@ -645,19 +685,29 @@ def _read_records(trace: ExecutionTrace, lines):
                     raise ParseError(f"annihilate event of round {rnd}, after the drain "
                                      f"rounds {horizon + 1}..{drained}")
             last_round = rnd
-            if kind == "transmit" or kind == "stall":
-                pid = ev[3]
-            elif kind == "inject" or kind == "absorb" or kind == "reroute":
-                pid = ev[2]
-            else:
-                _check_unmoving_event(ev, edges, groups, faults)
-                if kind == "group":
-                    _check_group_of_stall(ev, stalled, ahead)
-                    stalled = None
-                elif stalled is not None:
-                    raise _unpaired(stalled)
+            if kind == "annihilate":
+                _, _, gid, how = ev
+                if type(gid) is not int:
+                    raise ParseError(f"annihilate event with group id {gid!r}")
+                if not 0 <= gid < len(groups):
+                    raise ParseError(f"annihilate of group {gid}, which is never created")
+                due = groups[gid]
+                if due is None:
+                    raise ParseError(f"annihilate of group {gid}, which is already annihilated")
+                if (rnd, how) != due:
+                    raise ParseError(
+                        f"annihilate of group {gid} in round {rnd} as {how!r}; its stall "
+                        f"annihilates it in round {due[0]} as {due[1]!r}")
+                groups[gid] = None
                 append(ev)
                 continue
+            if kind == "fail" or kind == "recover" or kind == "fail_notify":
+                if not _is_scheduled(ev, faults[fault_at:fault_at + 1]):
+                    raise _off_schedule(ev, faults, fault_at)
+                fault_at += 1
+                append(ev)
+                continue
+            pid = ev[3] if kind == "transmit" or kind == "stall" else ev[2]
             if type(pid) is not int:
                 raise ParseError(f"{kind} event with packet id {pid!r}")
             if kind == "inject":
@@ -671,8 +721,6 @@ def _read_records(trace: ExecutionTrace, lines):
                     raise ParseError(
                         f"packet {pid} is injected with priority {priority!r}, "
                         f"not one of the policy's {levels} level(s)")
-                if stalled is not None:
-                    raise _unpaired(stalled)
                 ahead[pid] = path
                 net[rnd] = net.get(rnd, 0) + 1
                 append(ev)
@@ -685,8 +733,6 @@ def _read_records(trace: ExecutionTrace, lines):
                 if rest:
                     raise ParseError(
                         f"absorb of packet {pid} with {list(rest)} still to cross")
-                if stalled is not None:
-                    raise _unpaired(stalled)
                 ahead[pid] = None
                 net[rnd] = net.get(rnd, 0) - 1
                 append(ev)
@@ -695,155 +741,53 @@ def _read_records(trace: ExecutionTrace, lines):
             if not rest or rest[0] != edge:
                 raise ParseError(
                     f"{kind} of packet {pid} at {edge!r}, where it is not queued")
-            if kind == "stall" and type(ev[4]) is not int:
-                raise ParseError(f"stall event with group id {ev[4]!r}")
-            if kind == "reroute":
-                new_suffix = ev[4]
-                if ev[3] != rest or not _is_path(new_suffix, edges):
-                    raise ParseError(f"reroute of packet {pid} does not match its path")
-                faults.check_reroute(pid, edge, ev[6])
-            if stalled is not None:
-                raise _unpaired(stalled)
             if kind == "transmit":
                 ahead[pid] = rest[1:]
             elif kind == "stall":
-                stalled = ev
+                gid = ev[4]
+                if type(gid) is not int:
+                    raise ParseError(f"stall event with group id {gid!r}")
+                if gid != len(groups):
+                    raise ParseError(
+                        f"group {gid} is created twice" if 0 <= gid < len(groups) else
+                        f"stall of packet {pid} creates group {gid}, not the next, {len(groups)}")
+                unstalled = stalls_left.get(edge)
+                if not unstalled or rnd not in unstalled:
+                    state = ("is stalled already" if rnd in config.stalls.get(edge, ())
+                             else "the scenario does not schedule")
+                    raise ParseError(
+                        f"stall of packet {pid} at {edge!r} in round {rnd}, which {state}")
+                unstalled.remove(rnd)
+                groups.append(annihilation(rnd, delays.get((edge, rnd), max_delay), max_delay))
             else:
+                new_suffix, fail_round = ev[4], ev[6]
+                if ev[3] != rest or not _is_path(new_suffix, edges):
+                    raise ParseError(f"reroute of packet {pid} does not match its path")
+                window = windows.get((edge, fail_round)) if type(fail_round) is int else None
+                if window is None or not window[0] <= rnd < window[1]:
+                    raise ParseError(
+                        f"reroute of packet {pid} at {edge!r} in round {rnd} names a failure "
+                        f"in round {fail_round!r}, " + (
+                            f"visible in rounds {window[0]}..{window[1] - 1}" if window
+                            else "which the scenario never makes visible"))
+                if notice[edge, fail_round] >= fault_at:
+                    raise ParseError(f"reroute of packet {pid} at {edge!r} before the "
+                                     f"fail_notify of its failure in round {fail_round}")
                 ahead[pid] = new_suffix
             append(ev)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     for lineno, _line in numbered:
         raise ParseError(f"line {lineno}: a record after the q_totals record")
-    faults.check_complete()
+    if fault_at < len(faults):
+        raise ParseError(f"trace has no {_fault_text(faults[fault_at])}, "
+                         "which the scenario schedules")
+    gid = next((gid for gid, due in enumerate(groups) if due is not None), None)
+    if gid is not None:
+        rnd, how = groups[gid]
+        raise ParseError(f"trace has no annihilate of group {gid}, which its stall "
+                         f"annihilates in round {rnd} as {how!r}")
     return net, q_totals
-
-
-def _unpaired(stall: tuple) -> ParseError:
-    _, rnd, edge, pid, _gid = stall
-    return ParseError(
-        f"stall of packet {pid} at {edge!r} in round {rnd} is not followed by its group")
-
-
-def _check_group_of_stall(group: tuple, stall: tuple | None, ahead: dict):
-    """A group must directly follow its stall and hold its packet's remaining edges."""
-    _, rnd, gid, edge, pid, members = group
-    if stall is None or stall[1:] != (rnd, edge, pid, gid):
-        raise ParseError(
-            f"group {gid} does not directly follow the stall of packet {pid!r} "
-            f"at {edge!r} in round {rnd} that it belongs to")
-    if members != ahead[pid]:
-        raise ParseError(
-            f"group {gid} holds {members!r}, not the edges packet {pid} has still to cross")
-
-
-class _Faults:
-    """The fault schedule of a trace's scenario, and its edges failed so far.
-
-    A fail and a recover must be scheduled in their round, and must fail a
-    live edge or recover a failed one. A fail_notify must come in the round
-    its failure is notified, and a reroute must leave a failed edge and
-    name the round that edge last failed. Every scheduled fail and recover,
-    and every fail_notify due by the horizon, must be read, a fail_notify
-    once.
-    """
-
-    def __init__(self, config: ScenarioConfig):
-        self.notified_in = {(ev.edge, ev.round): ev.round + ev.notify_delay
-                            for ev in config.failures}
-        self.recoveries = {(ev.edge, ev.round) for ev in config.recoveries}
-        self.failed: dict[str, int] = {}  # failed edge -> the round it failed
-        # The scheduled fault events not read yet, as (round, kind, edge,
-        # failure round); a fail or recover names its own round last.
-        self.due = {(ev.round, "fail", ev.edge, ev.round) for ev in config.failures}
-        self.due.update((rnd, "fail_notify", edge, fail_round)
-                        for (edge, fail_round), rnd in self.notified_in.items()
-                        if rnd <= config.horizon)
-        self.due.update((ev.round, "recover", ev.edge, ev.round) for ev in config.recoveries)
-
-    def check(self, kind: str, rnd: int, edge: str, fail_round=None):
-        """Check a fail, fail_notify or recover event and apply it."""
-        if kind == "fail_notify":
-            if self.notified_in.get((edge, fail_round)) != rnd:
-                raise ParseError(
-                    f"fail_notify in round {rnd} of a failure of edge {edge!r} in round "
-                    f"{fail_round}, which the scenario does not notify in that round")
-            if (rnd, kind, edge, fail_round) not in self.due:
-                raise ParseError(f"fail_notify in round {rnd} of the failure of edge {edge!r} "
-                                 f"in round {fail_round} is repeated")
-            self.due.remove((rnd, kind, edge, fail_round))
-            return
-        self.due.discard((rnd, kind, edge, rnd))
-        if kind == "fail":
-            if (edge, rnd) not in self.notified_in:
-                raise ParseError(f"fail of edge {edge!r} in round {rnd}, which is not in "
-                                 "the scenario's failures")
-            if edge in self.failed:
-                raise ParseError(f"fail of edge {edge!r} in round {rnd}, which is already failed")
-            self.failed[edge] = rnd
-        else:
-            if (edge, rnd) not in self.recoveries:
-                raise ParseError(f"recover of edge {edge!r} in round {rnd}, which is not in "
-                                 "the scenario's recoveries")
-            if self.failed.pop(edge, None) is None:
-                raise ParseError(f"recover of edge {edge!r} in round {rnd}, which is not failed")
-
-    def check_reroute(self, pid: int, edge: str, fail_round):
-        failed_in = self.failed.get(edge)
-        if failed_in is None:
-            raise ParseError(f"reroute of packet {pid} at {edge!r}, which is not failed")
-        if type(fail_round) is not int or fail_round != failed_in:
-            raise ParseError(
-                f"reroute of packet {pid} at {edge!r} names a failure in round "
-                f"{fail_round!r}; {edge!r} last failed in round {failed_in}")
-
-    def check_complete(self):
-        """Refuse the trace if a scheduled fault event was never read."""
-        if self.due:
-            rnd, kind, edge, fail_round = min(self.due)
-            of = f" of its failure in round {fail_round}" if kind == "fail_notify" else ""
-            raise ParseError(f"trace has no {kind} of edge {edge!r} in round {rnd}{of}, "
-                             "which the scenario schedules")
-
-
-def _check_unmoving_event(ev: tuple, edges, groups: dict[int, bool], faults: _Faults):
-    """Check an event that moves no packet against the network, the groups
-    and the fault schedule.
-
-    ``groups`` maps each created group to whether it is still to be
-    annihilated; it and ``faults`` are updated by the event.
-    """
-    kind, rnd = ev[0], ev[1]
-    if kind == "group":
-        _, _, gid, edge, _pid, members = ev
-        if type(gid) is not int:
-            raise ParseError(f"group event with group id {gid!r}")
-        if gid in groups:
-            raise ParseError(f"group {gid} is created twice")
-        if not (type(edge) is str and edge in edges):
-            raise ParseError(f"group {gid} stalls at {edge!r}, which is not in the network")
-        if not (members and _is_path(members, edges)):
-            raise ParseError(f"group {gid} holds {members!r}, not a path of network edges")
-        groups[gid] = True
-    elif kind == "annihilate":
-        _, _, gid, how = ev
-        if type(gid) is not int:
-            raise ParseError(f"annihilate event with group id {gid!r}")
-        if not groups.get(gid):
-            state = "already annihilated" if gid in groups else "never created"
-            raise ParseError(f"annihilate of group {gid}, which is {state}")
-        if how != VOLUNTARY and how != FORCED:
-            raise ParseError(
-                f"annihilate of group {gid} as {how!r}, not {VOLUNTARY!r} or {FORCED!r}")
-        groups[gid] = False
-    else:  # fail, fail_notify or recover
-        edge = ev[2]
-        if not (type(edge) is str and edge in edges):
-            raise ParseError(f"{kind} of edge {edge!r}, which is not in the network")
-        if kind == "fail_notify" and not (type(ev[3]) is int and 1 <= ev[3] <= rnd):
-            raise ParseError(
-                f"fail_notify in round {rnd} of a failure in round {ev[3]!r}")
-        faults.check(*ev)
 
 
 def _check_totals(net: dict[int, int], q_totals, horizon: int):

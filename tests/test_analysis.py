@@ -4,13 +4,12 @@ import multiprocessing
 import os
 import pickle
 import random
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, _ScriptReserve, count_rerouted,
+from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
                             strongly_connected, sweep)
@@ -211,6 +210,17 @@ def test_gen_with_failures_keeps_reroutes_possible():
     assert injections_after_notification(trace) == []
 
 
+def test_gen_random_fails_at_most_every_edge():
+    # A 2-node network has two edges, neither removable alone: two failures
+    # twin both, and a third is refused before any is drawn.
+    cfg = gen_random_scenario(5, rate=HALF, burst=2, delay=2, tau=1, policy="FIFO",
+                              horizon=40, nodes=(2, 2), failures=2)
+    assert len(cfg.failures) == 2 and len(cfg.network.edges) == 4
+    with pytest.raises(ScenarioError, match="3 failures asked of a network of 2 edges"):
+        gen_random_scenario(5, rate=HALF, burst=2, delay=2, tau=1, policy="FIFO",
+                            horizon=40, nodes=(2, 2), failures=3)
+
+
 def test_greedy_driver_is_deterministic():
     net = random_network(__import__("random").Random(3), 4, 6)
     cfg = ScenarioConfig(network=net, adversary=AdversaryType(HALF, 2, 2),
@@ -243,42 +253,6 @@ def test_greedy_driver_whole_tokens_keep_the_truncating_scripts(monkeypatch):
                         lambda self, edge: int(self.level(edge)))
     assert sweep() == floored
     assert sum(map(len, floored)) > 27 * 1000
-
-
-def scripted_kept(cfg, trace):
-    """Whether every scripted injection of ``cfg`` was made in ``trace``."""
-    made = Counter((ev[1], ev[3]) for ev in trace.events if ev[0] == "inject")
-    return not Counter((inj.round, inj.path) for inj in cfg.injections) - made
-
-
-def test_greedy_driver_leaves_a_script_its_tokens():
-    # A driver sizing its injections from the levels alone aborts this run
-    # in round 3: in round 2 it spends a token on e003 that the two round-3
-    # scripted injections need.
-    cfg = gen_random_scenario(11, rate=Fraction(3, 4), burst=2, delay=3, tau=2,
-                              policy="FTG", horizon=600, nodes=(5, 8),
-                              stall_density=0.1, failures=2)
-    cfg = replace(cfg, injections=cfg.injections[:40])
-    trace = Engine(cfg, driver=GreedyDriver(7)).run()
-    assert scripted_kept(cfg, trace)
-    assert sum(ev[0] == "inject" for ev in trace.events) > 2 * len(cfg.injections)
-
-
-@pytest.mark.parametrize("script", [
-    (Injection(1, ("ab",)),),
-    (Injection(2, ("ab",)), Injection(2, ("ab",))),
-    (Injection(3, ("ab",)), Injection(3, ("ab",)), Injection(4, ("ab",))),
-], ids=["same-round", "next-round", "two-rounds-on"])
-def test_greedy_driver_spends_no_token_a_later_script_needs(script):
-    # One edge at rate 1, burst 2: the level is 1 in round 1 and 2 from
-    # round 2 on, exactly what each script spends when the driver leaves it.
-    net = Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ba", "b", "a")])
-    cfg = ScenarioConfig(network=net, adversary=AdversaryType(ONE, 2, 1),
-                         policy="FIFO", horizon=6, injections=script)
-    for seed in range(20):
-        trace = Engine(cfg, driver=GreedyDriver(seed, inject_prob=1.0, max_path_len=1,
-                                                max_burst=2)).run()
-        assert scripted_kept(cfg, trace), seed
 
 
 def v1_scenario_hash(config):
@@ -396,7 +370,6 @@ class OracleGreedyDriver:
         self.inject_prob = inject_prob
         self.max_path_len = max_path_len
         self.max_burst = max_burst
-        self._reserve = None
 
     def __call__(self, engine, rnd):
         if self.rng.random() >= self.inject_prob:
@@ -406,17 +379,9 @@ class OracleGreedyDriver:
         if path is None:
             return []
         want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
-        config = engine.config
-        if config.enforce_buckets:
+        if engine.config.enforce_buckets:
             whole_tokens = engine.buckets.whole_tokens
-            if config.injections:
-                reserve = self._reserve
-                if reserve is None or reserve.script is not config.injections:
-                    reserve = self._reserve = _ScriptReserve(config)
-                afford = min(whole_tokens(edge) - reserve.tokens(edge, rnd)
-                             for edge in path)
-            else:
-                afford = min((whole_tokens(edge) for edge in path), default=0)
+            afford = min((whole_tokens(edge) for edge in path), default=0)
             want = min(want, max(0, afford))
         if want < 1:
             return []
@@ -435,26 +400,22 @@ def driven_rounds(cfg, driver):
     return rounds, Engine(cfg, driver=record).run()
 
 
-@pytest.mark.parametrize("scripted", [False, True], ids=["co-run", "beside-a-script"])
-def test_greedy_driver_injects_as_the_oracle_does(scripted):
+def test_greedy_driver_injects_as_the_oracle_does():
+    # Co-runs as gen_random_scenario makes them: the driver's injections
+    # are the only ones.
     seen_failures = bursts = 0
     for seed in range(6):
         cfg = gen_random_scenario(seed, rate=Fraction(3, 4), burst=3, delay=2, tau=2,
                                   policy="FTG", horizon=500, nodes=(4, 8),
                                   failures=2)
-        if scripted:
-            # No stalls: an annihilation could leave the script short.
-            cfg = replace(cfg, injections=cfg.injections[:60], stalls={},
-                          annihilation_delays={})
-        else:
-            cfg = replace(cfg, injections=())
+        cfg = replace(cfg, injections=())
         args = (seed + 77, 0.8, 5, 3)
         got, trace = driven_rounds(cfg, GreedyDriver(*args))
         want, _ = driven_rounds(cfg, OracleGreedyDriver(*args))
         assert got == want, seed
         seen_failures += sum(1 for _rnd, visible, out in got if visible and out)
         bursts += sum(1 for _rnd, _visible, out in got if len(out) > 1)
-        assert sum(ev[0] == "inject" for ev in trace.events) > len(cfg.injections)
+        assert sum(ev[0] == "inject" for ev in trace.events) > 0
     assert seen_failures > 100 and bursts > 100
 
 

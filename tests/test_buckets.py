@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqsim.buckets import FORCED, VOLUNTARY, AdversaryType, BucketSystem
+from aqsim.buckets import FORCED, VOLUNTARY, AdversaryType, BucketSystem, annihilation
 from aqsim.errors import ContractViolation, ScenarioError
 
 HALF = Fraction(1, 2)
@@ -165,6 +165,23 @@ def test_forced_expiry_lands_delay_rounds_later():
     assert sys.round == 4
     assert [(how, g.gid) for how, g in fired] == [(FORCED, group.gid)]
     assert group.annihilated_at == 4
+
+
+@pytest.mark.parametrize("delay, manner", [(0, VOLUNTARY), (1, VOLUNTARY), (2, VOLUNTARY),
+                                           (3, FORCED)], ids=["d0", "d1", "d2", "delta"])
+def test_groups_annihilate_as_the_rule_says(delay, manner):
+    # With delta 3, a stall in round 2 with delay d annihilates its group in
+    # round 2 + d, forced exactly when d is delta.
+    assert annihilation(2, delay, 3) == (2 + delay, manner)
+    sys = make(delay=3)
+    sys.tick()
+    sys.tick()
+    group, fired = sys.register_stall("e1", ("e1", "e2"), packet_id=0, delay_choice=delay)
+    while sys.round < 2 + delay:
+        sys.tick()
+        fired += sys.tick_antitokens()
+    assert [(how, g.gid) for how, g in fired] == [(manner, group.gid)]
+    assert group.annihilated_at == 2 + delay
 
 
 def test_tick_antitokens_without_groups_is_noop():

@@ -15,6 +15,7 @@ from aqsim.cli import build_parser, main
 from aqsim.engine import ScenarioConfig
 from aqsim.netmodel import Edge, Network
 from aqsim.scenario_io import load_scenario, load_trace, save_scenario, trace_digest
+from test_scenario_io import SCHEDULE_EDITS
 from trace_lines import event_line, first_event, is_event_line, line_event
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -155,13 +156,14 @@ def test_run_horizon_before_a_promoted_failure_exits_3(tmp_path, capsys):
 
 # Digests of gen random runs of 2 000 rounds on 8 nodes, recorded with
 # version 1 scenario files: a run from a saved scenario must not change.
+# Each is the digest of the version 6 run with its group events removed.
 PINNED_RUNS = [
-    (101, 0, "a9756fbc1b61cbf339025f3aa6360bfa08e9892e6aaf575968ff08ff7b2b32da"),
-    (102, 0, "576f965f824690a5fb9e6fbbb78cf3d407a37d5a4f0ece5e3862c86130ada154"),
-    (103, 0, "38e53ff5ca2e5b5d6b313100ea4509bfd5c72143ae452b2491485ccef1bf37e3"),
-    (201, 2, "424b8386c58fd2e25fdb432a6b09d04c0217544d21663c65a1469f6105d471ac"),
-    (202, 2, "e6ed551940899637e031b63c8e91beb5e4aa58b71d4a9fbd279a592417581d8e"),
-    (203, 2, "bc04a9dab4be18f995ebad479be07a8d82cef6998057db1c5a3db9256f64b928"),
+    (101, 0, "ac6c4eeacfce69980488bd3b2244bdbec777fa320170b6fadb80aaa53546b915"),
+    (102, 0, "9ebf9c82bc5c02e801abfeef8cea9d9bb9ef62cd69d201c9523e7a2efb4631da"),
+    (103, 0, "e360f9e8d389c3a5248a88aedf4ecb89158204988001fde1512a02e329f4f44f"),
+    (201, 2, "66b66c74a9a18fbfcd31d3ae74a04b6b7a3724b0c664b5f81cf8ccd033eee4bb"),
+    (202, 2, "a23815585fe09068a23d11f457124b250c470c7de095e9965775aaf04d1ba277"),
+    (203, 2, "42c5c828c5bfd4c2f13a144c244c2b1b723843550d5fa26d20d80cfb3f2b299e"),
 ]
 
 
@@ -202,10 +204,10 @@ def after_first(kind, make):
     return apply
 
 
+# A stall creates its antitoken group, so the group cases edit a stall.
 @pytest.mark.parametrize("apply", [
-    edit_first("group", lambda ev: ev[:3] + ["zz"] + ev[4:]),
-    edit_first("group", lambda ev: ev[:5] + [3]),
-    edit_first("group", lambda ev: ev[:2] + ["g"] + ev[3:]),
+    edit_first("stall", lambda ev: ev[:2] + ["zz"] + ev[3:]),
+    edit_first("stall", lambda ev: ev[:4] + [ev[4] + 1]),
     edit_first("stall", lambda ev: ev[:4] + [None]),
     edit_first("annihilate", lambda ev: ev[:2] + [10 ** 6, ev[3]]),
     edit_first("annihilate", lambda ev: ev[:3] + ["eventually"]),
@@ -213,9 +215,7 @@ def after_first(kind, make):
     edit_first("fail_notify", lambda ev: ev[:2] + ["zz", ev[3]]),
     edit_first("fail_notify", lambda ev: ev[:3] + [ev[1] + 1]),
     edit_first("inject", lambda ev: ev[:4] + [[7]]),
-    edit_first("group", lambda ev: ev[:4] + [999999, ev[5]]),
-    edit_first("group", lambda ev: ev[:5] + [ev[5] + ev[5]]),
-    drop_first("group"),
+    edit_first("stall", lambda ev: ev[:3] + [999999, ev[4]]),
     drop_first("stall"),
     edit_first("reroute", lambda ev: ev[:6] + [[["x"]]]),
     edit_first("reroute", lambda ev: ev[:6] + [ev[6] - 1]),
@@ -225,10 +225,10 @@ def after_first(kind, make):
     edit_first("fail", lambda ev: ev[:2] + ["e000"]),
     edit_first("fail_notify", lambda ev: ev[:3] + [ev[3] - 1]),
     after_first("fail_notify", lambda ev: ev),
-], ids=["group-edge", "group-members", "group-id", "stall-group", "annihilate-unknown",
+], ids=["group-edge", "group-id", "stall-group", "annihilate-unknown",
         "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
-        "inject-priority", "group-packet", "group-members-not-remaining", "stall-without-group",
-        "group-without-stall", "reroute-failure-round-not-a-round",
+        "inject-priority", "group-packet", "group-without-stall",
+        "reroute-failure-round-not-a-round",
         "reroute-other-failure-round", "reroute-at-live-edge", "fail-of-failed-edge",
         "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure",
         "fail-notify-repeated"])
@@ -238,6 +238,17 @@ def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
     apply(lines)
     trace.write_text("\n".join(lines) + "\n")
     assert_every_reader_exits_2(trace)
+
+
+@pytest.mark.parametrize("saved, edit, message", SCHEDULE_EDITS)
+def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, saved, edit,
+                                                           message):
+    path, lines = saved(tmp_path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert_every_reader_exits_2(path)
+    assert capsys.readouterr().err.count(f"parse error: {message}\n") == len(CHECK_MODES) + 1
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -427,8 +438,10 @@ def test_run_rejects_a_non_positive_probe_parameter(tmp_path, capsys, option, va
     (["--r", "0/0"], 2, "parse error: bad rational '0/0'"),
     (["--delta", "-1"], 3, "model violation: feedback delay must be a positive integer"),
     (["--failures", "-1"], 3, "model violation: failures must be >= 0"),
+    (["--nodes-min", "2", "--nodes-max", "2", "--failures", "3"], 3,
+     "model violation: 3 failures asked of a network of 2 edges"),
 ], ids=["node-range", "tau", "tau-prime", "horizon", "rate", "rate-zero-denominator",
-        "delta", "failures"])
+        "delta", "failures", "failures-beyond-edges"])
 def test_bad_gen_random_argument_exits_without_a_traceback(tmp_path, capsys, args, code,
                                                            message):
     out = tmp_path / "scenario.json"

@@ -51,9 +51,10 @@ def test_trivial_packet_absorbs_the_round_it_is_injected():
 
 
 def test_stalled_packet_waits_one_round_and_leaves_a_group():
-    trace = run(two_node(injections=(Injection(1, ("ab",)),), stalls={"ab": {1}}))
+    engine = Engine(two_node(injections=(Injection(1, ("ab",)),), stalls={"ab": {1}}))
+    trace = engine.run()
     assert trace.events_of("stall") == [("stall", 1, "ab", 0, 0)]
-    assert trace.events_of("group") == [("group", 1, 0, "ab", 0, ("ab",))]
+    assert engine.buckets.groups[0].edges == ("ab",)
     assert trace.events_of("absorb") == [("absorb", 2, 0)]
     assert trace.q_totals[0] == 1
 
@@ -61,18 +62,17 @@ def test_stalled_packet_waits_one_round_and_leaves_a_group():
 def test_stall_mid_path_covers_only_unfinished_edges():
     cfg = line(3, injections=(Injection(1, ("e0", "e1", "e2")),),
                stalls={"e1": {2}})
-    trace = run(cfg)
-    groups = trace.events_of("group")
-    assert len(groups) == 1
-    _, rnd, _gid, edge, pid, edges = groups[0]
-    assert (rnd, edge, pid) == (2, "e1", 0)
-    assert edges == ("e1", "e2")  # e0 was already crossed
+    engine = Engine(cfg)
+    trace = engine.run()
+    assert trace.events_of("stall") == [("stall", 2, "e1", 0, 0)]
+    assert engine.buckets.groups[0].edges == ("e1", "e2")  # e0 was already crossed
 
 
 def test_scheduled_stall_on_empty_queue_is_silent():
-    trace = run(two_node(stalls={"ab": {1, 2, 3}}))
+    engine = Engine(two_node(stalls={"ab": {1, 2, 3}}))
+    trace = engine.run()
     assert trace.events_of("stall") == []
-    assert trace.events_of("group") == []
+    assert engine.buckets.groups == {}
 
 
 def test_horizon_zero_gives_empty_trace():
@@ -479,6 +479,82 @@ def test_promoted_failures_join_the_scripted_ones():
     # A run of tau stalls ending at the horizon promotes nothing.
     assert detour_cfg(failures=(), stalls={"bz": {9, 10}}, tau=2,
                       promote_after_tau=True).failures == ()
+
+
+def mixed_fault_schedule():
+    """bz fails in round 1 and recovers in round 3, when its notification is
+    due; cz fails in round 3, notified in 5, and recovers in 9; bz fails
+    again in round 6, notified in 7; ab fails in round 9, notified only
+    after the horizon. Failures are listed out of round order."""
+    return detour_cfg(horizon=10, tau_prime=3, injections=(),
+                      failures=(FailureEvent("cz", 3, 2), FailureEvent("bz", 1, 2),
+                                FailureEvent("bz", 6, 1), FailureEvent("ab", 9, 2)),
+                      recoveries=(RecoveryEvent("bz", 3), RecoveryEvent("cz", 9)))
+
+
+def test_fault_events_are_listed_in_write_order():
+    # Per round: recoveries, failures, then the notifications due.
+    assert mixed_fault_schedule().fault_events() == [
+        ("fail", 1, "bz"),
+        ("recover", 3, "bz"), ("fail", 3, "cz"), ("fail_notify", 3, "bz", 1),
+        ("fail_notify", 5, "cz", 3),
+        ("fail", 6, "bz"),
+        ("fail_notify", 7, "bz", 6),
+        ("recover", 9, "cz"), ("fail", 9, "ab"),
+    ]
+
+
+def test_notified_windows_run_from_notification_to_recovery():
+    # bz's first failure recovers as it is notified and ab's is notified
+    # after the horizon: neither is ever visible.
+    assert mixed_fault_schedule().notified_windows() == {("cz", 3): (5, 9), ("bz", 6): (7, 11)}
+
+
+FAULT_KINDS = ("fail", "recover", "fail_notify")
+
+
+def scheduled_runs():
+    """Configs whose fault and feedback events the scenario fixes: the
+    benchmark's gadget shapes, its held-out shape, promoted failures,
+    generated scenarios with two failures and random annihilation delays
+    in [0, delta], and one stall per delay 0, 1 and delta."""
+    for branches, cycles in ((2, 90), (3, 62), (4, 48)):
+        yield rerouting_gadget(branches=branches, burst=10, fail_duration=10,
+                               cycles=cycles).config
+    yield rerouting_gadget(branches=3, burst=12, fail_duration=12, cycles=54).config
+    # Packet 0 stalls at bz in rounds 2 and 3, so bz fails in round 4 and
+    # the packet re-routes when that is notified, in round 6.
+    yield detour_cfg(failures=(), stalls={"bz": {2, 3}}, tau=2, tau_prime=2,
+                     promote_after_tau=True, recoveries=(RecoveryEvent("bz", 9),))
+    for seed in (201, 202, 203):
+        yield gen_random_scenario(seed, rate=Fraction(9, 10), burst=4, delay=2, tau=2,
+                                  policy="FTG", horizon=500, nodes=(8, 8), failures=2)
+    yield line(2, horizon=10, adversary=AdversaryType(ONE, 4, 3),
+               injections=tuple(Injection(r, ("e0", "e1")) for r in (1, 2, 3)),
+               stalls={"e1": {2, 3, 4}},
+               annihilation_delays={("e1", 2): 0, ("e1", 3): 1, ("e1", 4): 3},
+               enforce_buckets=False)
+
+
+def test_fault_and_feedback_events_are_the_scenarios():
+    delays_seen = set()
+    promoted_seen = False
+    for cfg in scheduled_runs():
+        trace = run(cfg)
+        faults = [ev for ev in trace.events if ev[0] in FAULT_KINDS]
+        assert faults == cfg.fault_events()
+        promoted_seen |= ("reroute", 6, 0, ("bz",), ("bc", "cz"), "bz", 4) in trace.events
+        # A stall in round t with delay d annihilates in t + d, forced when
+        # d is delta; each group once.
+        delta = cfg.adversary.delay
+        expected = []
+        for _, rnd, edge, _pid, gid in trace.events_of("stall"):
+            d = cfg.annihilation_delays.get((edge, rnd), delta)
+            expected.append(("annihilate", rnd + d, gid, "forced" if d == delta else "voluntary"))
+            delays_seen.add("delta" if d == delta else d)
+        assert sorted(trace.events_of("annihilate")) == sorted(expected)
+    assert delays_seen == {0, 1, "delta"}
+    assert promoted_seen
 
 
 def test_injection_after_a_promoted_failure_is_refused_before_round_1():
@@ -935,6 +1011,7 @@ def load_time_refusals():
         before_the_totals(["transmit", 11, "ab", 0]),
         as_version(4),
         as_version(5),
+        as_version(6),
     ]
 
     def set_in(keys, value):
@@ -993,17 +1070,19 @@ LOAD_TIME_REFUSALS = [
     ("ScenarioError", "round 3: injection routed over 'ab' after its failure notification"),
     ("ScenarioError", "edge 'bz' fault events must alternate failure/recovery"),
     ("ScenarioError", "annihilation delay for (ab, 3), which is not a stall round"),
-    ("ParseError", "line 6: reroute of packet 0 at 'bz' names a failure in round (('x',),); "
-                   "'bz' last failed in round 1"),
-    ("ParseError", "line 2: fail of edge 'cz' in round 1, which is not in the scenario's "
-                   "failures"),
-    ("ParseError", "line 5: fail_notify in round 2 of a failure of edge 'bz' in round 2, "
-                   "which the scenario does not notify in that round"),
-    ("ParseError", "line 6: fail_notify in round 2 of the failure of edge 'bz' in round 1 "
-                   "is repeated"),
+    ("ParseError", "line 6: reroute of packet 0 at 'bz' in round 2 names a failure in round "
+                   "(('x',),), which the scenario never makes visible"),
+    ("ParseError", "line 2: fail of edge 'cz' in round 1, where the scenario's next fault "
+                   "event is the fail of edge 'bz' in round 1"),
+    ("ParseError", "line 5: fail_notify of edge 'bz' in round 2 of its failure in round 2, "
+                   "where the scenario's next fault event is the fail_notify of edge 'bz' in "
+                   "round 2 of its failure in round 1"),
+    ("ParseError", "line 6: fail_notify of edge 'bz' in round 2 of its failure in round 1, "
+                   "after the scenario's last fault event"),
     ("ParseError", "line 10: transmit event of round 11, after the horizon 10"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v4"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v5"),
+    ("ParseError", "unsupported trace format 'aqsim-trace' v6"),
     ("ParseError", "run.horizon: expected int, got '10'"),
     ("ParseError", "unsupported scenario format v1: the document has no version; v2 is read"),
     ("ParseError", "injections.path[0]: 1 is not an index of the 1 paths"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aqsim import feedback, reduction
 from aqsim.buckets import AdversaryType
-from aqsim.engine import Injection, ScenarioConfig, run
+from aqsim.engine import Engine, Injection, ScenarioConfig, run
 from aqsim.errors import ModelViolation
 from aqsim.feedback import (DelayedCountTrace, InjectionTrace, ReactiveTrace,
                             StallTrace, check_admissibility,
@@ -48,11 +48,11 @@ def test_stall_trace_matches_group_creations():
                    injections=(Injection(1, ("ab",)), Injection(2, ("ab",)),
                                Injection(4, ("ab",))),
                    stalls={"ab": {2, 4, 7}})
-    trace = run(cfg)
+    engine = Engine(cfg)
+    trace = engine.run()
     stalls = derive_stall_trace(trace)
-    from_groups = sorted(rnd for _, rnd, _gid, _e, _p, _edges in
-                         trace.events_of("group"))
-    assert stalls.rounds["ab"] == from_groups
+    from_groups = sorted(group.stall_round for group in engine.buckets.groups.values())
+    assert stalls.rounds["ab"] == from_groups == [2, 4]
 
 
 def test_forced_expiry_schedule():
