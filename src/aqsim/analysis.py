@@ -266,24 +266,26 @@ class GreedyDriver:
             return []
         # A random walk of 1..max_path_len hops from a random node, over
         # distinct links with no visible failure; it stops where none is left.
-        net, avoid, choice = engine.net, engine.visible_failed, rng.choice
-        out_edges, edges = net.out_edges, net.edges
-        node = choice(net.sorted_nodes)
-        hops = rng.randint(1, self.max_path_len)
+        # ``below(n)`` is the draw behind ``rng.choice`` of n options and
+        # ``rng.randint(1, n) - 1``, called directly.
+        net, avoid, below = engine.net, engine.visible_failed, rng._randbelow
+        out_edges, edges, nodes = net.out_edges, net.edges, net.sorted_nodes
+        node = nodes[below(len(nodes))]
+        hops = 1 + below(self.max_path_len)
         options = [e for e in out_edges[node] if e not in avoid] if avoid else out_edges[node]
         if not options:
             return []
-        eid = choice(options)
+        eid = options[below(len(options))]
         path = [eid]
         for _ in range(hops - 1):
             options = [e for e in out_edges[edges[eid].head] if e not in path and e not in avoid]
             if not options:
                 break
-            eid = choice(options)
+            eid = options[below(len(options))]
             path.append(eid)
         path = tuple(path)
         max_burst = self.max_burst
-        want = rng.randint(1, max_burst) if max_burst > 1 else 1
+        want = 1 + below(max_burst) if max_burst > 1 else 1
         if engine.config.enforce_buckets:
             # Whole tokens floor the level where int() of the Fraction would
             # truncate it; the two differ only below zero, and max(0, ...)

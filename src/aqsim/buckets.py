@@ -126,39 +126,47 @@ class BucketSystem:
     def levels(self) -> dict[str, Fraction]:
         return {e: self.level(e) for e in sorted(self._lvl)}
 
-    def tick(self):
+    def tick(self) -> bool:
         """Advance one round; every bucket gains the rate, clamped at burst.
+        Returns whether some antitoken group is due in the new round.
 
         Must run once per round before any other bucket operation.
         """
         self.round += 1
+        return self.round in self._due
 
     # -- injection ---------------------------------------------------------
-
-    def can_afford(self, demand: dict[str, int]) -> str | None:
-        """First edge (in demand order) that cannot cover its token count."""
-        for edge, count in demand.items():
-            if count > 0 and self._accrue(edge) < count * self._den:
-                return edge
-        return None
 
     def inject(self, paths) -> InjectionResult:
         """Atomically buy tokens for a batch of packet paths.
 
         For each edge, the number of requested packets crossing it must
         not exceed the bucket level; on refusal nothing is deducted and
-        the first insufficient edge is reported. Refusal is a normal
-        outcome for an adversary driver, not an error.
+        the first insufficient edge, in order of first appearance, is
+        reported. Refusal is a normal outcome for an adversary driver, not
+        an error.
         """
         demand: dict[str, int] = {}
         for path in paths:
             for edge in path:
                 demand[edge] = demand.get(edge, 0) + 1
-        short = self.can_afford(demand)
-        if short is not None:
-            return InjectionResult(False, short)
+        lvl, touched, now = self._lvl, self._touched, self.round
+        num, den, cap = self._num, self._den, self._cap
         for edge, count in demand.items():
-            self._lvl[edge] -= count * self._den
+            # _accrue, inline.
+            last = touched[edge]
+            if last == now:
+                level = lvl[edge]
+            else:
+                level = lvl[edge] + num * (now - last)
+                if level > cap:
+                    level = cap
+                lvl[edge] = level
+                touched[edge] = now
+            if level < count * den:
+                return InjectionResult(False, edge)
+        for edge, count in demand.items():
+            lvl[edge] -= count * den
         return _AFFORDED
 
     # -- antitokens ----------------------------------------------------------
@@ -204,10 +212,6 @@ class BucketSystem:
             raise ContractViolation(
                 f"group {gid} must be force-expired, value is no longer positive")
         return self._annihilate(group, VOLUNTARY)
-
-    def is_due(self, rnd: int) -> bool:
-        """Whether some group is scheduled to annihilate in round ``rnd``."""
-        return rnd in self._due
 
     def tick_antitokens(self):
         """Fire every group whose scheduled or forced round is now.

@@ -30,6 +30,12 @@ per-round marker event. The engine writes only the events and the queue
 totals; per-edge queue lengths and the per-packet records are derived
 from the events on demand.
 
+One loop, ``Engine._rounds``, runs the pipeline over a span of rounds. It
+binds the run's state to locals once per call and runs steps 2, 3, 5 and
+8 itself; steps 1, 4, 6 and 7 are methods it calls in the rounds they
+have work. The engine owns the next round: ``step`` runs exactly that
+round, and ``run`` runs from it to the horizon, then the drain rounds.
+
 The fault schedule is the config's ``failures`` and ``recoveries``, those
 ``promote_after_tau`` adds included. ``ScenarioConfig.fault_events`` is
 the one list of the fail, recover and fail_notify events they make, in
@@ -53,8 +59,8 @@ from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .buckets import AdversaryType, BucketSystem
-from .errors import ModelViolation, ScenarioError
+from .buckets import _AFFORDED, AdversaryType, BucketSystem
+from .errors import ContractViolation, ModelViolation, ScenarioError
 from .netmodel import Network, Packet, shortest_path_avoiding, validate_path
 # select_packet is imported, though unused here, so that perfbench's tracer
 # finds it where it looks for it (aqsim.engine.select_packet).
@@ -422,9 +428,10 @@ class ExecutionTrace:
 class Engine:
     """One deterministic execution; single-threaded by contract.
 
-    ``run`` drives the round pipeline over the whole horizon and the drain
-    rounds. ``step`` is the public per-round entry: it runs the next round
-    and returns the events that round appended. A driver, called as
+    ``run`` drives the round pipeline from the next round to the horizon,
+    then the drain rounds. ``step`` is the public per-round entry: it runs
+    the next round, and only that one, and returns the events that round
+    appended. A driver, called as
     ``driver(engine, rnd)`` in the injection phase, returns the round's
     extra injections, after the scripted ones.
     """
@@ -447,6 +454,7 @@ class Engine:
         self.visible_failed: set[str] = set()
         self._active_failure: dict[str, int] = {}
         self._packets: dict[int, Packet] = {}
+        self._next_round = 1
         self._next_pid = 0
         self._injected = 0
         self._absorbed = 0
@@ -499,52 +507,13 @@ class Engine:
             if edge in self.failed and self._active_failure.get(edge) == fail_round:
                 self.visible_failed.add(edge)
 
-    def _inject(self, rnd: int):
-        requests = self._injections_by_round.get(rnd, ())
-        if self.driver is not None:
-            driven = self.driver(self, rnd)
-            if driven:
-                requests = [*requests, *driven]
-        if not requests:
-            return
-        visible = self.visible_failed
-        if visible:
-            for inj in requests:
-                for edge in inj.path:
-                    if edge in visible:
-                        raise ScenarioError(
-                            f"round {rnd}: injection routed over {edge!r} after its "
-                            "failure notification", round=rnd, edge=edge)
-        if self.config.enforce_buckets:
-            result = self.buckets.inject([inj.path for inj in requests])
-            if not result:
-                raise ScenarioError(
-                    f"round {rnd}: buckets cannot afford the scripted injections, "
-                    f"edge {result.insufficient_edge!r} is short",
-                    round=rnd, edge=result.insufficient_edge)
-        packets, queues, key = self._packets, self.queues, self._key
-        append = self.trace.events.append
-        for inj in requests:
-            pid = inj.id
-            if pid is None:
-                pid = self._next_pid
-                self._next_pid += 1
-            pkt = Packet(pid, rnd, inj.path, inj.priority)
-            if pid in packets:
-                raise ScenarioError(f"duplicate packet id {pid}")
-            packets[pid] = pkt
-            path = pkt.path
-            heappush(queues.setdefault(path[0], []), (key(pkt), pkt))
-            append(("inject", rnd, pid, path, inj.priority))
-        self._injected += len(requests)
-
     def _transmit(self, rnd: int):
         queues, failed, append = self.queues, self.failed, self.trace.events.append
         stalled_edges = self._stalls_by_round.get(rnd, ())
-        slowness = self._slowness
+        slowness, key = self._slowness, self._key
         staged: list[Packet] = []
         absorbed = 0
-        for edge in sorted(queues):
+        for edge in sorted(queues) if len(queues) > 1 else [*queues]:
             if edge in failed:
                 continue
             queue = queues[edge]
@@ -557,9 +526,10 @@ class Engine:
                 for how, g in inline:
                     append(("annihilate", rnd, g.gid, how))
                 continue
-            heappop(queue)
-            if not queue:
+            if len(queue) == 1:
                 del queues[edge]
+            else:
+                heappop(queue)
             # A queued packet has an edge left, so this cannot overrun.
             pkt.idx += 1
             pkt.prev_slowness = slowness[edge]
@@ -573,9 +543,13 @@ class Engine:
         self._absorbed += absorbed
         # Arrivals join their next queue only now, so that no packet crosses
         # two links in one round.
-        key = self._key
         for pkt in staged:
-            heappush(queues.setdefault(pkt.path[pkt.idx], []), (key(pkt), pkt))
+            edge = pkt.path[pkt.idx]
+            queue = queues.get(edge)
+            if queue is None:
+                queues[edge] = [(key(pkt), pkt)]
+            else:
+                heappush(queue, (key(pkt), pkt))
 
     def _reroute_blocked(self, rnd: int):
         queues, edges, routes = self.queues, self.net.edges, self._routes
@@ -615,58 +589,113 @@ class Engine:
                     append(("absorb", rnd, pkt.id))
         self._absorbed += absorbed
 
-    def _round(self, rnd: int):
-        """Run one round's pipeline, appending its events to the trace.
+    def _rounds(self, first: int, last: int):
+        """Run rounds first..last of the horizon, each through the pipeline.
 
-        Phases are looked up on the engine each round, so an instance
-        attribute can stand in for one.
+        The run's state is bound to locals once per call; the packet-id and
+        injection counters live in locals too and are written back when the
+        call ends, also when a round raises (that round then counts as run).
         """
-        if rnd in self._faults_by_round:
-            self._apply_faults(rnd)
-        buckets = self.buckets
-        buckets.tick()
-        if buckets.is_due(rnd):
-            append = self.trace.events.append
-            for how, group in buckets.tick_antitokens():
-                append(("annihilate", rnd, group.gid, how))
-        if rnd in self._notify_by_round:
-            self._deliver_notifications(rnd)
-        if self.driver is not None or rnd in self._injections_by_round:
-            self._inject(rnd)
-        queues = self.queues
-        if queues:
-            self._transmit(rnd)
-        if self.visible_failed:
-            self._reroute_blocked(rnd)
-        total = sum(map(len, queues.values()))
-        self.trace.q_totals.append(total)
-        if self._injected != self._absorbed + total:
-            raise ModelViolation(
-                f"round {rnd}: packet conservation broken "
-                f"({self._injected} injected, {self._absorbed} absorbed, {total} queued)")
+        buckets, queues = self.buckets, self.queues
+        tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
+        append, total_of = self.trace.events.append, self.trace.q_totals.append
+        scripted, driver = self._injections_by_round, self.driver
+        faults, notifications = self._faults_by_round, self._notify_by_round
+        visible, packets, key = self.visible_failed, self._packets, self._key
+        enforce_buckets = self.config.enforce_buckets
+        next_pid, injected = self._next_pid, self._injected
+        rnd = first - 1
+        try:
+            for rnd in range(first, last + 1):
+                # 1-4: faults, bucket tick, antitoken countdown, notifications.
+                if rnd in faults:
+                    self._apply_faults(rnd)
+                if tick():
+                    for how, group in tick_antitokens():
+                        append(("annihilate", rnd, group.gid, how))
+                if rnd in notifications:
+                    self._deliver_notifications(rnd)
+                # 5: injections, the scripted ones first, bought atomically.
+                requests = scripted.get(rnd)
+                if driver is not None:
+                    driven = driver(self, rnd)
+                    if driven:
+                        requests = [*requests, *driven] if requests else driven
+                if requests:
+                    if visible:
+                        for inj in requests:
+                            for edge in inj.path:
+                                if edge in visible:
+                                    raise ScenarioError(
+                                        f"round {rnd}: injection routed over {edge!r} "
+                                        "after its failure notification", round=rnd, edge=edge)
+                    if enforce_buckets:
+                        result = buy([inj.path for inj in requests])
+                        if result is not _AFFORDED:
+                            raise ScenarioError(
+                                f"round {rnd}: buckets cannot afford the scripted "
+                                f"injections, edge {result.insufficient_edge!r} is short",
+                                round=rnd, edge=result.insufficient_edge)
+                    for _, path, priority, pid in requests:
+                        if pid is None:
+                            pid = next_pid
+                            next_pid += 1
+                        if pid in packets:
+                            raise ScenarioError(f"duplicate packet id {pid}")
+                        packets[pid] = pkt = Packet(pid, rnd, path, priority)
+                        path = pkt.path
+                        queue = queues.get(path[0])
+                        if queue is None:
+                            queues[path[0]] = [(key(pkt), pkt)]
+                        else:
+                            heappush(queue, (key(pkt), pkt))
+                        append(("inject", rnd, pid, path, priority))
+                    injected += len(requests)
+                # 6-7: selection, stall or transmission; re-routing.
+                if queues:
+                    self._transmit(rnd)
+                if visible:
+                    self._reroute_blocked(rnd)
+                # 8: the queue total and packet conservation.
+                total = sum(map(len, queues.values())) if queues else 0
+                total_of(total)
+                if injected != self._absorbed + total:
+                    raise ModelViolation(
+                        f"round {rnd}: packet conservation broken ({injected} injected, "
+                        f"{self._absorbed} absorbed, {total} queued)")
+        finally:
+            self._next_pid, self._injected = next_pid, injected
+            self._next_round = rnd + 1
 
     def step(self, rnd: int):
-        """Run one round; returns the events it appended to the trace.
+        """Run round ``rnd``, which must be the next one of the horizon;
+        returns the events it appended to the trace.
 
-        Rounds must be stepped in order from 1; the queues stay non-empty
+        Rounds run once each, in order from 1; the queues stay non-empty
         heaps between rounds, so an empty dict means nothing is queued.
         """
+        expected = self._next_round
+        if rnd != expected or rnd > self.config.horizon:
+            raise ContractViolation(
+                f"cannot step round {rnd}: the next round is {expected}, "
+                f"and the horizon is {self.config.horizon}")
         events = self.trace.events
         start = len(events)
-        self._round(rnd)
+        self._rounds(rnd, rnd)
         return events[start:]
 
     def run(self) -> ExecutionTrace:
-        round_ = self._round
-        for rnd in range(1, self.config.horizon + 1):
-            round_(rnd)
+        """Run from the next round to the horizon, then the drain rounds."""
+        horizon, last = self.config.horizon, self.config.last_round
+        self._rounds(self._next_round, horizon)
         # Drain phase: groups created near the horizon still annihilate so
         # every stall's feedback round is on record.
-        append = self.trace.events.append
-        for rnd in range(self.config.horizon + 1, self.config.last_round + 1):
-            self.buckets.tick()
-            for how, group in self.buckets.tick_antitokens():
+        append, buckets = self.trace.events.append, self.buckets
+        for rnd in range(self._next_round, last + 1):
+            buckets.tick()
+            for how, group in buckets.tick_antitokens():
                 append(("annihilate", rnd, group.gid, how))
+        self._next_round = last + 1
         return self.trace
 
 

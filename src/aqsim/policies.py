@@ -22,15 +22,16 @@ SPL_NFS = "SPL-NFS"  # slowest previous link, ties by NFS
 
 POLICY_NAMES = (FIFO, NTG, FTG, NFS, FFS, SIS, LIS, SPL_NFS)
 
+# A packet has crossed idx edges of its path and has len(path) - idx left.
 _KEYS = {
     FIFO: lambda p: (p.arrival_round, p.id),
-    NTG: lambda p: (p.remaining, p.id),
-    FTG: lambda p: (-p.remaining, p.id),
-    NFS: lambda p: (p.traversed, p.id),
-    FFS: lambda p: (-p.traversed, p.id),
+    NTG: lambda p: (len(p.path) - p.idx, p.id),
+    FTG: lambda p: (p.idx - len(p.path), p.id),
+    NFS: lambda p: (p.idx, p.id),
+    FFS: lambda p: (-p.idx, p.id),
     SIS: lambda p: (-p.injected_at, p.id),
     LIS: lambda p: (p.injected_at, p.id),
-    SPL_NFS: lambda p: (-p.prev_slowness, p.traversed, p.id),
+    SPL_NFS: lambda p: (-p.prev_slowness, p.idx, p.id),
 }
 
 

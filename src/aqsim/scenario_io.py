@@ -575,7 +575,8 @@ def _read_records(trace: ExecutionTrace, lines):
     must be well formed, in round order, by the horizon (an annihilate by
     the end of the drain rounds) and move a packet that is queued where the
     event says; ``ahead`` maps each injected packet to the edges it has
-    still to cross (``None`` once absorbed). An inject's priority must be
+    still to cross (``None`` once absorbed). A link transmits or stalls at
+    most once a round, its one selection. An inject's priority must be
     one of the policy's levels. The events the scenario determines are
     checked against it by equality: a stall must be in a round the
     scenario schedules for its edge, once, and creates the next group id
@@ -611,6 +612,7 @@ def _read_records(trace: ExecutionTrace, lines):
     notice = {ev[2:]: i for i, ev in enumerate(faults) if ev[0] == "fail_notify"}
     append = trace.events.append
     ahead: dict[int, tuple | None] = {}
+    selected: dict[str, int] = {}  # link -> the last round it transmitted or stalled in
     # Per group id, the (round, manner) of its annihilation, None once read.
     # Ids count the stalls from 0, so the next stall creates len(groups).
     groups: list[tuple[int, str] | None] = []
@@ -632,7 +634,8 @@ def _read_records(trace: ExecutionTrace, lines):
                 if (kind == "transmit" and type(rnd) is int and last_round <= rnd <= horizon
                         and type(pid) is int):
                     rest = ahead.get(pid)
-                    if rest and rest[0] == edge:
+                    if rest and rest[0] == edge and selected.get(edge) != rnd:
+                        selected[edge] = rnd
                         ahead[pid] = rest[1:]
                         last_round = rnd
                         append(("transmit", rnd, edge, pid))
@@ -774,6 +777,12 @@ def _read_records(trace: ExecutionTrace, lines):
                     raise ParseError(f"reroute of packet {pid} at {edge!r} before the "
                                      f"fail_notify of its failure in round {fail_round}")
                 ahead[pid] = new_suffix
+            if kind != "reroute":  # a transmit or a stall, the link's selection
+                if selected.get(edge) == rnd:
+                    raise ParseError(
+                        f"{kind} of packet {pid} at {edge!r} in round {rnd}, after the link "
+                        "already transmitted or stalled in that round")
+                selected[edge] = rnd
             append(ev)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None

@@ -344,6 +344,34 @@ def test_generator_draws_are_pinned(kwargs, digest):
     assert v1_scenario_hash(gen_random_scenario(kwargs.pop("seed"), **kwargs)) == digest
 
 
+# trace.digest() of the generator's co-run in the criterion-6 sweep, at its
+# 10 000 rounds, for its first three base seeds (their rates, bursts,
+# delays and tau cycle with the seed) under the three stable policies.
+CO_RUN_DIGESTS = {
+    (9001, "FTG"): "530c381960262b7935f1abae9918eee9c637c2d5c41502f8a9d39ccfe9b7288f",
+    (9001, "NFS"): "f230f4584ba57f4d4da98e4ec8d624a01452d6126858fe074964b9170ff33a5a",
+    (9001, "SIS"): "f230f4584ba57f4d4da98e4ec8d624a01452d6126858fe074964b9170ff33a5a",
+    (9002, "FTG"): "6da5a5e3f1eb5d37a3044385ca5b876d0c9f119b0a1247973bf83a118bf79b1f",
+    (9002, "NFS"): "788c978830e2239463c2bba96e97e05b513add70a20820bce012149eb6c4d63b",
+    (9002, "SIS"): "3a50f1ba50684070a3d5a02ec8262503c6523b8e3072b20bfb219af611cde8fb",
+    (9003, "FTG"): "ebfadc458da9df605e3948541a3b01a78ee273cbad56ae11b39ce346c2ce08ae",
+    (9003, "NFS"): "cdf1bb6057e8974ad0641e0b80aacfd0ae844bacba5e0ffde5046819d6a61bc3",
+    (9003, "SIS"): "a55a6be28aa9913d0b79f8f7c77cde52046206385b3ad7ce5aeebee57bdc10ed",
+}
+
+
+@pytest.mark.parametrize("base, policy", CO_RUN_DIGESTS,
+                         ids=[f"{base}-{policy}" for base, policy in CO_RUN_DIGESTS])
+def test_co_runs_at_sweep_scale_are_pinned(base, policy):
+    i = base - 9001
+    config, co_run = gen_random_scenario(
+        base, rate=(HALF, Fraction(3, 4), Fraction(9, 10))[i % 3], burst=(1, 2, 4)[i % 3],
+        delay=(1, 2, 4)[i % 3], tau=i % 2 + 1, policy=policy, horizon=10_000,
+        stall_density=0.02, inject_prob=0.25, with_trace=True)
+    assert co_run.digest() == CO_RUN_DIGESTS[base, policy]
+    assert run(config).digest() == CO_RUN_DIGESTS[base, policy]
+
+
 def oracle_simple_path(rng, net, avoid, max_len):
     """The reference walk: edge-distinct, 1..max_len hops, or None if stuck."""
     node = rng.choice(net.sorted_nodes)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,10 +13,10 @@ import pytest
 
 from aqsim.buckets import AdversaryType
 from aqsim.cli import build_parser, main
-from aqsim.engine import ScenarioConfig
+from aqsim.engine import Injection, ScenarioConfig
 from aqsim.netmodel import Edge, Network
 from aqsim.scenario_io import load_scenario, load_trace, save_scenario, trace_digest
-from test_scenario_io import SCHEDULE_EDITS
+from test_scenario_io import SCHEDULE_EDITS, SELECTION_EDITS, one_link_lines
 from trace_lines import event_line, first_event, is_event_line, line_event
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,11 +78,19 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
     # The extra packets are never absorbed, so the stored totals give it away.
     assert main(["check", str(trace), "--mode", "admissibility"]) == 2
     # Sent and absorbed in the round they enter, they keep the totals
-    # consistent and only the admissibility check can refuse them.
+    # consistent, but the link sends more than one packet in the round.
     flood += [event_line([kind, 5, *args]) for pid in pids
               for kind, *args in (("transmit", edge, pid), ("absorb", pid))]
     trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
-    assert main(["check", str(trace), "--mode", "admissibility"]) == 1
+    assert main(["check", str(trace), "--mode", "admissibility"]) == 2
+    # The same flood scripted into a scenario that does not enforce the
+    # buckets runs, and only the admissibility check refuses its trace.
+    flooded = tmp_path / "flooded.json"
+    save_scenario(replace(cfg, enforce_buckets=False, injections=(
+        *cfg.injections, *[Injection(5, (edge,))] * len(pids))), flooded)
+    assert main(["run", str(flooded), "--out", str(out_dir)]) == 0
+    assert main(["check", str(out_dir / "flooded.trace.jsonl"),
+                 "--mode", "admissibility"]) == 1
 
 
 def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
@@ -244,6 +253,17 @@ def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
 def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, saved, edit,
                                                            message):
     path, lines = saved(tmp_path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert_every_reader_exits_2(path)
+    assert capsys.readouterr().err.count(f"parse error: {message}\n") == len(CHECK_MODES) + 1
+
+
+@pytest.mark.parametrize("edit, message", SELECTION_EDITS)
+def test_second_selection_of_a_link_in_a_round_is_a_parse_error(tmp_path, capsys, edit,
+                                                                message):
+    path, lines = one_link_lines(tmp_path)
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

@@ -14,7 +14,7 @@ from aqsim.analysis import GreedyDriver, gen_random_scenario, rerouting_gadget
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, RecoveryEvent,
                           RecoveryViolation, ScenarioConfig, run, validate_recovery)
-from aqsim.errors import ModelViolation, ScenarioError
+from aqsim.errors import ContractViolation, ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network, shortest_path_avoiding
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 from aqsim.reduction import _replay_config, build_two_priority_trace
@@ -826,6 +826,50 @@ def test_driven_run_matches_stepping_every_round():
     kinds = {ev[0] for ev in ran.events}
     assert {"inject", "stall", "annihilate", "reroute", "fail_notify"} <= kinds
     assert len(ran.packets) > 200
+
+
+def stepping_cfg():
+    return gen_random_scenario(3, rate=Fraction(9, 10), burst=4, delay=2, tau=2,
+                               policy="FTG", horizon=50, nodes=(4, 6), failures=1)
+
+
+@pytest.mark.parametrize("stepped, rnd, expected", [
+    ((), 5, 1), ((1,), 1, 2), ((1, 2), 4, 3), ((), 0, 1), ((), 51, 1),
+], ids=["ahead-on-a-fresh-engine", "repeated", "skipping", "round-0", "past-the-horizon"])
+def test_step_refuses_any_round_but_the_next(stepped, rnd, expected):
+    engine = Engine(stepping_cfg())
+    for done in stepped:
+        engine.step(done)
+    events, totals = list(engine.trace.events), list(engine.trace.q_totals)
+    with pytest.raises(ContractViolation, match=(
+            f"^cannot step round {rnd}: the next round is {expected}, and the horizon is 50$")):
+        engine.step(rnd)
+    assert engine.trace.events == events and engine.trace.q_totals == totals
+    assert engine.buckets.round == len(stepped)
+
+
+def test_step_past_a_finished_horizon_is_refused():
+    engine = Engine(stepping_cfg())
+    for rnd in range(1, 51):
+        engine.step(rnd)
+    with pytest.raises(ContractViolation, match="^cannot step round 51: the next round is 51"):
+        engine.step(51)
+    engine.run()  # the drain rounds only
+    with pytest.raises(ContractViolation, match="^cannot step round 50: the next round is 53"):
+        engine.step(50)
+
+
+@pytest.mark.parametrize("stepped", [0, 1, 3, 50])
+def test_run_after_steps_runs_from_the_next_round(stepped):
+    cfg = stepping_cfg()
+    ran = run(cfg)
+    engine = Engine(cfg)
+    for rnd in range(1, stepped + 1):
+        engine.step(rnd)
+    assert_same_run(ran, engine.run())
+    assert len(engine.trace.q_totals) == 50
+    again = engine.run()  # a finished run has no round left to run
+    assert_same_run(ran, again)
 
 
 def oracle_records(events):

@@ -22,6 +22,16 @@ class PacketView:
     prev_slowness: int = 0
     priority: int = 0
 
+    # The keys read a packet's position on its path, as the engine's
+    # packets hold it: idx edges crossed, len(path) - idx left.
+    @property
+    def idx(self):
+        return self.traversed
+
+    @property
+    def path(self):
+        return ("edge",) * (self.traversed + self.remaining)
+
 
 def view(pid, arrival=1, injected=1, traversed=0, remaining=1, slowness=0, pri=0):
     return PacketView(pid, arrival, injected, traversed, remaining, slowness, pri)

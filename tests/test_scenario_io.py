@@ -697,6 +697,59 @@ def test_trace_off_its_scenario_schedule_refused(tmp_path, saved, edit, message)
         load_trace(path)
 
 
+def one_link_lines(tmp_path):
+    """A saved trace of one link, ab, whose three packets are injected in
+    round 1 and cross it one a round, but for a stall of packet 1 in round 2.
+
+    Its events are, from index 1: inject 0, 1 and 2; transmit and absorb 0
+    (round 1); the stall of packet 1 (round 2); the annihilate of its group,
+    transmit and absorb 1 (round 3); transmit and absorb 2 (round 4).
+    """
+    net = Network(["a", "b"], [Edge("ab", "a", "b")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 1, 1), policy="FIFO", horizon=4,
+        injections=(Injection(1, ("ab",)),) * 3, stalls={"ab": {2}}, enforce_buckets=False)
+    path = tmp_path / "one-link.jsonl"
+    save_trace(run(cfg), path)
+    return path, path.read_text().splitlines()
+
+
+def inserted(index, event):
+    """An edit that puts ``event`` at ``index`` of a trace file's lines."""
+    def edit(lines):
+        lines.insert(index, event_line(event))
+    return edit
+
+
+# A link selects one packet a round, to transmit or to stall. Edits of the
+# one_link_lines trace that select a second, each refused at the line that
+# does: (the edit, the refusal).
+SELECTION_EDITS = [
+    pytest.param(inserted(6, ["transmit", 1, "ab", 1]),
+                 "line 7: transmit of packet 1 at 'ab' in round 1, after the link already "
+                 "transmitted or stalled in that round", id="transmit-after-transmit"),
+    pytest.param(inserted(6, ["transmit", 2, "ab", 2]),
+                 "line 8: stall of packet 1 at 'ab' in round 2, after the link already "
+                 "transmitted or stalled in that round", id="stall-after-transmit"),
+    pytest.param(inserted(7, ["transmit", 2, "ab", 2]),
+                 "line 8: transmit of packet 2 at 'ab' in round 2, after the link already "
+                 "transmitted or stalled in that round", id="transmit-after-stall"),
+]
+
+
+@pytest.mark.parametrize("edit, message", SELECTION_EDITS)
+def test_second_selection_of_a_link_in_a_round_refused(tmp_path, edit, message):
+    path, lines = one_link_lines(tmp_path)
+    assert [line_event(line) for line in lines[4:8]] == [
+        ["transmit", 1, "ab", 0], ["absorb", 1, 0], ["stall", 2, "ab", 1, 0],
+        ["annihilate", 3, 0, "forced"]]
+    load_trace(path)
+    edit(lines)
+    path.write_text(joined(lines))
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        load_trace(path)
+
+
 def at_round(index, rnd):
     """Move the event on line ``index`` to round ``rnd``."""
     def edit(lines):
