@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractViolation, ScenarioError
+from .errors import ScenarioError
 
 VOLUNTARY = "voluntary"
 FORCED = "forced"
@@ -53,29 +53,18 @@ class AntitokenGroup:
 
     One member per edge the stalled packet still had to traverse
     (including the edge it stalled on). All members share the creation
-    round, count down from the feedback delay in lockstep, and vanish
-    atomically; the group's annihilation round is when the feedback about
-    the stall arrives. That round and the manner (forced or voluntary) are
-    fixed when the group is created, by ``annihilation``.
+    round and vanish atomically; the group's annihilation round is when the
+    feedback about the stall arrives. That round and the manner (forced or
+    voluntary) are fixed when the group is created, by ``annihilation``.
     """
 
-    __slots__ = ("gid", "stall_edge", "stall_round", "packet_id", "edges",
-                 "due_round", "manner", "alive", "annihilated_at")
+    __slots__ = ("gid", "edges", "due_round", "manner")
 
-    def __init__(self, gid, stall_edge, stall_round, packet_id, edges, due_round, manner):
+    def __init__(self, gid, edges, due_round, manner):
         self.gid = gid
-        self.stall_edge = stall_edge
-        self.stall_round = stall_round
-        self.packet_id = packet_id
         self.edges = tuple(edges)
         self.due_round = due_round
         self.manner = manner
-        self.alive = True
-        self.annihilated_at = None
-
-    def value(self, now: int, delay: int) -> int:
-        """Remaining antitoken value at round ``now``."""
-        return delay - (now - self.stall_round)
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,8 @@ _AFFORDED = InjectionResult(True)  # frozen, so one instance serves every succes
 
 
 class BucketSystem:
-    """All per-edge buckets plus the live antitoken groups of one run."""
+    """All per-edge buckets plus the antitoken groups of one run that have
+    yet to annihilate."""
 
     def __init__(self, adversary: AdversaryType, edge_ids):
         self.adversary = adversary
@@ -101,8 +91,7 @@ class BucketSystem:
         self.round = 0
         self._lvl = {e: 0 for e in edge_ids}
         self._touched = {e: 0 for e in edge_ids}
-        self.groups: dict[int, AntitokenGroup] = {}
-        self._due: dict[int, list[int]] = {}
+        self._due: dict[int, list[AntitokenGroup]] = {}  # round -> groups, gid order
         self._next_gid = 0
 
     # -- level bookkeeping -------------------------------------------------
@@ -171,8 +160,9 @@ class BucketSystem:
 
     # -- antitokens ----------------------------------------------------------
 
-    def register_stall(self, stall_edge, remaining_edges, packet_id, delay_choice=None):
-        """Create the antitoken group for a packet that just stalled.
+    def register_stall(self, remaining_edges, delay_choice=None):
+        """Create the antitoken group for a packet that just stalled, one
+        member per edge in ``remaining_edges``.
 
         ``delay_choice`` is the adversary's annihilation delay in
         [0, delay]; None or delay means letting the group expire, the
@@ -185,46 +175,25 @@ class BucketSystem:
             raise ScenarioError(f"annihilation delay {d} outside [0, {max_delay}]")
         gid = self._next_gid
         self._next_gid += 1
-        group = AntitokenGroup(gid, stall_edge, self.round, packet_id, remaining_edges,
-                               *annihilation(self.round, d, max_delay))
-        self.groups[gid] = group
+        group = AntitokenGroup(gid, remaining_edges, *annihilation(self.round, d, max_delay))
         events = []
         if d == 0:
-            events.append(self._annihilate(group, group.manner))
+            events.append(self._annihilate(group))
         else:
-            self._due.setdefault(group.due_round, []).append(gid)
+            self._due.setdefault(group.due_round, []).append(group)
         return group, events
 
-    def _annihilate(self, group: AntitokenGroup, how: str):
+    def _annihilate(self, group: AntitokenGroup):
         for edge in group.edges:
             self._accrue(edge)
             self._lvl[edge] -= self._num
-        group.alive = False
-        group.annihilated_at = self.round
-        return (how, group)
-
-    def annihilate_group(self, gid: int):
-        """Adversary-chosen annihilation while the antitoken value is positive."""
-        group = self.groups.get(gid)
-        if group is None or not group.alive:
-            raise ContractViolation(f"group {gid} is not alive")
-        if group.value(self.round, self.adversary.delay) <= 0:
-            raise ContractViolation(
-                f"group {gid} must be force-expired, value is no longer positive")
-        return self._annihilate(group, VOLUNTARY)
+        return (group.manner, group)
 
     def tick_antitokens(self):
-        """Fire every group whose scheduled or forced round is now.
+        """Annihilate every group due in the current round, in gid order.
 
-        Runs once per round right after tick(). A group scheduled at its
-        creation round was already annihilated inline by register_stall.
+        Runs once per round right after tick(). A group due at its creation
+        round was already annihilated inline by register_stall. Groups join
+        their round's list as they are created, so the list is in gid order.
         """
-        events = []
-        for gid in sorted(self._due.pop(self.round, ())):
-            group = self.groups[gid]
-            if group.alive:
-                events.append(self._annihilate(group, group.manner))
-        return events
-
-    def live_groups(self):
-        return [g for g in self.groups.values() if g.alive]
+        return [self._annihilate(group) for group in self._due.pop(self.round, ())]

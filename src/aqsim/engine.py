@@ -31,10 +31,15 @@ totals; per-edge queue lengths and the per-packet records are derived
 from the events on demand.
 
 One loop, ``Engine._rounds``, runs the pipeline over a span of rounds. It
-binds the run's state to locals once per call and runs steps 2, 3, 5 and
-8 itself; steps 1, 4, 6 and 7 are methods it calls in the rounds they
+binds the run's state to locals once per call and runs steps 2, 3, 5, 6
+and 8 inline; steps 1, 4 and 7 are methods it calls in the rounds they
 have work. The engine owns the next round: ``step`` runs exactly that
 round, and ``run`` runs from it to the horizon, then the drain rounds.
+
+Every injection passes one check, ``ScenarioConfig.injection_fault``: its
+path is one ``validate_path`` accepts and its priority one of the
+policy's levels. ``validate`` applies it to the script, step 5 to a
+driver's injections, and the trace loader to a file's inject events.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
 ``promote_after_tau`` adds included. ``ScenarioConfig.fault_events`` is
@@ -137,36 +142,43 @@ class ScenarioConfig:
         which groups created near it still annihilate."""
         return self.horizon + self.adversary.delay
 
+    def injection_fault(self, path, priority) -> str | None:
+        """What makes an injection on ``path`` at ``priority`` invalid, in
+        words that follow "injection" or "is injected", or None when it is
+        valid: the path must be one that ``validate_path`` accepts in the
+        network, and the priority an int below the policy's levels. Scripted
+        injections, a driver's and a trace file's are all checked by it."""
+        verdict = validate_path(self.network, path)
+        if not verdict:
+            return (f"on a path not in the network, path {path}: "
+                    f"{verdict.kind} at {verdict.index}")
+        levels = self.policy.levels if isinstance(self.policy, Prioritized) else 1
+        if not (type(priority) is int and 0 <= priority < levels):
+            return f"with priority {priority!r}, not one of the policy's {levels} level(s)"
+        return None
+
     def validate(self):
         net = self.network
         if self.horizon < 0:
             raise ScenarioError("horizon must be >= 0")
         if self.tau < 1 or self.tau_prime < 1:
             raise ScenarioError("tau and tau_prime must be positive")
-        if isinstance(self.policy, Prioritized):
-            levels = self.policy.levels
-        else:
-            if self.policy not in POLICY_NAMES:
-                raise ScenarioError(f"unknown policy {self.policy!r}")
-            levels = 1
+        if not isinstance(self.policy, Prioritized) and self.policy not in POLICY_NAMES:
+            raise ScenarioError(f"unknown policy {self.policy!r}")
         explicit = [inj.id for inj in self.injections if inj.id is not None]
         if explicit and len(explicit) != len(self.injections):
             raise ScenarioError("either all injections carry ids or none do")
         if len(set(explicit)) != len(explicit):
             raise ScenarioError("explicit packet ids must be unique")
-        valid_paths = set()  # each distinct path is checked once
-        for inj in self.injections:
-            if not 1 <= inj.round <= self.horizon:
-                raise ScenarioError(f"injection round {inj.round} outside horizon")
-            if inj.path not in valid_paths:
-                verdict = validate_path(net, inj.path)
-                if not verdict:
-                    raise ScenarioError(
-                        f"invalid injection path {inj.path}: {verdict.kind} at {verdict.index}")
-                valid_paths.add(inj.path)
-            if not 0 <= inj.priority < levels:
-                raise ScenarioError(
-                    f"injection priority {inj.priority} outside policy's {levels} level(s)")
+        checked = set()  # each distinct (path, priority) is checked once
+        for rnd, path, priority, _ in self.injections:
+            if not 1 <= rnd <= self.horizon:
+                raise ScenarioError(f"injection round {rnd} outside horizon")
+            if (path, priority) not in checked:
+                fault = self.injection_fault(path, priority)
+                if fault:
+                    raise ScenarioError(f"injection of round {rnd} {fault}")
+                checked.add((path, priority))
         for edge, rounds in self.stalls.items():
             if edge not in net.edges:
                 raise ScenarioError(f"stall schedule references unknown edge {edge!r}")
@@ -201,7 +213,7 @@ class ScenarioConfig:
         if notified:
             # Each distinct path's edges that have windows, in path order.
             crossing = {path: [edge for edge in path if edge in notified]
-                        for path in valid_paths}
+                        for path, _ in checked}
             for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
                 for edge in crossing[path]:
                     windows = notified[edge]
@@ -458,6 +470,7 @@ class Engine:
         self._next_pid = 0
         self._injected = 0
         self._absorbed = 0
+        self._driven_ok: set[tuple] = set()  # a driver's (path, priority) pairs checked
 
         self._injections_by_round: dict[int, list[Injection]] = {}
         for inj in config.injections:
@@ -473,12 +486,6 @@ class Engine:
         for ev in config.fault_events():
             by_round = self._notify_by_round if ev[0] == "fail_notify" else self._faults_by_round
             by_round.setdefault(ev[1], []).append(ev)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def waiting(self, edge: str) -> list[Packet]:
-        """The packets queued at edge, in (arrival round, id) order."""
-        return [pkt for _, pkt in sorted(self.queues.get(edge, ()), key=_arrival_order)]
 
     # -- the round pipeline ----------------------------------------------------
 
@@ -507,51 +514,8 @@ class Engine:
             if edge in self.failed and self._active_failure.get(edge) == fail_round:
                 self.visible_failed.add(edge)
 
-    def _transmit(self, rnd: int):
-        queues, failed, append = self.queues, self.failed, self.trace.events.append
-        stalled_edges = self._stalls_by_round.get(rnd, ())
-        slowness, key = self._slowness, self._key
-        staged: list[Packet] = []
-        absorbed = 0
-        for edge in sorted(queues) if len(queues) > 1 else [*queues]:
-            if edge in failed:
-                continue
-            queue = queues[edge]
-            pkt = queue[0][1]
-            if edge in stalled_edges:
-                group, inline = self.buckets.register_stall(
-                    edge, pkt.path[pkt.idx:], pkt.id,
-                    self.config.annihilation_delays.get((edge, rnd)))
-                append(("stall", rnd, edge, pkt.id, group.gid))
-                for how, g in inline:
-                    append(("annihilate", rnd, g.gid, how))
-                continue
-            if len(queue) == 1:
-                del queues[edge]
-            else:
-                heappop(queue)
-            # A queued packet has an edge left, so this cannot overrun.
-            pkt.idx += 1
-            pkt.prev_slowness = slowness[edge]
-            append(("transmit", rnd, edge, pkt.id))
-            if pkt.idx == len(pkt.path):
-                absorbed += 1
-                append(("absorb", rnd, pkt.id))
-            else:
-                pkt.arrival_round = rnd
-                staged.append(pkt)
-        self._absorbed += absorbed
-        # Arrivals join their next queue only now, so that no packet crosses
-        # two links in one round.
-        for pkt in staged:
-            edge = pkt.path[pkt.idx]
-            queue = queues.get(edge)
-            if queue is None:
-                queues[edge] = [(key(pkt), pkt)]
-            else:
-                heappush(queue, (key(pkt), pkt))
-
-    def _reroute_blocked(self, rnd: int):
+    def _reroute_blocked(self, rnd: int) -> int:
+        """Step 7; returns the number of packets it absorbed."""
         queues, edges, routes = self.queues, self.net.edges, self._routes
         key, append = self._key, self.trace.events.append
         absorbed = 0
@@ -578,7 +542,6 @@ class Engine:
                         f"{dest!r} avoiding failed links {sorted(self.failed)}",
                         round=rnd, edge=edge)
                 pkt.path = path[:idx] + suffix
-                pkt.rerouted = True
                 append(("reroute", rnd, pkt.id, path[idx:], suffix, edge, fail_round))
                 if suffix:
                     pkt.arrival_round = rnd
@@ -587,23 +550,28 @@ class Engine:
                     # Remaining path was a detour back to the current node.
                     absorbed += 1
                     append(("absorb", rnd, pkt.id))
-        self._absorbed += absorbed
+        return absorbed
 
     def _rounds(self, first: int, last: int):
         """Run rounds first..last of the horizon, each through the pipeline.
 
-        The run's state is bound to locals once per call; the packet-id and
-        injection counters live in locals too and are written back when the
-        call ends, also when a round raises (that round then counts as run).
+        The run's state is bound to locals once per call; the packet-id,
+        injection and absorption counters live in locals too and are written
+        back when the call ends, also when a round raises (that round then
+        counts as run).
         """
         buckets, queues = self.buckets, self.queues
         tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
+        register_stall = buckets.register_stall
         append, total_of = self.trace.events.append, self.trace.q_totals.append
         scripted, driver = self._injections_by_round, self.driver
+        injection_fault, driven_ok = self.config.injection_fault, self._driven_ok
         faults, notifications = self._faults_by_round, self._notify_by_round
-        visible, packets, key = self.visible_failed, self._packets, self._key
+        stalls, delays = self._stalls_by_round, self.config.annihilation_delays
+        failed, visible, slowness = self.failed, self.visible_failed, self._slowness
+        packets, key = self._packets, self._key
         enforce_buckets = self.config.enforce_buckets
-        next_pid, injected = self._next_pid, self._injected
+        next_pid, injected, absorbed = self._next_pid, self._injected, self._absorbed
         rnd = first - 1
         try:
             for rnd in range(first, last + 1):
@@ -616,10 +584,19 @@ class Engine:
                 if rnd in notifications:
                     self._deliver_notifications(rnd)
                 # 5: injections, the scripted ones first, bought atomically.
+                # ``validate`` checked the scripted ones; a driver's are
+                # checked here, each distinct (path, priority) once a run.
                 requests = scripted.get(rnd)
                 if driver is not None:
                     driven = driver(self, rnd)
                     if driven:
+                        for _, path, priority, _ in driven:
+                            if (path, priority) not in driven_ok:
+                                fault = injection_fault(path, priority)
+                                if fault:
+                                    raise ScenarioError(f"round {rnd}: injection {fault}",
+                                                        round=rnd)
+                                driven_ok.add((path, priority))
                         requests = [*requests, *driven] if requests else driven
                 if requests:
                     if visible:
@@ -651,20 +628,58 @@ class Engine:
                             heappush(queue, (key(pkt), pkt))
                         append(("inject", rnd, pid, path, priority))
                     injected += len(requests)
-                # 6-7: selection, stall or transmission; re-routing.
+                # 6: per live link with a queued packet, in link order, the
+                # top of its heap stalls or crosses the link.
                 if queues:
-                    self._transmit(rnd)
+                    stalled = stalls.get(rnd, ())
+                    staged = []
+                    for edge in sorted(queues) if len(queues) > 1 else [*queues]:
+                        if edge in failed:
+                            continue
+                        queue = queues[edge]
+                        pkt = queue[0][1]
+                        if edge in stalled:
+                            group, inline = register_stall(pkt.path[pkt.idx:],
+                                                           delays.get((edge, rnd)))
+                            append(("stall", rnd, edge, pkt.id, group.gid))
+                            for how, g in inline:
+                                append(("annihilate", rnd, g.gid, how))
+                            continue
+                        if len(queue) == 1:
+                            del queues[edge]
+                        else:
+                            heappop(queue)
+                        # A queued packet has an edge left, so this cannot overrun.
+                        pkt.idx += 1
+                        pkt.prev_slowness = slowness[edge]
+                        append(("transmit", rnd, edge, pkt.id))
+                        if pkt.idx == len(pkt.path):
+                            absorbed += 1
+                            append(("absorb", rnd, pkt.id))
+                        else:
+                            pkt.arrival_round = rnd
+                            staged.append(pkt)
+                    # Arrivals join their next queue only now, so that no
+                    # packet crosses two links in one round.
+                    for pkt in staged:
+                        edge = pkt.path[pkt.idx]
+                        queue = queues.get(edge)
+                        if queue is None:
+                            queues[edge] = [(key(pkt), pkt)]
+                        else:
+                            heappush(queue, (key(pkt), pkt))
+                # 7: re-routing.
                 if visible:
-                    self._reroute_blocked(rnd)
+                    absorbed += self._reroute_blocked(rnd)
                 # 8: the queue total and packet conservation.
                 total = sum(map(len, queues.values())) if queues else 0
                 total_of(total)
-                if injected != self._absorbed + total:
+                if injected != absorbed + total:
                     raise ModelViolation(
                         f"round {rnd}: packet conservation broken ({injected} injected, "
-                        f"{self._absorbed} absorbed, {total} queued)")
+                        f"{absorbed} absorbed, {total} queued)")
         finally:
-            self._next_pid, self._injected = next_pid, injected
+            self._next_pid, self._injected, self._absorbed = next_pid, injected, absorbed
             self._next_round = rnd + 1
 
     def step(self, rnd: int):

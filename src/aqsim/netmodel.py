@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractViolation, ScenarioError
+from .errors import ScenarioError
 
 
 @dataclass(frozen=True)
@@ -95,20 +95,12 @@ class Packet:
     ``idx`` is the 0-based position of the next edge to traverse;
     ``idx == len(path)`` means the packet has been absorbed. While in
     transit the packet physically waits at the tail node of
-    ``path[idx]``, i.e. in that edge's queue.
+    ``path[idx]``, i.e. in that edge's queue. The path is one that
+    ``validate_path`` accepts, so it is never empty.
     """
 
-    __slots__ = (
-        "id",
-        "injected_at",
-        "path",
-        "idx",
-        "priority",
-        "rerouted",
-        "original_path",
-        "arrival_round",
-        "prev_slowness",
-    )
+    __slots__ = ("id", "injected_at", "path", "idx", "priority", "arrival_round",
+                 "prev_slowness")
 
     def __init__(self, pid, injected_at, path, priority=0):
         self.id = pid
@@ -116,39 +108,11 @@ class Packet:
         self.path = tuple(path)
         self.idx = 0
         self.priority = priority
-        self.rerouted = False
-        self.original_path = self.path
         self.arrival_round = injected_at
         self.prev_slowness = 0  # no previous link before the first hop
-        if not self.path:
-            raise ContractViolation("packet path must be non-empty")
-
-    @property
-    def absorbed(self) -> bool:
-        return self.idx >= len(self.path)
-
-    @property
-    def current_edge(self) -> str | None:
-        return None if self.absorbed else self.path[self.idx]
-
-    @property
-    def traversed(self) -> int:
-        return self.idx
-
-    @property
-    def remaining(self) -> int:
-        return len(self.path) - self.idx
-
-    def advance(self) -> "Packet":
-        """Move past the edge just crossed; flags absorption at the end."""
-        if self.absorbed:
-            raise ContractViolation(f"packet {self.id} is already absorbed")
-        self.idx += 1
-        return self
 
     def __repr__(self):
-        state = "absorbed" if self.absorbed else f"at {self.current_edge}"
-        return f"<Packet {self.id} {state} path={'/'.join(self.path)}>"
+        return f"<Packet {self.id} idx={self.idx} path={'/'.join(self.path)}>"
 
 
 def shortest_path_avoiding(net: Network, src: str, dst: str, avoid) -> tuple[str, ...] | None:

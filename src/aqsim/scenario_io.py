@@ -39,12 +39,14 @@ of the drain rounds that follow it), and must move a packet that is
 queued where the event says: no second inject of one packet, no
 transmit, stall, reroute or absorb of a packet that was never injected or
 is already absorbed. Every edge an event names must be in the network,
-and an inject's priority must be one of the policy's levels. What the
-scenario determines is checked by equality with the scenario's one
-definition of it. A stall must be in a round the scenario schedules for
-its edge and create a new group id; its group must be annihilated once,
-in the round and manner ``buckets.annihilation`` gives for the stall's
-delay. The fail, recover and fail_notify events must be exactly
+and an inject must pass ``ScenarioConfig.injection_fault``, the check of
+every scripted or driven injection: its path a path of the network (its
+edges consecutive, none twice) and its priority one of the policy's
+levels. What the scenario determines is checked by equality with the
+scenario's one definition of it. A stall must be in a round the scenario
+schedules for its edge and create a new group id; its group must be
+annihilated once, in the round and manner ``buckets.annihilation`` gives
+for the stall's delay. The fail, recover and fail_notify events must be exactly
 ``ScenarioConfig.fault_events``, in its order. A reroute must follow the
 fail_notify of the failure it names and lie in that failure's window of
 ``ScenarioConfig.notified_windows``. The running count of injections
@@ -576,8 +578,9 @@ def _read_records(trace: ExecutionTrace, lines):
     the end of the drain rounds) and move a packet that is queued where the
     event says; ``ahead`` maps each injected packet to the edges it has
     still to cross (``None`` once absorbed). A link transmits or stalls at
-    most once a round, its one selection. An inject's priority must be
-    one of the policy's levels. The events the scenario determines are
+    most once a round, its one selection. An inject must pass
+    ``ScenarioConfig.injection_fault``, checked on the first inject of each
+    distinct (path, priority). The events the scenario determines are
     checked against it by equality: a stall must be in a round the
     scenario schedules for its edge, once, and creates the next group id
     (they count the stalls from 0), which its annihilate must end in the
@@ -599,7 +602,6 @@ def _read_records(trace: ExecutionTrace, lines):
     """
     config = trace.config
     edges = set(config.network.edges)
-    levels = config.policy.levels if isinstance(config.policy, Prioritized) else 1
     horizon = config.horizon
     drained = config.last_round  # the last round of an annihilate
     # Per edge, the scheduled stall rounds not read yet.
@@ -612,6 +614,7 @@ def _read_records(trace: ExecutionTrace, lines):
     notice = {ev[2:]: i for i, ev in enumerate(faults) if ev[0] == "fail_notify"}
     append = trace.events.append
     ahead: dict[int, tuple | None] = {}
+    injectable = set()  # the (path, priority) pairs of the injects checked so far
     selected: dict[str, int] = {}  # link -> the last round it transmitted or stalled in
     # Per group id, the (round, manner) of its annihilation, None once read.
     # Ids count the stalls from 0, so the next stall creates len(groups).
@@ -653,10 +656,9 @@ def _read_records(trace: ExecutionTrace, lines):
                 kind, rnd, pid, path, priority = ev
                 if (kind == "inject" and type(rnd) is int and last_round <= rnd <= horizon
                         and type(pid) is int and pid not in ahead
-                        and type(path) is list and path
-                        and all(type(e) is str and e in edges for e in path)
-                        and type(priority) is int and 0 <= priority < levels):
-                    path = tuple(path)
+                        and type(path) is list and all(type(e) is str for e in path)
+                        and type(priority) is int
+                        and ((path := tuple(path)), priority) in injectable):
                     ahead[pid] = path
                     net[rnd] = net.get(rnd, 0) + 1
                     last_round = rnd
@@ -717,13 +719,13 @@ def _read_records(trace: ExecutionTrace, lines):
                 path, priority = ev[3], ev[4]
                 if pid in ahead:
                     raise ParseError(f"packet {pid} is injected twice")
-                if not (path and _is_path(path, edges)):
+                if not (type(path) is tuple and all(type(e) is str for e in path)):
                     raise ParseError(
                         f"packet {pid} is injected on a path not in the network")
-                if not (type(priority) is int and 0 <= priority < levels):
-                    raise ParseError(
-                        f"packet {pid} is injected with priority {priority!r}, "
-                        f"not one of the policy's {levels} level(s)")
+                fault = config.injection_fault(path, priority)
+                if fault:
+                    raise ParseError(f"packet {pid} is injected {fault}")
+                injectable.add((path, priority))
                 ahead[pid] = path
                 net[rnd] = net.get(rnd, 0) + 1
                 append(ev)

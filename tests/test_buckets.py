@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqsim.buckets import FORCED, VOLUNTARY, AdversaryType, BucketSystem, annihilation
-from aqsim.errors import ContractViolation, ScenarioError
+from aqsim.errors import ScenarioError
 
 HALF = Fraction(1, 2)
 
@@ -46,10 +46,8 @@ def test_negative_levels_keep_accruing():
     sys.tick()
     sys.tick()  # level 1
     assert sys.inject([("e1",)])
-    g1, _ = sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=1)
-    g2, _ = sys.register_stall("e1", ("e1",), packet_id=1, delay_choice=1)
-    sys.annihilate_group(g1.gid)
-    sys.annihilate_group(g2.gid)
+    sys.register_stall(("e1",), delay_choice=0)  # each annihilates at once
+    sys.register_stall(("e1",), delay_choice=0)
     assert sys.level("e1") == -1
     sys.tick()
     assert sys.level("e1") == -HALF
@@ -92,25 +90,29 @@ def test_joint_demand_counts_shared_edges():
 def test_stall_group_covers_unfinished_edges():
     sys = make()
     sys.tick()
-    group, _ = sys.register_stall("e2", ("e2", "e3"), packet_id=7)
+    group, _ = sys.register_stall(("e2", "e3"))
     assert group.edges == ("e2", "e3")
-    assert group.value(sys.round, sys.adversary.delay) == 2
+    assert (group.due_round, group.manner) == (3, FORCED)  # round 1 plus the delay 2
 
 
 def test_stall_on_last_edge_gives_singleton_group():
     sys = make()
     sys.tick()
-    group, _ = sys.register_stall("e3", ("e3",), packet_id=7)
+    group, _ = sys.register_stall(("e3",))
     assert group.edges == ("e3",)
 
 
 def test_same_round_stalls_make_independent_groups():
     sys = make()
     sys.tick()
-    g1, _ = sys.register_stall("e1", ("e1",), packet_id=1)
-    g2, _ = sys.register_stall("e1", ("e1",), packet_id=2)
+    g1, _ = sys.register_stall(("e1",))
+    g2, _ = sys.register_stall(("e1",))
     assert g1.gid != g2.gid
-    assert {g.gid for g in sys.live_groups()} == {g1.gid, g2.gid}
+    sys.tick()
+    sys.tick()
+    assert [(how, g.gid) for how, g in sys.tick_antitokens()] == [
+        (FORCED, g1.gid), (FORCED, g2.gid)]
+    assert sys.level("e1") == HALF  # 3/2 accrued by round 3, less two antitokens of 1/2
 
 
 def test_annihilation_subtracts_rate_from_each_member():
@@ -119,9 +121,8 @@ def test_annihilation_subtracts_rate_from_each_member():
         sys.tick()  # levels 2
     sys.tick()  # 5/2
     assert sys.inject([("e3",), ("e3",)])  # pull e3 to 1/2
-    group, _ = sys.register_stall("e2", ("e2", "e3"), packet_id=0, delay_choice=1)
     before_e2, before_e3 = sys.level("e2"), sys.level("e3")
-    sys.annihilate_group(group.gid)
+    sys.register_stall(("e2", "e3"), delay_choice=0)
     assert sys.level("e2") == before_e2 - HALF
     assert sys.level("e3") == before_e3 - HALF
 
@@ -131,40 +132,30 @@ def test_annihilation_is_unconditional_subtraction():
     sys.tick()
     sys.tick()
     assert sys.inject([("e1",)])  # level 0
-    group, _ = sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=1)
-    sys.annihilate_group(group.gid)
+    sys.register_stall(("e1",), delay_choice=0)
     assert sys.level("e1") == -HALF
-
-
-def test_annihilating_dead_group_is_a_contract_error():
-    sys = make()
-    sys.tick()
-    group, _ = sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=1)
-    sys.annihilate_group(group.gid)
-    with pytest.raises(ContractViolation):
-        sys.annihilate_group(group.gid)
 
 
 def test_zero_delay_annihilates_at_creation():
     sys = make()
     sys.tick()
-    group, events = sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=0)
-    assert not group.alive
-    assert events and events[0][0] == VOLUNTARY
+    group, events = sys.register_stall(("e1",), delay_choice=0)
+    assert events == [(VOLUNTARY, group)] and group.due_round == 1
     assert sys.level("e1") == 0  # 1/2 tick minus 1/2 annihilation
+    for _ in range(3):
+        sys.tick()
+        assert sys.tick_antitokens() == []  # it is not due again
 
 
 def test_forced_expiry_lands_delay_rounds_later():
     sys = make(delay=3)
     sys.tick()  # round 1
-    group, _ = sys.register_stall("e1", ("e1", "e2"), packet_id=0)
+    group, _ = sys.register_stall(("e1", "e2"))
     fired = []
-    for _ in range(3):
+    for _ in range(4):
         sys.tick()
-        fired += sys.tick_antitokens()
-    assert sys.round == 4
-    assert [(how, g.gid) for how, g in fired] == [(FORCED, group.gid)]
-    assert group.annihilated_at == 4
+        fired += [(sys.round, how, g.gid) for how, g in sys.tick_antitokens()]
+    assert fired == [(4, FORCED, group.gid)]
 
 
 @pytest.mark.parametrize("delay, manner", [(0, VOLUNTARY), (1, VOLUNTARY), (2, VOLUNTARY),
@@ -176,12 +167,12 @@ def test_groups_annihilate_as_the_rule_says(delay, manner):
     sys = make(delay=3)
     sys.tick()
     sys.tick()
-    group, fired = sys.register_stall("e1", ("e1", "e2"), packet_id=0, delay_choice=delay)
-    while sys.round < 2 + delay:
+    group, inline = sys.register_stall(("e1", "e2"), delay_choice=delay)
+    fired = [(sys.round, how, g.gid) for how, g in inline]
+    while sys.round < 6:  # past every due round
         sys.tick()
-        fired += sys.tick_antitokens()
-    assert [(how, g.gid) for how, g in fired] == [(manner, group.gid)]
-    assert group.annihilated_at == 2 + delay
+        fired += [(sys.round, how, g.gid) for how, g in sys.tick_antitokens()]
+    assert fired == [(2 + delay, manner, group.gid)]
 
 
 def test_tick_antitokens_without_groups_is_noop():
@@ -195,7 +186,7 @@ def test_same_round_expiries_commute():
         sys = make(delay=2)
         sys.tick()
         for edges in order:
-            sys.register_stall(edges[0], edges, packet_id=0)
+            sys.register_stall(edges)
         sys.tick()
         sys.tick()
         sys.tick_antitokens()
@@ -209,21 +200,38 @@ def test_same_round_expiries_commute():
 def test_scheduled_voluntary_fires_before_expiry():
     sys = make(delay=3)
     sys.tick()
-    group, _ = sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=1)
+    group, _ = sys.register_stall(("e1",), delay_choice=1)
     sys.tick()
     fired = sys.tick_antitokens()
+    assert sys.round == 2
     assert [(how, g.gid) for how, g in fired] == [(VOLUNTARY, group.gid)]
-    assert group.annihilated_at == 2
     sys.tick()
     sys.tick()
     assert sys.tick_antitokens() == []  # nothing left to expire
+
+
+def test_groups_due_in_one_round_annihilate_in_gid_order():
+    # With delta 3, stalls in rounds 1, 2, 2 and 3 with delays 3, 2, 2 and 1
+    # all fall due in round 4: the first forced, the others voluntary.
+    sys = make(delay=3)
+    plan = {1: [3], 2: [2, 2], 3: [1]}
+    gids = []
+    fired = []
+    for rnd in range(1, 6):
+        sys.tick()
+        fired += [(sys.round, how, g.gid) for how, g in sys.tick_antitokens()]
+        for delay in plan.get(rnd, ()):
+            group, _ = sys.register_stall(("e1",), delay_choice=delay)
+            gids.append(group.gid)
+    assert gids == [0, 1, 2, 3]
+    assert fired == [(4, FORCED, 0), (4, VOLUNTARY, 1), (4, VOLUNTARY, 2), (4, VOLUNTARY, 3)]
 
 
 def test_delay_choice_outside_window_rejected():
     sys = make(delay=2)
     sys.tick()
     with pytest.raises(ScenarioError):
-        sys.register_stall("e1", ("e1",), packet_id=0, delay_choice=3)
+        sys.register_stall(("e1",), delay_choice=3)
 
 
 class EagerBuckets:
@@ -285,27 +293,11 @@ def test_lazy_levels_match_eager_reference(ops, rate, burst):
             want = eager.inject(op[1])
             assert got == want
         else:
-            group, _ = lazy.register_stall(op[1][0], tuple(op[1]), 0, delay_choice=1)
-            lazy.annihilate_group(group.gid)
+            lazy.register_stall(tuple(op[1]), delay_choice=0)  # annihilates at once
             eager.annihilate(op[1])
         levels = lazy.levels()
         assert levels == eager.K
         assert all(v <= burst for v in levels.values())
-
-
-@settings(deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=20))
-def test_group_atomicity(plan):
-    sys = make(delay=2)
-    sys.tick()
-    for delay_choice in plan:
-        sys.register_stall("e1", ("e1", "e2"), 0, delay_choice=delay_choice)
-        sys.tick()
-        sys.tick_antitokens()
-    for group in sys.groups.values():
-        # All-or-nothing: a group is either fully alive or fully dead,
-        # and dead groups have their annihilation round on record.
-        assert group.alive == (group.annihilated_at is None)
 
 
 def test_whole_tokens_floor_the_level():
@@ -315,7 +307,7 @@ def test_whole_tokens_floor_the_level():
     sys.tick()
     assert sys.level("e1") == Fraction(3, 2) and sys.whole_tokens("e1") == 1
     for pid in range(4):  # each zero-delay group annihilates 1/2 at once
-        sys.register_stall("e1", ("e1",), pid, 0)
+        sys.register_stall(("e1",), 0)
     # Below zero, flooring and truncation part: -1/2 floors to -1.
     assert sys.level("e1") == -HALF
     assert sys.whole_tokens("e1") == -1 and int(sys.level("e1")) == 0

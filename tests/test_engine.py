@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from copy import copy
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, RecoveryEvent,
                           RecoveryViolation, ScenarioConfig, run, validate_recovery)
 from aqsim.errors import ContractViolation, ModelViolation, ScenarioError
-from aqsim.netmodel import Edge, Network, shortest_path_avoiding
+from aqsim.netmodel import Edge, Network, Packet, shortest_path_avoiding
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 from aqsim.reduction import _replay_config, build_two_priority_trace
 from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
@@ -50,11 +51,28 @@ def test_trivial_packet_absorbs_the_round_it_is_injected():
     assert trace.q_totals == [0, 0, 0, 0]
 
 
+def annihilated_members(engine, rnd):
+    """Step ``engine`` through round ``rnd`` and return the edges whose
+    bucket lost the rate in that round: the members of the one group that
+    annihilates in it. Nothing may be injected in round ``rnd``, and no
+    level may reach the burst by it."""
+    for step in range(len(engine.trace.q_totals) + 1, rnd):
+        engine.step(step)
+    before = {edge: engine.buckets.level(edge) for edge in engine.net.edges}
+    events = engine.step(rnd)
+    assert [ev[0] for ev in events].count("annihilate") == 1
+    gained = {edge: engine.buckets.level(edge) - level for edge, level in before.items()}
+    assert set(gained.values()) <= {0, engine.config.adversary.rate}
+    return {edge for edge, gain in gained.items() if gain == 0}  # the tick, taken back
+
+
 def test_stalled_packet_waits_one_round_and_leaves_a_group():
     engine = Engine(two_node(injections=(Injection(1, ("ab",)),), stalls={"ab": {1}}))
+    # The group of the round-1 stall expires in round 1 + delta = 3.
+    assert annihilated_members(engine, 3) == {"ab"}
     trace = engine.run()
     assert trace.events_of("stall") == [("stall", 1, "ab", 0, 0)]
-    assert engine.buckets.groups[0].edges == ("ab",)
+    assert trace.events_of("annihilate") == [("annihilate", 3, 0, "forced")]
     assert trace.events_of("absorb") == [("absorb", 2, 0)]
     assert trace.q_totals[0] == 1
 
@@ -63,16 +81,16 @@ def test_stall_mid_path_covers_only_unfinished_edges():
     cfg = line(3, injections=(Injection(1, ("e0", "e1", "e2")),),
                stalls={"e1": {2}})
     engine = Engine(cfg)
+    assert annihilated_members(engine, 4) == {"e1", "e2"}  # e0 was already crossed
     trace = engine.run()
     assert trace.events_of("stall") == [("stall", 2, "e1", 0, 0)]
-    assert engine.buckets.groups[0].edges == ("e1", "e2")  # e0 was already crossed
 
 
 def test_scheduled_stall_on_empty_queue_is_silent():
     engine = Engine(two_node(stalls={"ab": {1, 2, 3}}))
     trace = engine.run()
     assert trace.events_of("stall") == []
-    assert engine.buckets.groups == {}
+    assert trace.events_of("annihilate") == []  # no group, not even in the drain
 
 
 def test_horizon_zero_gives_empty_trace():
@@ -128,7 +146,7 @@ def test_queue_order_is_arrival_then_id():
         enforce_buckets=False)
     engine = Engine(cfg)
     engine.step(1)
-    queue = engine.waiting("cd")
+    queue = [pkt for _, pkt in sorted(engine.queues["cd"])]  # in the FIFO key's order
     assert [p.id for p in queue] == [0, 1, 2]
     assert [(p.arrival_round, p.id) for p in queue] == sorted(
         (p.arrival_round, p.id) for p in queue)
@@ -144,8 +162,8 @@ def test_waiting_packets_sit_at_their_next_edge():
     engine = Engine(cfg)
     for rnd in (1, 2):
         engine.step(rnd)
-    for edge in engine.queues:
-        for pkt in engine.waiting(edge):
+    for edge, queue in engine.queues.items():
+        for _, pkt in queue:
             assert pkt.path[pkt.idx] == edge
 
 
@@ -392,32 +410,50 @@ def cross_check_configs():
 @pytest.mark.parametrize("cfg", cross_check_configs(),
                          ids=lambda cfg: f"{cfg.policy}-{len(cfg.network.nodes)}n")
 def test_heap_selection_matches_select_packet(cfg):
+    # Before each step the queues are saved, as copies of their packets with
+    # every field a policy key reads; the round's injections then join them,
+    # as they join the queues before selection. No other phase before
+    # selection moves a packet, so the oracle sees the queues that the
+    # transmit phase sees.
     engine = Engine(cfg)
-    transmit = engine._transmit
-    expected = {}
-    choices = 0
-
-    def checked_transmit(rnd):
-        # The oracle sees the queues exactly as the transmit phase does.
-        nonlocal choices
-        for edge in engine.queues:
-            if edge not in engine.failed:
-                waiting = engine.waiting(edge)
-                expected[edge] = select_packet(cfg.policy, waiting).id
-                choices += len(waiting) > 1
-        transmit(rnd)
-
-    engine._transmit = checked_transmit
-    reroutes = 0
+    reroutes = choices = 0
     for rnd in range(1, cfg.horizon + 1):
-        # The transmit phase runs only when a packet is queued.
-        expected.clear()
+        saved = {edge: [copy(pkt) for _, pkt in queue] for edge, queue in engine.queues.items()}
         events = engine.step(rnd)
+        for ev in events:
+            if ev[0] == "inject":
+                _, _, pid, path, priority = ev
+                saved.setdefault(path[0], []).append(Packet(pid, rnd, path, priority))
+        live = {edge: waiting for edge, waiting in saved.items() if edge not in engine.failed}
         # Each selected packet is named by the round's transmit or stall.
-        assert {ev[2]: ev[3] for ev in events
-                if ev[0] in ("transmit", "stall")} == expected
+        assert {ev[2]: ev[3] for ev in events if ev[0] in ("transmit", "stall")} == {
+            edge: select_packet(cfg.policy, waiting).id for edge, waiting in live.items()}
+        choices += sum(len(waiting) > 1 for waiting in live.values())
         reroutes += sum(ev[0] == "reroute" for ev in events)
     assert reroutes > 0 and choices >= 50
+
+
+def cycle_cfg(**kw):
+    net = Network(["a", "b", "c"],
+                  [Edge("ab", "a", "b"), Edge("bc", "b", "c"), Edge("ca", "c", "a")])
+    return ScenarioConfig(network=net, adversary=AdversaryType(ONE, 4, 2),
+                          policy="FIFO", horizon=4, **kw)
+
+
+@pytest.mark.parametrize("path, priority, fault", [
+    (("ab", "ca"), 0, r"path \('ab', 'ca'\): discontinuity at 1"),
+    (("ab", "bc", "ca", "ab"), 0, r"path \('ab', 'bc', 'ca', 'ab'\): repeated_edge at 3"),
+    (("ab",), 5, "with priority 5, not one of the policy's 1 level"),
+], ids=["discontinuous", "repeated-edge", "priority"])
+def test_a_drivers_injections_are_checked_as_scripted_ones(path, priority, fault):
+    def driver(engine, rnd):
+        return [Injection(rnd, path, priority)] if rnd == 2 else []
+
+    with pytest.raises(ScenarioError, match=f"^round 2: injection .*{fault}") as err:
+        run(cycle_cfg(), driver=driver)
+    assert err.value.round == 2
+    with pytest.raises(ScenarioError, match=f"^injection of round 2 .*{fault}"):
+        cycle_cfg(injections=(Injection(2, path, priority),)).validate()
 
 
 def test_injections_over_notified_failures_abort():
@@ -889,11 +925,17 @@ def oracle_records(events):
 
 
 def engine_records(engine, absorbed_in):
-    """The packet records as the engine's own packets hold them;
-    ``absorbed_in`` maps each absorbed packet to its round."""
-    return {pid: PacketRecord(pid, pkt.injected_at, pkt.priority, pkt.original_path,
-                              pkt.path, absorbed_in.get(pid), pkt.rerouted)
+    """The fields of the packet records that the engine's own packets hold:
+    injection round, priority and path; ``absorbed_in`` maps each absorbed
+    packet to its round."""
+    return {pid: (pkt.injected_at, pkt.priority, pkt.path, absorbed_in.get(pid))
             for pid, pkt in engine._packets.items()}
+
+
+def held_fields(records):
+    """Of each packet record, the fields that ``engine_records`` gives."""
+    return {pid: (rec.injected_at, rec.priority, rec.final_path, rec.absorbed_round)
+            for pid, rec in records.items()}
 
 
 def detour_absorb_cfg():
@@ -931,9 +973,9 @@ def test_packet_records_are_current_after_every_step(name, cfg):
     for rnd in range(1, cfg.horizon + 1):
         engine.step(rnd)
         for pid, pkt in engine._packets.items():
-            if pkt.absorbed:
+            if pkt.idx == len(pkt.path):
                 absorbed_in.setdefault(pid, rnd)
-        assert trace.packets == engine_records(engine, absorbed_in), rnd
+        assert held_fields(trace.packets) == engine_records(engine, absorbed_in), rnd
         assert trace.packets == oracle_records(trace.events), rnd
     records = trace.packets.values()
     assert any(rec.rerouted for rec in records)

@@ -49,10 +49,18 @@ def test_stall_trace_matches_group_creations():
                                Injection(4, ("ab",))),
                    stalls={"ab": {2, 4, 7}})
     engine = Engine(cfg)
-    trace = engine.run()
-    stalls = derive_stall_trace(trace)
-    from_groups = sorted(group.stall_round for group in engine.buckets.groups.values())
-    assert stalls.rounds["ab"] == from_groups == [2, 4]
+    adversary = cfg.adversary
+    paid = []  # the rounds in which the ab bucket paid an antitoken
+    level = engine.buckets.level("ab")
+    for rnd in range(1, cfg.horizon + 1):
+        bought = sum(ev[0] == "inject" for ev in engine.step(rnd))
+        gained = min(level + adversary.rate, adversary.burst)
+        level = engine.buckets.level("ab")
+        if gained - bought - level == adversary.rate:
+            paid.append(rnd)
+    stalls = derive_stall_trace(engine.trace)
+    # Each stall's group expires delta rounds later, the rate off its bucket.
+    assert stalls.rounds["ab"] == [rnd - adversary.delay for rnd in paid] == [2, 4]
 
 
 def test_forced_expiry_schedule():

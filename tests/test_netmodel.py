@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from aqsim.errors import ContractViolation, ScenarioError
+from aqsim.errors import ScenarioError
 from aqsim.netmodel import (DISCONTINUITY, EMPTY_PATH, REPEATED_EDGE,
-                            UNKNOWN_EDGE, Edge, Network, Packet,
+                            UNKNOWN_EDGE, Edge, Network,
                             shortest_path_avoiding, validate_path)
 
 
@@ -72,29 +72,6 @@ def test_node_revisits_are_fine(triangle):
          Edge("bc", "b", "c")],
     )
     assert validate_path(net, ("ab", "ba", "ab2", "bc")).ok
-
-
-def test_advance_two_edge_path():
-    pkt = Packet(0, 1, ("ab", "bc"))
-    assert pkt.idx == 0 and not pkt.absorbed
-    pkt.advance()
-    assert pkt.idx == 1 and not pkt.absorbed
-    pkt.advance()
-    assert pkt.idx == 2 and pkt.absorbed
-
-
-def test_advance_after_absorption_is_a_contract_error():
-    pkt = Packet(0, 1, ("ab",))
-    pkt.advance()
-    with pytest.raises(ContractViolation):
-        pkt.advance()
-
-
-def test_traversed_plus_remaining_is_path_length():
-    pkt = Packet(0, 1, ("ab", "bc", "ca"))
-    for _ in range(3):
-        assert pkt.traversed + pkt.remaining == 3
-        pkt.advance()
 
 
 @st.composite

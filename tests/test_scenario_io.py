@@ -462,6 +462,12 @@ INCONSISTENT_EDITS = [
                  id="duplicate-inject"),
     pytest.param(5, ["inject", 3, 1, ["zz"], 0],
                  "packet 1 is injected on a path not in the network", id="unknown-edge"),
+    pytest.param(5, ["inject", 3, 1, ["bc", "ab"], 0],
+                 r"packet 1 is injected on a path not in the network, path \('bc', 'ab'\): "
+                 "discontinuity at 1", id="discontinuous-path"),
+    pytest.param(5, ["inject", 3, 1, ["bc", "ca", "ab", "bc"], 0],
+                 "packet 1 is injected on a path not in the network, "
+                 r"path \('bc', 'ca', 'ab', 'bc'\): repeated_edge at 3", id="repeated-edge"),
     pytest.param(7, ["absorb", 3, 123456], "absorb of packet 123456, which is never injected",
                  id="unknown-absorb"),
     pytest.param(9, ["transmit", 4, "bc", 0],
