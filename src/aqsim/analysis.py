@@ -185,12 +185,11 @@ def count_rerouted(trace: ExecutionTrace) -> RerouteCount:
 def injections_after_notification(trace: ExecutionTrace):
     """Injections routed over a link while its failure was known.
 
-    The engine refuses these outright; this checker exists for imported
-    traces. Returns a list of (round, packet id, edge).
+    The engine and the trace loader refuse these outright; this scan of
+    every window is the oracle of their check. Returns a list of (round,
+    packet id, edge).
     """
-    windows: dict[str, list[tuple[int, int]]] = {}
-    for (edge, _fail_round), window in trace.config.notified_windows().items():
-        windows.setdefault(edge, []).append(window)
+    windows = trace.config.schedule.edge_windows
     bad = []
     for _, rnd, pid, path, _pri in trace.events_of("inject"):
         for edge in path:

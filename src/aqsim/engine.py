@@ -36,19 +36,30 @@ and 8 inline; steps 1, 4 and 7 are methods it calls in the rounds they
 have work. The engine owns the next round: ``step`` runs exactly that
 round, and ``run`` runs from it to the horizon, then the drain rounds.
 
+A ``ScenarioConfig`` is frozen, and checked once: the first read of its
+``schedule`` runs every check (``validate`` is that read) and builds the
+``Schedule`` that the engine, the trace loader and the checkers then read,
+whoever reads it first. ``dataclasses.replace`` makes a new config, which
+is checked on its own first use. The schedule holds the by-round tables
+the pipeline reads, so ``Engine.__init__`` builds none.
+
 Every injection passes one check, ``ScenarioConfig.injection_fault``: its
 path is one ``validate_path`` accepts and its priority one of the
-policy's levels. ``validate`` applies it to the script, step 5 to a
-driver's injections, and the trace loader to a file's inject events.
+policy's levels. ``Schedule.injectable`` remembers the (path, priority)
+pairs that passed it, the script's first, so each is checked once per
+config, whether the script, a driver (step 5) or a trace file's inject
+events bring it. A driver's injection must also be for the round it is
+returned in.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
-``promote_after_tau`` adds included. ``ScenarioConfig.fault_events`` is
-the one list of the fail, recover and fail_notify events they make, in
-the order a run writes them: steps 1 and 4 append its tuples, and the
-trace loader checks a file's fault events against it.
-``ScenarioConfig.notified_windows`` gives the rounds in which each failure
-is visible; ``validate`` refuses every scripted injection over a link in
-such a window, so step 1 raises nothing and step 5 refuses only a
+``promote_after_tau`` adds included. ``Schedule.fault_events`` is the one
+list of the fail, recover and fail_notify events they make, in the order
+a run writes them: steps 1 and 4 append its tuples, and the trace loader
+checks a file's fault events against it. ``Schedule.notified_windows``
+gives the rounds in which each failure is visible, and
+``Schedule.edge_windows`` the same windows per edge; the checks refuse
+every scripted injection, and the loader every inject event, over a link
+in such a window, so step 1 raises nothing and step 5 refuses only a
 driver's injection.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
@@ -61,6 +72,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -100,16 +112,62 @@ class RecoveryEvent:
     round: int
 
 
-@dataclass
+@dataclass(frozen=True)
+class Schedule:
+    """What a valid scenario fixes before its run, built once per config
+    by ``ScenarioConfig.schedule``.
+
+    The ``*_by_round`` tables are what the engine reads each round: the
+    scripted injections, the stalled edges, the recoveries and failures
+    (step 1) and the notifications (step 4). ``fault_events`` lists those
+    fault events in the order a run writes them; ``fault_pairs``,
+    ``notified_windows`` and ``edge_windows`` pair each failure with its
+    recovery and give the rounds in which it is visible. ``injectable``
+    remembers the (path, priority) pairs that passed
+    ``ScenarioConfig.injection_fault``: the script's, and those a driver or
+    a trace file adds, each checked once.
+    """
+
+    injections_by_round: dict[int, list[Injection]]
+    stalls_by_round: dict[int, set[str]]
+    faults_by_round: dict[int, list[tuple]]
+    notifications_by_round: dict[int, list[tuple]]
+    fault_events: tuple[tuple, ...]
+    fault_pairs: dict[tuple[str, int], int | None]
+    notified_windows: dict[tuple[str, int], tuple[int, int]]
+    edge_windows: dict[str, list[tuple[int, int]]]
+    injectable: set[tuple]
+
+    def notified_edge(self, path, rnd: int) -> str | None:
+        """The first edge of ``path`` whose failure is visible in round
+        ``rnd``, or None."""
+        windows = self.edge_windows
+        for edge in path:
+            spans = windows.get(edge)
+            if spans is not None:
+                at = bisect_left(spans, (rnd + 1,)) - 1
+                if at >= 0 and rnd < spans[at][1]:
+                    return edge
+        return None
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """A complete, reproducible experiment description."""
+    """A complete, reproducible experiment description.
+
+    A config never changes: ``stalls`` and ``annihilation_delays`` are
+    copied when it is made, so nothing a caller still holds can change it.
+    It is checked once, on its first use (``schedule``); a config derived
+    with ``dataclasses.replace`` is a new object, checked on its own first
+    use.
+    """
 
     network: Network
     adversary: AdversaryType
     policy: object  # policy name or Prioritized
     horizon: int
     injections: tuple[Injection, ...] = ()
-    stalls: dict = field(default_factory=dict)  # edge -> set of rounds
+    stalls: dict = field(default_factory=dict)  # edge -> frozenset of rounds
     annihilation_delays: dict = field(default_factory=dict)  # (edge, round) -> delay
     failures: tuple[FailureEvent, ...] = ()
     recoveries: tuple[RecoveryEvent, ...] = ()
@@ -123,10 +181,13 @@ class ScenarioConfig:
         """With ``promote_after_tau``, the first run of tau consecutive stall
         rounds per edge, ending in round t, adds a failure in round t + 1 <=
         horizon, notified after tau_prime rounds, behind the scripted ones."""
+        stalls = {edge: frozenset(rounds) for edge, rounds in self.stalls.items()}
+        object.__setattr__(self, "stalls", stalls)
+        object.__setattr__(self, "annihilation_delays", dict(self.annihilation_delays))
         if not promote_after_tau:
             return
         promoted = []
-        for edge, rounds in sorted(self.stalls.items()):
+        for edge, rounds in sorted(stalls.items()):
             rounds = sorted(rounds)
             # Distinct rounds tau - 1 places apart are consecutive when they
             # differ by tau - 1.
@@ -134,7 +195,7 @@ class ScenarioConfig:
                         if t - s == self.tau - 1), self.horizon)
             if end < self.horizon:
                 promoted.append(FailureEvent(edge, end + 1, self.tau_prime))
-        self.failures = (*self.failures, *promoted)
+        object.__setattr__(self, "failures", (*self.failures, *promoted))
 
     @property
     def last_round(self) -> int:
@@ -158,8 +219,18 @@ class ScenarioConfig:
         return None
 
     def validate(self):
-        net = self.network
-        if self.horizon < 0:
+        """Check the scenario, the first time only (see ``schedule``);
+        returns the config."""
+        self.schedule  # noqa: B018
+        return self
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The config's ``Schedule``, built once, by the first read, which
+        checks the scenario first: a ScenarioError names what is wrong, and
+        a config that fails is checked afresh on its next read."""
+        net, horizon = self.network, self.horizon
+        if horizon < 0:
             raise ScenarioError("horizon must be >= 0")
         if self.tau < 1 or self.tau_prime < 1:
             raise ScenarioError("tau and tau_prime must be positive")
@@ -170,20 +241,26 @@ class ScenarioConfig:
             raise ScenarioError("either all injections carry ids or none do")
         if len(set(explicit)) != len(explicit):
             raise ScenarioError("explicit packet ids must be unique")
-        checked = set()  # each distinct (path, priority) is checked once
-        for rnd, path, priority, _ in self.injections:
-            if not 1 <= rnd <= self.horizon:
+        injectable = set()  # each distinct (path, priority) is checked once
+        injections: dict[int, list[Injection]] = {}
+        for inj in self.injections:
+            rnd, path, priority, _ = inj
+            if not 1 <= rnd <= horizon:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
-            if (path, priority) not in checked:
+            if (path, priority) not in injectable:
                 fault = self.injection_fault(path, priority)
                 if fault:
                     raise ScenarioError(f"injection of round {rnd} {fault}")
-                checked.add((path, priority))
+                injectable.add((path, priority))
+            injections.setdefault(rnd, []).append(inj)
+        stalls: dict[int, set[str]] = {}
         for edge, rounds in self.stalls.items():
             if edge not in net.edges:
                 raise ScenarioError(f"stall schedule references unknown edge {edge!r}")
             if any(t < 1 for t in rounds):
                 raise ScenarioError("stall rounds must be >= 1")
+            for t in rounds:
+                stalls.setdefault(t, set()).add(edge)
         for (edge, rnd), delay in self.annihilation_delays.items():
             if edge not in net.edges:
                 raise ScenarioError(f"annihilation delay references unknown edge {edge!r}")
@@ -199,81 +276,91 @@ class ScenarioConfig:
                 raise ScenarioError(f"failure references unknown edge {ev.edge!r}")
             if not 0 <= ev.notify_delay <= self.tau_prime:
                 raise ScenarioError("failure notification delay must be in [0, tau_prime]")
-            if not 1 <= ev.round <= self.horizon:
+            if not 1 <= ev.round <= horizon:
                 raise ScenarioError("failure round outside horizon")
         for ev in self.recoveries:
             if ev.edge not in net.edges:
                 raise ScenarioError(f"recovery references unknown edge {ev.edge!r}")
-            if not 1 <= ev.round <= self.horizon:
+            if not 1 <= ev.round <= horizon:
                 raise ScenarioError("recovery round outside horizon")
-        # Per edge, in order, the windows [notification, recovery) refusing injections.
-        notified: dict[str, list[tuple[int, int]]] = {}
-        for (edge, _), window in sorted(self.notified_windows().items()):
-            notified.setdefault(edge, []).append(window)
-        if notified:
-            # Each distinct path's edges that have windows, in path order.
-            crossing = {path: [edge for edge in path if edge in notified]
-                        for path, _ in checked}
+        pairs = _fault_pairs(self.failures, self.recoveries)
+        fault_events = _fault_events(self.failures, self.recoveries, horizon)
+        faults: dict[int, list[tuple]] = {}
+        notifications: dict[int, list[tuple]] = {}
+        for ev in fault_events:
+            by_round = notifications if ev[0] == "fail_notify" else faults
+            by_round.setdefault(ev[1], []).append(ev)
+        windows, edge_windows = _notified_windows(self.failures, pairs, horizon)
+        schedule = Schedule(injections_by_round=injections, stalls_by_round=stalls,
+                            faults_by_round=faults, notifications_by_round=notifications,
+                            fault_events=fault_events,
+                            fault_pairs=pairs, notified_windows=windows,
+                            edge_windows=edge_windows, injectable=injectable)
+        if schedule.edge_windows:
             for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
-                for edge in crossing[path]:
-                    windows = notified[edge]
-                    at = bisect_left(windows, (rnd + 1,)) - 1
-                    if at >= 0 and rnd < windows[at][1]:
-                        raise ScenarioError(
-                            f"round {rnd}: injection routed over {edge!r} after its "
-                            "failure notification", round=rnd, edge=edge)
-        return self
-
-    def fault_events(self) -> list[tuple]:
-        """The fail, recover and fail_notify events a run writes, in the
-        order it writes them: per round, the recoveries, then the failures,
-        each in config order, then the notifications due that round, in the
-        order of their failures. Only notifications due by the horizon are
-        listed; the others are never delivered."""
-        keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
-                 for i, ev in enumerate(self.recoveries)]
-        for i, ev in enumerate(self.failures):
-            keyed.append(((ev.round, 1, i), ("fail", ev.round, ev.edge)))
-            notified = ev.round + ev.notify_delay
-            if notified <= self.horizon:
-                keyed.append(((notified, 2, i), ("fail_notify", notified, ev.edge, ev.round)))
-        keyed.sort()
-        return [ev for _, ev in keyed]
-
-    def notified_windows(self) -> dict[tuple[str, int], tuple[int, int]]:
-        """``{(edge, failure round): (first, end)}``: the rounds [first, end)
-        from the failure's notification to its recovery, or to horizon + 1
-        without one, in which the failure is visible. Only non-empty windows
-        are listed: a failure recovered by its notification is never seen."""
-        pairs = self.fault_pairs()
-        windows = {}
-        for ev in self.failures:
-            first, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or self.horizon + 1
-            if first < end:
-                windows[ev.edge, ev.round] = first, end
-        return windows
-
-    def fault_pairs(self) -> dict[tuple[str, int], int | None]:
-        """``{(edge, failure round): its recovery round, or None}``. Per edge,
-        failures and recoveries alternate, a failure first, one a round."""
-        per_edge: dict[str, list[tuple[int, int]]] = {}
-        for ev in self.failures:
-            per_edge.setdefault(ev.edge, []).append((ev.round, 0))
-        for ev in self.recoveries:
-            per_edge.setdefault(ev.edge, []).append((ev.round, 1))
-        pairs = {}
-        for edge, marks in per_edge.items():
-            marks.sort()
-            for i, (rnd, kind) in enumerate(marks):
-                if i + 1 < len(marks) and marks[i + 1][0] == rnd:
+                edge = schedule.notified_edge(path, rnd)
+                if edge is not None:
                     raise ScenarioError(
-                        f"edge {edge!r} has two fault events in round {rnd}")
-                if kind != i % 2:
-                    raise ScenarioError(
-                        f"edge {edge!r} fault events must alternate failure/recovery")
-                if not kind:
-                    pairs[edge, rnd] = marks[i + 1][0] if i + 1 < len(marks) else None
-        return pairs
+                        f"round {rnd}: injection routed over {edge!r} after its "
+                        "failure notification", round=rnd, edge=edge)
+        return schedule
+
+
+def _fault_events(failures, recoveries, horizon: int) -> tuple[tuple, ...]:
+    """The fail, recover and fail_notify events a run writes, in the order
+    it writes them: per round, the recoveries, then the failures, each in
+    config order, then the notifications due that round, in the order of
+    their failures. Only notifications due by the horizon are listed; the
+    others are never delivered."""
+    keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
+             for i, ev in enumerate(recoveries)]
+    for i, ev in enumerate(failures):
+        keyed.append(((ev.round, 1, i), ("fail", ev.round, ev.edge)))
+        notified = ev.round + ev.notify_delay
+        if notified <= horizon:
+            keyed.append(((notified, 2, i), ("fail_notify", notified, ev.edge, ev.round)))
+    keyed.sort()
+    return tuple(ev for _, ev in keyed)
+
+
+def _fault_pairs(failures, recoveries) -> dict[tuple[str, int], int | None]:
+    """``{(edge, failure round): its recovery round, or None}``. Per edge,
+    failures and recoveries alternate, a failure first, one a round."""
+    per_edge: dict[str, list[tuple[int, int]]] = {}
+    for ev in failures:
+        per_edge.setdefault(ev.edge, []).append((ev.round, 0))
+    for ev in recoveries:
+        per_edge.setdefault(ev.edge, []).append((ev.round, 1))
+    pairs = {}
+    for edge, marks in per_edge.items():
+        marks.sort()
+        for i, (rnd, kind) in enumerate(marks):
+            if i + 1 < len(marks) and marks[i + 1][0] == rnd:
+                raise ScenarioError(
+                    f"edge {edge!r} has two fault events in round {rnd}")
+            if kind != i % 2:
+                raise ScenarioError(
+                    f"edge {edge!r} fault events must alternate failure/recovery")
+            if not kind:
+                pairs[edge, rnd] = marks[i + 1][0] if i + 1 < len(marks) else None
+    return pairs
+
+
+def _notified_windows(failures, pairs, horizon: int):
+    """``{(edge, failure round): (first, end)}``: the rounds [first, end)
+    from the failure's notification to its recovery, or to horizon + 1
+    without one, in which the failure is visible; and per edge, those
+    windows in round order. Only non-empty windows are listed: a failure
+    recovered by its notification is never seen."""
+    windows = {}
+    for ev in failures:
+        first, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or horizon + 1
+        if first < end:
+            windows[ev.edge, ev.round] = first, end
+    per_edge: dict[str, list[tuple[int, int]]] = {}
+    for (edge, _), window in sorted(windows.items()):
+        per_edge.setdefault(edge, []).append(window)
+    return windows, per_edge
 
 
 @dataclass
@@ -449,8 +536,8 @@ class Engine:
     """
 
     def __init__(self, config: ScenarioConfig, driver=None):
-        config.validate()
         self.config = config
+        self._schedule = config.schedule  # the first read checks the config
         self.net = config.network
         self.driver = driver
         self.buckets = BucketSystem(config.adversary, self.net.edges)
@@ -470,28 +557,12 @@ class Engine:
         self._next_pid = 0
         self._injected = 0
         self._absorbed = 0
-        self._driven_ok: set[tuple] = set()  # a driver's (path, priority) pairs checked
-
-        self._injections_by_round: dict[int, list[Injection]] = {}
-        for inj in config.injections:
-            self._injections_by_round.setdefault(inj.round, []).append(inj)
-        self._stalls_by_round: dict[int, set[str]] = {}
-        for edge, rounds in config.stalls.items():
-            for t in rounds:
-                self._stalls_by_round.setdefault(t, set()).add(edge)
-        # The fault schedule's events by round: recoveries and failures,
-        # which step 1 applies, and notifications, which step 4 delivers.
-        self._faults_by_round: dict[int, list[tuple]] = {}
-        self._notify_by_round: dict[int, list[tuple]] = {}
-        for ev in config.fault_events():
-            by_round = self._notify_by_round if ev[0] == "fail_notify" else self._faults_by_round
-            by_round.setdefault(ev[1], []).append(ev)
 
     # -- the round pipeline ----------------------------------------------------
 
     def _apply_faults(self, rnd: int):
         append = self.trace.events.append
-        for ev in self._faults_by_round[rnd]:
+        for ev in self._schedule.faults_by_round[rnd]:
             kind, _, edge = ev
             if kind == "recover":
                 self.failed.discard(edge)
@@ -506,7 +577,7 @@ class Engine:
         self._routes = self._routes_by_failed.setdefault(frozenset(self.failed), {})
 
     def _deliver_notifications(self, rnd: int):
-        for ev in self._notify_by_round[rnd]:
+        for ev in self._schedule.notifications_by_round[rnd]:
             _, _, edge, fail_round = ev
             self.trace.events.append(ev)
             # A notification for an already recovered edge is delivered but
@@ -564,10 +635,11 @@ class Engine:
         tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
         register_stall = buckets.register_stall
         append, total_of = self.trace.events.append, self.trace.q_totals.append
-        scripted, driver = self._injections_by_round, self.driver
-        injection_fault, driven_ok = self.config.injection_fault, self._driven_ok
-        faults, notifications = self._faults_by_round, self._notify_by_round
-        stalls, delays = self._stalls_by_round, self.config.annihilation_delays
+        schedule, driver = self._schedule, self.driver
+        scripted, stalls = schedule.injections_by_round, schedule.stalls_by_round
+        faults, notifications = schedule.faults_by_round, schedule.notifications_by_round
+        injection_fault, injectable = self.config.injection_fault, schedule.injectable
+        delays = self.config.annihilation_delays
         failed, visible, slowness = self.failed, self.visible_failed, self._slowness
         packets, key = self._packets, self._key
         enforce_buckets = self.config.enforce_buckets
@@ -584,19 +656,24 @@ class Engine:
                 if rnd in notifications:
                     self._deliver_notifications(rnd)
                 # 5: injections, the scripted ones first, bought atomically.
-                # ``validate`` checked the scripted ones; a driver's are
-                # checked here, each distinct (path, priority) once a run.
+                # The config's checks passed the scripted ones; a driver's
+                # must be for this round, and each distinct (path, priority)
+                # is checked once per config.
                 requests = scripted.get(rnd)
                 if driver is not None:
                     driven = driver(self, rnd)
                     if driven:
-                        for _, path, priority, _ in driven:
-                            if (path, priority) not in driven_ok:
+                        for inj_round, path, priority, _ in driven:
+                            if inj_round != rnd:
+                                raise ScenarioError(
+                                    f"round {rnd}: a driver's injection is for round "
+                                    f"{inj_round!r}", round=rnd)
+                            if (path, priority) not in injectable:
                                 fault = injection_fault(path, priority)
                                 if fault:
                                     raise ScenarioError(f"round {rnd}: injection {fault}",
                                                         round=rnd)
-                                driven_ok.add((path, priority))
+                                injectable.add((path, priority))
                         requests = [*requests, *driven] if requests else driven
                 if requests:
                     if visible:
@@ -737,7 +814,7 @@ def validate_recovery(trace: ExecutionTrace) -> RecoveryVerdict:
     """Check each recovery happened only after its re-routed packets drained.
 
     A recovery of edge e pairs with the latest failure of e before it
-    (``ScenarioConfig.fault_pairs``); every packet re-routed because of
+    (``Schedule.fault_pairs``); every packet re-routed because of
     that failure must have been absorbed strictly before the recovery round.
     """
     reroutes: dict[tuple[str, int], list[int]] = {}
@@ -745,7 +822,7 @@ def validate_recovery(trace: ExecutionTrace) -> RecoveryVerdict:
         _, _, pid, _, _, edge, fail_round = ev
         reroutes.setdefault((edge, fail_round), []).append(pid)
     failure_of = {(edge, rec): fail
-                  for (edge, fail), rec in trace.config.fault_pairs().items() if rec}
+                  for (edge, fail), rec in trace.config.schedule.fault_pairs.items() if rec}
     packets = trace.packets
     violations = []
     for rec in trace.config.recoveries:

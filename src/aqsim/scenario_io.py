@@ -42,14 +42,16 @@ is already absorbed. Every edge an event names must be in the network,
 and an inject must pass ``ScenarioConfig.injection_fault``, the check of
 every scripted or driven injection: its path a path of the network (its
 edges consecutive, none twice) and its priority one of the policy's
-levels. What the scenario determines is checked by equality with the
-scenario's one definition of it. A stall must be in a round the scenario
+levels, and must not cross a link whose failure is visible in its round
+(``Schedule.edge_windows``). What the scenario determines is checked by
+equality with the scenario's one definition of it, read from the
+config's ``Schedule``. A stall must be in a round the scenario
 schedules for its edge and create a new group id; its group must be
 annihilated once, in the round and manner ``buckets.annihilation`` gives
 for the stall's delay. The fail, recover and fail_notify events must be exactly
-``ScenarioConfig.fault_events``, in its order. A reroute must follow the
+``Schedule.fault_events``, in its order. A reroute must follow the
 fail_notify of the failure it names and lie in that failure's window of
-``ScenarioConfig.notified_windows``. The running count of injections
+``Schedule.notified_windows``. The running count of injections
 minus absorptions must equal the stored total after every round, so an
 edited total or a dropped event is refused with the first round where
 they disagree, and the totals record must be the last. Bytes that are
@@ -579,14 +581,15 @@ def _read_records(trace: ExecutionTrace, lines):
     event says; ``ahead`` maps each injected packet to the edges it has
     still to cross (``None`` once absorbed). A link transmits or stalls at
     most once a round, its one selection. An inject must pass
-    ``ScenarioConfig.injection_fault``, checked on the first inject of each
-    distinct (path, priority). The events the scenario determines are
+    ``ScenarioConfig.injection_fault``, checked once per config for each
+    distinct (path, priority) (``Schedule.injectable``), and must not cross
+    a link in a notified window. The events the scenario determines are
     checked against it by equality: a stall must be in a round the
     scenario schedules for its edge, once, and creates the next group id
     (they count the stalls from 0), which its annihilate must end in the
     round and manner ``annihilation`` gives;
     each fail, recover and fail_notify must be the next event of
-    ``ScenarioConfig.fault_events``; a reroute must come after the
+    ``Schedule.fault_events``; a reroute must come after the
     fail_notify of the failure it names, within that failure's notified
     window. The event, its lists made tuples, is then appended and counted
     in its round's injections minus absorptions. The totals record ends
@@ -601,6 +604,7 @@ def _read_records(trace: ExecutionTrace, lines):
     event came.
     """
     config = trace.config
+    schedule = config.schedule
     edges = set(config.network.edges)
     horizon = config.horizon
     drained = config.last_round  # the last round of an annihilate
@@ -608,13 +612,16 @@ def _read_records(trace: ExecutionTrace, lines):
     stalls_left = {edge: set(rounds) for edge, rounds in config.stalls.items()}
     delays = config.annihilation_delays
     max_delay = config.adversary.delay
-    faults = config.fault_events()
+    faults = schedule.fault_events
     fault_at = 0  # the index in ``faults`` of the next fault event
-    windows = config.notified_windows()
+    windows = schedule.notified_windows
+    # Whether an inject's path crosses a notified failure is asked only of
+    # a scenario that has one.
+    notified_edge = schedule.notified_edge if schedule.edge_windows else None
     notice = {ev[2:]: i for i, ev in enumerate(faults) if ev[0] == "fail_notify"}
     append = trace.events.append
     ahead: dict[int, tuple | None] = {}
-    injectable = set()  # the (path, priority) pairs of the injects checked so far
+    injectable = schedule.injectable  # the (path, priority) pairs checked so far
     selected: dict[str, int] = {}  # link -> the last round it transmitted or stalled in
     # Per group id, the (round, manner) of its annihilation, None once read.
     # Ids count the stalls from 0, so the next stall creates len(groups).
@@ -658,7 +665,8 @@ def _read_records(trace: ExecutionTrace, lines):
                         and type(pid) is int and pid not in ahead
                         and type(path) is list and all(type(e) is str for e in path)
                         and type(priority) is int
-                        and ((path := tuple(path)), priority) in injectable):
+                        and ((path := tuple(path)), priority) in injectable
+                        and (notified_edge is None or notified_edge(path, rnd) is None)):
                     ahead[pid] = path
                     net[rnd] = net.get(rnd, 0) + 1
                     last_round = rnd
@@ -726,6 +734,9 @@ def _read_records(trace: ExecutionTrace, lines):
                 if fault:
                     raise ParseError(f"packet {pid} is injected {fault}")
                 injectable.add((path, priority))
+                if notified_edge is not None and (edge := notified_edge(path, rnd)):
+                    raise ParseError(f"packet {pid} is injected in round {rnd} over {edge!r} "
+                                     "after its failure notification")
                 ahead[pid] = path
                 net[rnd] = net.get(rnd, 0) + 1
                 append(ev)

@@ -106,7 +106,7 @@ def test_injections_inside_a_notification_window_are_reported():
     # recovers in 22 and 34; injects edited into an imported trace are
     # reported only inside [13, 22) and [25, 34).
     trace = run(rerouting_gadget(branches=1, burst=10, fail_duration=10, cycles=2).config)
-    assert trace.config.fault_pairs() == {("b1", 12): 22, ("b1", 24): 34}
+    assert trace.config.schedule.fault_pairs == {("b1", 12): 22, ("b1", 24): 34}
     trace.events += [("inject", rnd, 1000 + rnd, ("a1", "b1"), 0)
                      for rnd in (12, 13, 21, 22, 24, 25, 33, 34)]
     assert injections_after_notification(trace) == [

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,11 +12,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from aqsim.analysis import injections_after_notification
 from aqsim.buckets import AdversaryType
 from aqsim.cli import build_parser, main
-from aqsim.engine import Injection, ScenarioConfig
+from aqsim.engine import HIGH_ID_BASE, ExecutionTrace, Injection, ScenarioConfig
 from aqsim.netmodel import Edge, Network
-from aqsim.scenario_io import load_scenario, load_trace, save_scenario, trace_digest
+from aqsim.scenario_io import (ParseError, load_scenario, load_trace, save_scenario,
+                               trace_digest)
 from test_scenario_io import SCHEDULE_EDITS, SELECTION_EDITS, one_link_lines
 from trace_lines import event_line, first_event, is_event_line, line_event
 
@@ -258,6 +261,58 @@ def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, save
     capsys.readouterr()
     assert_every_reader_exits_2(path)
     assert capsys.readouterr().err.count(f"parse error: {message}\n") == len(CHECK_MODES) + 1
+
+
+def inject_line_at(lines, event):
+    """Insert the inject ``event`` after the events of its round, and count
+    its packet, which is never sent, in the totals from that round on."""
+    rnd = event[1]
+    at = next((i for i, line in enumerate(lines[1:-1], 1) if line_event(line)[1] > rnd),
+              len(lines) - 1)
+    totals = json.loads(lines[-1])["q_totals"]
+    totals[rnd - 1:] = [q + 1 for q in totals[rnd - 1:]]
+    return [*lines[:at], event_line(event), *lines[at:-1],
+            json.dumps({"q_totals": totals}, separators=(",", ":"))]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_inject_in_a_notified_window_is_refused_as_the_oracle_reports(tmp_path, seed):
+    # Injects edited into a ``gen random --failures 2`` trace, on the
+    # script's paths over a failed link and on that link alone, at the
+    # edges of its notified window: the load refuses exactly those that
+    # injections_after_notification reports, naming the first such link.
+    scenario, out_dir = tmp_path / "scenario.json", tmp_path / "out"
+    assert main(["gen", "random", "--seed", str(seed), "--horizon", "200",
+                 "--failures", "2", "--out", str(scenario)]) == 0
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    path = out_dir / "scenario.trace.jsonl"
+    lines = path.read_text().splitlines()
+    trace = load_trace(path)
+    config = trace.config
+    assert injections_after_notification(trace) == []
+    pid, refused = HIGH_ID_BASE, 0
+    for edge, windows in config.schedule.edge_windows.items():
+        paths = {(edge,), *(inj.path for inj in config.injections if edge in inj.path)}
+        rounds = {r for first, end in windows for r in (first - 1, first, end - 1, end)}
+        for rnd in sorted(r for r in rounds if 1 <= r <= config.horizon):
+            for inj_path in sorted(paths):
+                pid += 1
+                event = ["inject", rnd, pid, list(inj_path), 0]
+                edited = inject_line_at(lines, event)
+                path.write_text("\n".join(edited) + "\n")
+                alone = ExecutionTrace(config)
+                alone.events = [("inject", rnd, pid, inj_path, 0)]
+                reported = injections_after_notification(alone)
+                if not reported:
+                    load_trace(path)
+                    continue
+                refused += 1
+                lineno = edited.index(event_line(event)) + 1
+                with pytest.raises(ParseError, match="^" + re.escape(
+                        f"line {lineno}: packet {pid} is injected in round {rnd} over "
+                        f"{reported[0][2]!r} after its failure notification") + "$"):
+                    load_trace(path)
+    assert refused
 
 
 @pytest.mark.parametrize("edit, message", SELECTION_EDITS)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqsim.analysis import GreedyDriver, gen_random_scenario, rerouting_gadget
+import aqsim.engine
+from aqsim.analysis import (GreedyDriver, gen_random_scenario,
+                            injections_after_notification, rerouting_gadget)
 from aqsim.buckets import AdversaryType
 from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, RecoveryEvent,
                           RecoveryViolation, ScenarioConfig, run, validate_recovery)
@@ -456,6 +460,16 @@ def test_a_drivers_injections_are_checked_as_scripted_ones(path, priority, fault
         cycle_cfg(injections=(Injection(2, path, priority),)).validate()
 
 
+def test_a_drivers_injection_must_be_for_the_current_round():
+    def driver(engine, rnd):
+        return [Injection(99, ("ab",))] if rnd == 1 else []
+
+    with pytest.raises(ScenarioError, match="^round 1: a driver's injection is for round 99$") \
+            as err:
+        run(cycle_cfg(), driver=driver)
+    assert err.value.round == 1
+
+
 def test_injections_over_notified_failures_abort():
     cfg = detour_cfg(injections=(Injection(1, ("ab", "bz")),
                                  Injection(4, ("ab", "bz"))))
@@ -530,20 +544,22 @@ def mixed_fault_schedule():
 
 def test_fault_events_are_listed_in_write_order():
     # Per round: recoveries, failures, then the notifications due.
-    assert mixed_fault_schedule().fault_events() == [
+    assert mixed_fault_schedule().schedule.fault_events == (
         ("fail", 1, "bz"),
         ("recover", 3, "bz"), ("fail", 3, "cz"), ("fail_notify", 3, "bz", 1),
         ("fail_notify", 5, "cz", 3),
         ("fail", 6, "bz"),
         ("fail_notify", 7, "bz", 6),
         ("recover", 9, "cz"), ("fail", 9, "ab"),
-    ]
+    )
 
 
 def test_notified_windows_run_from_notification_to_recovery():
     # bz's first failure recovers as it is notified and ab's is notified
     # after the horizon: neither is ever visible.
-    assert mixed_fault_schedule().notified_windows() == {("cz", 3): (5, 9), ("bz", 6): (7, 11)}
+    schedule = mixed_fault_schedule().schedule
+    assert schedule.notified_windows == {("cz", 3): (5, 9), ("bz", 6): (7, 11)}
+    assert schedule.edge_windows == {"cz": [(5, 9)], "bz": [(7, 11)]}
 
 
 FAULT_KINDS = ("fail", "recover", "fail_notify")
@@ -577,8 +593,8 @@ def test_fault_and_feedback_events_are_the_scenarios():
     promoted_seen = False
     for cfg in scheduled_runs():
         trace = run(cfg)
-        faults = [ev for ev in trace.events if ev[0] in FAULT_KINDS]
-        assert faults == cfg.fault_events()
+        faults = tuple(ev for ev in trace.events if ev[0] in FAULT_KINDS)
+        assert faults == cfg.schedule.fault_events
         promoted_seen |= ("reroute", 6, 0, ("bz",), ("bc", "cz"), "bz", 4) in trace.events
         # A stall in round t with delay d annihilates in t + d, forced when
         # d is delta; each group once.
@@ -624,8 +640,8 @@ def test_injection_between_failure_windows_is_accepted():
 def test_fault_pairs_pair_each_failure_with_its_recovery():
     cfg = detour_cfg(failures=(FailureEvent("bz", 6), FailureEvent("bz", 1),
                                FailureEvent("cz", 2)),
-                     recoveries=(RecoveryEvent("bz", 4),))
-    assert cfg.fault_pairs() == {("bz", 1): 4, ("bz", 6): None, ("cz", 2): None}
+                     recoveries=(RecoveryEvent("bz", 4),), injections=())
+    assert cfg.schedule.fault_pairs == {("bz", 1): 4, ("bz", 6): None, ("cz", 2): None}
 
 
 def test_recovery_of_a_promoted_failure_is_judged():
@@ -1184,3 +1200,85 @@ def test_load_time_refusals():
 
 def test_load_time_refusals_hold_under_optimized_python():
     assert optimized_repr("load_time_refusals") == repr(LOAD_TIME_REFUSALS)
+
+
+# -- the frozen config and its one schedule ------------------------------------
+
+
+def failing_scenario():
+    """A generated scenario with two failures, stalls and a script."""
+    return gen_random_scenario(202, rate=Fraction(9, 10), burst=4, delay=2, tau=2,
+                               policy="FTG", horizon=300, nodes=(8, 8), failures=2)
+
+
+def test_config_fields_cannot_be_assigned():
+    cfg = two_node()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.horizon = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.stalls = {}
+
+
+def test_config_keeps_its_own_copy_of_the_stall_and_delay_maps():
+    rounds, stalls, delays = {1}, {}, {("ab", 1): 0}
+    stalls["ab"] = rounds
+    cfg = two_node(injections=(Injection(1, ("ab",)),), stalls=stalls,
+                   annihilation_delays=delays)
+    rounds.add(2)
+    stalls["zz"] = {1}
+    delays[("ab", 1)] = 7
+    assert cfg.stalls == {"ab": frozenset({1})}
+    assert cfg.annihilation_delays == {("ab", 1): 0}
+    trace = run(cfg)
+    assert trace.events_of("stall") == [("stall", 1, "ab", 0, 0)]
+    assert trace.events_of("annihilate") == [("annihilate", 1, 0, "voluntary")]
+
+
+def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
+    cfg = failing_scenario()
+    counts = dict.fromkeys(("validate_path", "_fault_events", "_fault_pairs",
+                            "_notified_windows"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(aqsim.engine, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(aqsim.engine, name, counted)
+    assert cfg.validate() is cfg
+    schedule = cfg.schedule
+    distinct = {(inj.path, inj.priority) for inj in cfg.injections}
+    assert counts == {"validate_path": len(distinct), "_fault_events": 1,
+                      "_fault_pairs": 1, "_notified_windows": 1}
+    traces = [Engine(cfg).run(), Engine(cfg).run()]
+    assert validate_recovery(traces[0]).ok and injections_after_notification(traces[1]) == []
+    cfg.validate()
+    assert counts == {"validate_path": len(distinct), "_fault_events": 1,
+                      "_fault_pairs": 1, "_notified_windows": 1}
+    assert cfg.schedule is schedule and schedule.injectable == distinct
+
+
+def test_a_replaced_config_is_checked_on_its_own_first_use():
+    cfg = two_node(injections=(Injection(1, ("ab",)),)).validate()
+    late = replace(cfg, horizon=0)  # its injection is now after the horizon
+    with pytest.raises(ScenarioError, match="injection round 1 outside horizon"):
+        Engine(late)
+    with pytest.raises(ScenarioError, match="injection round 1 outside horizon"):
+        late.validate()  # a config that fails is checked again
+    assert run(replace(late, horizon=2)).q_totals == [0, 0]
+
+
+def test_two_engines_on_one_config_run_alike():
+    cfg = replace(failing_scenario(), injections=())
+    first = Engine(cfg, driver=GreedyDriver(7, max_path_len=5, max_burst=2)).run()
+    second = Engine(cfg, driver=GreedyDriver(7, max_path_len=5, max_burst=2)).run()
+    assert first.events_of("reroute") and first.events_of("stall")
+    assert trace_digest(first) == trace_digest(second)
+    scripted = failing_scenario()
+    assert trace_digest(run(scripted)) == trace_digest(run(scripted))
+
+
+def test_a_checked_config_pickles_to_one_that_runs_alike():
+    cfg = failing_scenario().validate()
+    copied = pickle.loads(pickle.dumps(cfg))
+    assert dumps_scenario(copied) == dumps_scenario(cfg)
+    assert copied.schedule.fault_events == cfg.schedule.fault_events
+    assert trace_digest(run(copied)) == trace_digest(run(cfg))

@@ -677,6 +677,31 @@ def reroute_before_its_notification(lines):
     lines[at - 1], lines[at] = lines[at], lines[at - 1]
 
 
+def notified_failure_lines(tmp_path):
+    """A saved trace of two links, ab and ba, whose packet 0 crosses ab in
+    round 1; ab fails in round 2, notified at once, and never recovers."""
+    net = Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ba", "b", "a")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 1, 1), policy="FIFO", horizon=4,
+        injections=(Injection(1, ("ab",)),), failures=(FailureEvent("ab", 2, 0),),
+        enforce_buckets=False)
+    path = tmp_path / "notified-failure.jsonl"
+    save_trace(run(cfg), path)
+    return path, path.read_text().splitlines()
+
+
+def injected_in_round_3(path):
+    """An edit that injects packet 1 on ``path`` in round 3, with the totals
+    to match: the packet is never sent."""
+    def edit(lines):
+        assert [line_event(line) for line in lines[1:-1]] == [
+            ["inject", 1, 0, ["ab"], 0], ["transmit", 1, "ab", 0], ["absorb", 1, 0],
+            ["fail", 2, "ab"], ["fail_notify", 2, "ab", 2]]
+        lines.insert(6, event_line(["inject", 3, 1, path, 0]))
+        lines[-1] = '{"q_totals":[0,0,1,1]}'
+    return edit
+
+
 # Edits that keep a trace consistent with itself but not with the
 # feedback and fault events its scenario determines: (the saved lines, the
 # edit, the refusal).
@@ -690,6 +715,14 @@ SCHEDULE_EDITS = [
     pytest.param(notified_reroute_lines, reroute_before_its_notification,
                  "line 5: reroute of packet 0 at 'bz' before the fail_notify of its failure "
                  "in round 2", id="reroute-before-notification"),
+    # The script's path, which the first inject checked, and one that only
+    # ends on the failed link.
+    pytest.param(notified_failure_lines, injected_in_round_3(["ab"]),
+                 "line 7: packet 1 is injected in round 3 over 'ab' after its failure "
+                 "notification", id="inject-after-notification"),
+    pytest.param(notified_failure_lines, injected_in_round_3(["ba", "ab"]),
+                 "line 7: packet 1 is injected in round 3 over 'ab' after its failure "
+                 "notification", id="inject-via-a-notified-link"),
 ]
 
 
