@@ -247,7 +247,7 @@ class ScenarioConfig:
             rnd, path, priority, _ = inj
             if not 1 <= rnd <= horizon:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
-            if (path, priority) not in injectable:
+            if type(priority) is not int or (path, priority) not in injectable:
                 fault = self.injection_fault(path, priority)
                 if fault:
                     raise ScenarioError(f"injection of round {rnd} {fault}")
@@ -668,7 +668,9 @@ class Engine:
                                 raise ScenarioError(
                                     f"round {rnd}: a driver's injection is for round "
                                     f"{inj_round!r}", round=rnd)
-                            if (path, priority) not in injectable:
+                            # False == 0 and 1.0 == 1 and hash alike: only an
+                            # int priority may pass by the memo.
+                            if type(priority) is not int or (path, priority) not in injectable:
                                 fault = injection_fault(path, priority)
                                 if fault:
                                     raise ScenarioError(f"round {rnd}: injection {fault}",

@@ -460,6 +460,20 @@ def test_a_drivers_injections_are_checked_as_scripted_ones(path, priority, fault
         cycle_cfg(injections=(Injection(2, path, priority),)).validate()
 
 
+def test_a_priority_equal_to_a_checked_one_is_still_checked():
+    # False == 0 and hashes alike, so the memo of checked (path, priority)
+    # pairs must not pass it.
+    cfg = cycle_cfg(injections=(Injection(1, ("ab",)),))
+
+    def driver(engine, rnd):
+        return [Injection(rnd, ("ab",), False)] if rnd == 2 else []
+
+    with pytest.raises(ScenarioError, match="^round 2: injection with priority False"):
+        run(cfg, driver=driver)
+    with pytest.raises(ScenarioError, match="^injection of round 2 with priority False"):
+        replace(cfg, injections=(*cfg.injections, Injection(2, ("ab",), False))).validate()
+
+
 def test_a_drivers_injection_must_be_for_the_current_round():
     def driver(engine, rnd):
         return [Injection(99, ("ab",))] if rnd == 1 else []
