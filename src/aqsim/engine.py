@@ -40,8 +40,9 @@ A ``ScenarioConfig`` is frozen, and checked once: the first read of its
 ``schedule`` runs every check (``validate`` is that read) and builds the
 ``Schedule`` that the engine, the trace loader and the checkers then read,
 whoever reads it first. ``dataclasses.replace`` makes a new config, which
-is checked on its own first use. The schedule holds the by-round tables
-the pipeline reads, so ``Engine.__init__`` builds none.
+is checked on its own first use. The by-round tables the pipeline reads
+are built once per config too, by its first run (``ScenarioConfig.by_round``),
+so ``Engine.__init__`` builds none.
 
 Every injection passes one check, ``ScenarioConfig.injection_fault``: its
 path is one ``validate_path`` accepts and its priority one of the
@@ -115,23 +116,16 @@ class RecoveryEvent:
 @dataclass(frozen=True)
 class Schedule:
     """What a valid scenario fixes before its run, built once per config
-    by ``ScenarioConfig.schedule``.
+    by ``ScenarioConfig.schedule`` with the scenario's checks.
 
-    The ``*_by_round`` tables are what the engine reads each round: the
-    scripted injections, the stalled edges, the recoveries and failures
-    (step 1) and the notifications (step 4). ``fault_events`` lists those
-    fault events in the order a run writes them; ``fault_pairs``,
-    ``notified_windows`` and ``edge_windows`` pair each failure with its
-    recovery and give the rounds in which it is visible. ``injectable``
-    remembers the (path, priority) pairs that passed
-    ``ScenarioConfig.injection_fault``: the script's, and those a driver or
-    a trace file adds, each checked once.
+    ``fault_events`` lists the fail, recover and fail_notify events in the
+    order a run writes them; ``fault_pairs``, ``notified_windows`` and
+    ``edge_windows`` pair each failure with its recovery and give the
+    rounds in which it is visible. ``injectable`` remembers the (path,
+    priority) pairs that passed ``ScenarioConfig.injection_fault``: the
+    script's, and those a driver or a trace file adds, each checked once.
     """
 
-    injections_by_round: dict[int, list[Injection]]
-    stalls_by_round: dict[int, set[str]]
-    faults_by_round: dict[int, list[tuple]]
-    notifications_by_round: dict[int, list[tuple]]
     fault_events: tuple[tuple, ...]
     fault_pairs: dict[tuple[str, int], int | None]
     notified_windows: dict[tuple[str, int], tuple[int, int]]
@@ -242,9 +236,7 @@ class ScenarioConfig:
         if len(set(explicit)) != len(explicit):
             raise ScenarioError("explicit packet ids must be unique")
         injectable = set()  # each distinct (path, priority) is checked once
-        injections: dict[int, list[Injection]] = {}
-        for inj in self.injections:
-            rnd, path, priority, _ = inj
+        for rnd, path, priority, _ in self.injections:
             if not 1 <= rnd <= horizon:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
             if type(priority) is not int or (path, priority) not in injectable:
@@ -252,15 +244,11 @@ class ScenarioConfig:
                 if fault:
                     raise ScenarioError(f"injection of round {rnd} {fault}")
                 injectable.add((path, priority))
-            injections.setdefault(rnd, []).append(inj)
-        stalls: dict[int, set[str]] = {}
         for edge, rounds in self.stalls.items():
             if edge not in net.edges:
                 raise ScenarioError(f"stall schedule references unknown edge {edge!r}")
             if any(t < 1 for t in rounds):
                 raise ScenarioError("stall rounds must be >= 1")
-            for t in rounds:
-                stalls.setdefault(t, set()).add(edge)
         for (edge, rnd), delay in self.annihilation_delays.items():
             if edge not in net.edges:
                 raise ScenarioError(f"annihilation delay references unknown edge {edge!r}")
@@ -284,16 +272,8 @@ class ScenarioConfig:
             if not 1 <= ev.round <= horizon:
                 raise ScenarioError("recovery round outside horizon")
         pairs = _fault_pairs(self.failures, self.recoveries)
-        fault_events = _fault_events(self.failures, self.recoveries, horizon)
-        faults: dict[int, list[tuple]] = {}
-        notifications: dict[int, list[tuple]] = {}
-        for ev in fault_events:
-            by_round = notifications if ev[0] == "fail_notify" else faults
-            by_round.setdefault(ev[1], []).append(ev)
         windows, edge_windows = _notified_windows(self.failures, pairs, horizon)
-        schedule = Schedule(injections_by_round=injections, stalls_by_round=stalls,
-                            faults_by_round=faults, notifications_by_round=notifications,
-                            fault_events=fault_events,
+        schedule = Schedule(fault_events=_fault_events(self.failures, self.recoveries, horizon),
                             fault_pairs=pairs, notified_windows=windows,
                             edge_windows=edge_windows, injectable=injectable)
         if schedule.edge_windows:
@@ -304,6 +284,28 @@ class ScenarioConfig:
                         f"round {rnd}: injection routed over {edge!r} after its "
                         "failure notification", round=rnd, edge=edge)
         return schedule
+
+    @cached_property
+    def by_round(self) -> tuple[dict, dict, dict, dict]:
+        """The tables the engine's round loop reads, per round: the scripted
+        injections, the stalled edges, the recoveries and failures (step 1)
+        and the notifications (step 4). Built once per config, by the first
+        run, after the checks (``schedule``); not with them, because a trace
+        load checks its scenario but runs nothing."""
+        fault_events = self.schedule.fault_events
+        injections: dict[int, list[Injection]] = {}
+        for inj in self.injections:
+            injections.setdefault(inj.round, []).append(inj)
+        stalls: dict[int, set[str]] = {}
+        for edge, rounds in self.stalls.items():
+            for t in rounds:
+                stalls.setdefault(t, set()).add(edge)
+        faults: dict[int, list[tuple]] = {}
+        notifications: dict[int, list[tuple]] = {}
+        for ev in fault_events:
+            by_kind = notifications if ev[0] == "fail_notify" else faults
+            by_kind.setdefault(ev[1], []).append(ev)
+        return injections, stalls, faults, notifications
 
 
 def _fault_events(failures, recoveries, horizon: int) -> tuple[tuple, ...]:
@@ -537,7 +539,7 @@ class Engine:
 
     def __init__(self, config: ScenarioConfig, driver=None):
         self.config = config
-        self._schedule = config.schedule  # the first read checks the config
+        self._by_round = config.by_round  # the first read checks the config
         self.net = config.network
         self.driver = driver
         self.buckets = BucketSystem(config.adversary, self.net.edges)
@@ -560,9 +562,9 @@ class Engine:
 
     # -- the round pipeline ----------------------------------------------------
 
-    def _apply_faults(self, rnd: int):
+    def _apply_faults(self, rnd: int, events: list[tuple]):
         append = self.trace.events.append
-        for ev in self._schedule.faults_by_round[rnd]:
+        for ev in events:
             kind, _, edge = ev
             if kind == "recover":
                 self.failed.discard(edge)
@@ -576,8 +578,8 @@ class Engine:
         # routes found for a set stay valid whenever that set recurs.
         self._routes = self._routes_by_failed.setdefault(frozenset(self.failed), {})
 
-    def _deliver_notifications(self, rnd: int):
-        for ev in self._schedule.notifications_by_round[rnd]:
+    def _deliver_notifications(self, events: list[tuple]):
+        for ev in events:
             _, _, edge, fail_round = ev
             self.trace.events.append(ev)
             # A notification for an already recovered edge is delivered but
@@ -635,10 +637,9 @@ class Engine:
         tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
         register_stall = buckets.register_stall
         append, total_of = self.trace.events.append, self.trace.q_totals.append
-        schedule, driver = self._schedule, self.driver
-        scripted, stalls = schedule.injections_by_round, schedule.stalls_by_round
-        faults, notifications = schedule.faults_by_round, schedule.notifications_by_round
-        injection_fault, injectable = self.config.injection_fault, schedule.injectable
+        scripted, stalls, faults, notifications = self._by_round
+        driver, injection_fault = self.driver, self.config.injection_fault
+        injectable = self.config.schedule.injectable
         delays = self.config.annihilation_delays
         failed, visible, slowness = self.failed, self.visible_failed, self._slowness
         packets, key = self._packets, self._key
@@ -649,12 +650,12 @@ class Engine:
             for rnd in range(first, last + 1):
                 # 1-4: faults, bucket tick, antitoken countdown, notifications.
                 if rnd in faults:
-                    self._apply_faults(rnd)
+                    self._apply_faults(rnd, faults[rnd])
                 if tick():
                     for how, group in tick_antitokens():
                         append(("annihilate", rnd, group.gid, how))
                 if rnd in notifications:
-                    self._deliver_notifications(rnd)
+                    self._deliver_notifications(notifications[rnd])
                 # 5: injections, the scripted ones first, bought atomically.
                 # The config's checks passed the scripted ones; a driver's
                 # must be for this round, and each distinct (path, priority)

@@ -1263,11 +1263,13 @@ def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
     assert counts == {"validate_path": len(distinct), "_fault_events": 1,
                       "_fault_pairs": 1, "_notified_windows": 1}
     traces = [Engine(cfg).run(), Engine(cfg).run()]
+    by_round = cfg.by_round
     assert validate_recovery(traces[0]).ok and injections_after_notification(traces[1]) == []
     cfg.validate()
     assert counts == {"validate_path": len(distinct), "_fault_events": 1,
                       "_fault_pairs": 1, "_notified_windows": 1}
     assert cfg.schedule is schedule and schedule.injectable == distinct
+    assert Engine(cfg)._by_round is by_round
 
 
 def test_a_replaced_config_is_checked_on_its_own_first_use():
