@@ -185,9 +185,8 @@ def count_rerouted(trace: ExecutionTrace) -> RerouteCount:
 def injections_after_notification(trace: ExecutionTrace):
     """Injections routed over a link while its failure was known.
 
-    The engine and the trace loader refuse these outright; this scan of
-    every window is the oracle of their check. Returns a list of (round,
-    packet id, edge).
+    The engine refuses these outright; this scan of every window is the
+    oracle of its check. Returns a list of (round, packet id, edge).
     """
     windows = trace.config.schedule.edge_windows
     bad = []
@@ -321,8 +320,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
 
     Injections are decided by running the engine once with a greedy
     driver, so the recorded script is feasible by construction: replaying
-    it reproduces the co-run bit for bit. Parameters no scenario can
-    have are refused before the first draw.
+    it reproduces the co-run bit for bit. With ``with_trace``, the co-run
+    is returned too, bound to the returned scenario. Parameters no scenario
+    can have are refused before the first draw.
     """
     adversary = AdversaryType(rate, burst, delay)
     if tau < 1 or tau_prime < 1:
@@ -392,5 +392,6 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
                    for ev in trace.events if ev[0] == "inject")
     final = replace(config, injections=script)
     if with_trace:
+        trace.config = final  # the co-run is the run of the recorded script
         return final, trace
     return final

@@ -38,30 +38,28 @@ round, and ``run`` runs from it to the horizon, then the drain rounds.
 
 A ``ScenarioConfig`` is frozen, and checked once: the first read of its
 ``schedule`` runs every check (``validate`` is that read) and builds the
-``Schedule`` that the engine, the trace loader and the checkers then read,
-whoever reads it first. ``dataclasses.replace`` makes a new config, which
-is checked on its own first use. The by-round tables the pipeline reads
-are built once per config too, by its first run (``ScenarioConfig.by_round``),
-so ``Engine.__init__`` builds none.
+``Schedule`` that the engine and the checkers then read, whoever reads it
+first. ``dataclasses.replace`` makes a new config, which is checked on its
+own first use. The by-round tables the pipeline reads are built once per
+config too, by its first run (``ScenarioConfig.by_round``), so
+``Engine.__init__`` builds none. A trace file holds no events: its load
+runs the scenario in its header, so every trace a checker reads is a run
+of this pipeline.
 
 Every injection passes one check, ``ScenarioConfig.injection_fault``: its
-path is one ``validate_path`` accepts and its priority one of the
+path is a tuple that ``validate_path`` accepts and its priority one of the
 policy's levels. ``Schedule.injectable`` remembers the (path, priority)
 pairs that passed it, the script's first, so each is checked once per
-config, whether the script, a driver (step 5) or a trace file's inject
-events bring it. A driver's injection must also be for the round it is
-returned in.
+config, whether the script or a driver (step 5) brings it. A driver's
+injection must also be for the round it is returned in.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
 ``promote_after_tau`` adds included. ``Schedule.fault_events`` is the one
 list of the fail, recover and fail_notify events they make, in the order
-a run writes them: steps 1 and 4 append its tuples, and the trace loader
-checks a file's fault events against it. ``Schedule.notified_windows``
-gives the rounds in which each failure is visible, and
-``Schedule.edge_windows`` the same windows per edge; the checks refuse
-every scripted injection, and the loader every inject event, over a link
-in such a window, so step 1 raises nothing and step 5 refuses only a
-driver's injection.
+a run writes them: steps 1 and 4 append its tuples. ``Schedule.edge_windows``
+gives, per edge, the rounds in which its failures are visible; the checks
+refuse every scripted injection over a link in such a window, so step 1
+raises nothing and step 5 refuses only a driver's injection.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
@@ -119,16 +117,15 @@ class Schedule:
     by ``ScenarioConfig.schedule`` with the scenario's checks.
 
     ``fault_events`` lists the fail, recover and fail_notify events in the
-    order a run writes them; ``fault_pairs``, ``notified_windows`` and
-    ``edge_windows`` pair each failure with its recovery and give the
-    rounds in which it is visible. ``injectable`` remembers the (path,
-    priority) pairs that passed ``ScenarioConfig.injection_fault``: the
-    script's, and those a driver or a trace file adds, each checked once.
+    order a run writes them; ``fault_pairs`` pairs each failure with its
+    recovery, and ``edge_windows`` gives, per edge, the rounds in which its
+    failures are visible. ``injectable`` remembers the (path, priority)
+    pairs that passed ``ScenarioConfig.injection_fault``: the script's, and
+    those a driver adds, each checked once.
     """
 
     fault_events: tuple[tuple, ...]
     fault_pairs: dict[tuple[str, int], int | None]
-    notified_windows: dict[tuple[str, int], tuple[int, int]]
     edge_windows: dict[str, list[tuple[int, int]]]
     injectable: set[tuple]
 
@@ -153,7 +150,9 @@ class ScenarioConfig:
     copied when it is made, so nothing a caller still holds can change it.
     It is checked once, on its first use (``schedule``); a config derived
     with ``dataclasses.replace`` is a new object, checked on its own first
-    use.
+    use. Two configs of the same scenario compare equal, but ``hash(config)``
+    is unsupported: the ``stalls`` and ``annihilation_delays`` fields are
+    dicts.
     """
 
     network: Network
@@ -199,10 +198,12 @@ class ScenarioConfig:
 
     def injection_fault(self, path, priority) -> str | None:
         """What makes an injection on ``path`` at ``priority`` invalid, in
-        words that follow "injection" or "is injected", or None when it is
-        valid: the path must be one that ``validate_path`` accepts in the
-        network, and the priority an int below the policy's levels. Scripted
-        injections, a driver's and a trace file's are all checked by it."""
+        words that follow "injection", or None when it is valid: the path
+        must be a tuple that ``validate_path`` accepts in the network, and
+        the priority an int below the policy's levels. Scripted injections
+        and a driver's are all checked by it."""
+        if type(path) is not tuple:
+            return f"on path {path!r}, which is not a tuple of edge ids"
         verdict = validate_path(self.network, path)
         if not verdict:
             return (f"on a path not in the network, path {path}: "
@@ -239,7 +240,8 @@ class ScenarioConfig:
         for rnd, path, priority, _ in self.injections:
             if not 1 <= rnd <= horizon:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
-            if type(priority) is not int or (path, priority) not in injectable:
+            if (type(path) is not tuple or type(priority) is not int
+                    or (path, priority) not in injectable):
                 fault = self.injection_fault(path, priority)
                 if fault:
                     raise ScenarioError(f"injection of round {rnd} {fault}")
@@ -272,10 +274,10 @@ class ScenarioConfig:
             if not 1 <= ev.round <= horizon:
                 raise ScenarioError("recovery round outside horizon")
         pairs = _fault_pairs(self.failures, self.recoveries)
-        windows, edge_windows = _notified_windows(self.failures, pairs, horizon)
         schedule = Schedule(fault_events=_fault_events(self.failures, self.recoveries, horizon),
-                            fault_pairs=pairs, notified_windows=windows,
-                            edge_windows=edge_windows, injectable=injectable)
+                            fault_pairs=pairs,
+                            edge_windows=_notified_windows(self.failures, pairs, horizon),
+                            injectable=injectable)
         if schedule.edge_windows:
             for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
                 edge = schedule.notified_edge(path, rnd)
@@ -290,8 +292,9 @@ class ScenarioConfig:
         """The tables the engine's round loop reads, per round: the scripted
         injections, the stalled edges, the recoveries and failures (step 1)
         and the notifications (step 4). Built once per config, by the first
-        run, after the checks (``schedule``); not with them, because a trace
-        load checks its scenario but runs nothing."""
+        run, after the checks (``schedule``); not with them, because a config
+        that is checked and then replaced, as ``aqsim run --horizon`` does,
+        never runs."""
         fault_events = self.schedule.fault_events
         injections: dict[int, list[Injection]] = {}
         for inj in self.injections:
@@ -348,21 +351,17 @@ def _fault_pairs(failures, recoveries) -> dict[tuple[str, int], int | None]:
     return pairs
 
 
-def _notified_windows(failures, pairs, horizon: int):
-    """``{(edge, failure round): (first, end)}``: the rounds [first, end)
-    from the failure's notification to its recovery, or to horizon + 1
-    without one, in which the failure is visible; and per edge, those
-    windows in round order. Only non-empty windows are listed: a failure
+def _notified_windows(failures, pairs, horizon: int) -> dict[str, list[tuple[int, int]]]:
+    """Per edge, in round order, the rounds [first, end) from each failure's
+    notification to its recovery, or to horizon + 1 without one, in which
+    the failure is visible. Only non-empty windows are listed: a failure
     recovered by its notification is never seen."""
-    windows = {}
-    for ev in failures:
+    per_edge: dict[str, list[tuple[int, int]]] = {}
+    for ev in sorted(failures, key=lambda ev: (ev.edge, ev.round)):
         first, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or horizon + 1
         if first < end:
-            windows[ev.edge, ev.round] = first, end
-    per_edge: dict[str, list[tuple[int, int]]] = {}
-    for (edge, _), window in sorted(windows.items()):
-        per_edge.setdefault(edge, []).append(window)
-    return windows, per_edge
+            per_edge.setdefault(ev.edge, []).append((first, end))
+    return per_edge
 
 
 @dataclass
@@ -669,9 +668,11 @@ class Engine:
                                 raise ScenarioError(
                                     f"round {rnd}: a driver's injection is for round "
                                     f"{inj_round!r}", round=rnd)
-                            # False == 0 and 1.0 == 1 and hash alike: only an
-                            # int priority may pass by the memo.
-                            if type(priority) is not int or (path, priority) not in injectable:
+                            # False == 0 and 1.0 == 1 and hash alike, and a list
+                            # is no key: only a tuple path and an int priority
+                            # may pass by the memo.
+                            if (type(path) is not tuple or type(priority) is not int
+                                    or (path, priority) not in injectable):
                                 fault = injection_fault(path, priority)
                                 if fault:
                                     raise ScenarioError(f"round {rnd}: injection {fault}",

@@ -45,6 +45,15 @@ class Network:
             n: tuple(sorted(ids)) for n, ids in out.items()
         }
 
+    def __eq__(self, other):
+        """Networks of the same nodes and edges are equal, whoever built them."""
+        if not isinstance(other, Network):
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.nodes, frozenset(self.edges.values())))
+
     def edge_ids(self):
         return sorted(self.edges)
 

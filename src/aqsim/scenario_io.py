@@ -16,67 +16,45 @@ type-checked whole, over the distinct types of their entries; only a
 failing check walks them to name the first bad entry. A document without
 a version (version 1) is refused.
 
-A trace file (version 7) is line-delimited JSON: one header record
-binding the trace to the scenario (content hash plus the embedded
-scenario itself), one line per event, holding the event's compact JSON
-array ``[kind, round, ...]``, then a ``{"q_totals": [...]}`` record with
-the total queued after each round. The header line is the compact,
-key-sorted JSON of the header record, and the hash is the SHA-256 of the
-scenario's compact, key-sorted JSON as it stands in that line, so a load
-hashes the stored bytes and never encodes the scenario again. The events
-are those the checkers read: inject, transmit, stall, annihilate, absorb,
-reroute, fail, fail_notify and recover. A stall names the antitoken group
-it creates; the group's members, the edges its packet has still to
-cross, are not stored. Per-edge queue lengths and packet records are not
-stored either; they are functions of the events
-(``ExecutionTrace.queue_sizes``, ``ExecutionTrace.packets``). The file
-carries everything needed to reproduce the run.
+A trace file (version 8) is two lines of JSON: a header record binding
+the trace to its scenario (content hash plus the embedded scenario
+itself), then a ``{"q_totals": [...]}`` record with the total queued after
+each round. The header line is the compact, key-sorted JSON of the header
+record, and the hash is the SHA-256 of the scenario's compact, key-sorted
+JSON as it stands in that line, so a load hashes the stored bytes and
+never encodes the scenario again. The events are not stored: a run is a
+deterministic function of its scenario, so ``load_trace`` runs the
+header's scenario once and returns that run, and the checkers read
+exactly the events the engine acted on (``load_trace(path).events``).
 
-Loading reads each line on its own, exactly as ``json.loads`` reads it,
-and checks the file against itself and its scenario. Every event must be
-well formed, in round order and by the horizon (an annihilate by the end
-of the drain rounds that follow it), and must move a packet that is
-queued where the event says: no second inject of one packet, no
-transmit, stall, reroute or absorb of a packet that was never injected or
-is already absorbed. Every edge an event names must be in the network,
-and an inject must pass ``ScenarioConfig.injection_fault``, the check of
-every scripted or driven injection: its path a path of the network (its
-edges consecutive, none twice) and its priority one of the policy's
-levels, and must not cross a link whose failure is visible in its round
-(``Schedule.edge_windows``). What the scenario determines is checked by
-equality with the scenario's one definition of it, read from the
-config's ``Schedule``. A stall must be in a round the scenario
-schedules for its edge and create a new group id; its group must be
-annihilated once, in the round and manner ``buckets.annihilation`` gives
-for the stall's delay. The fail, recover and fail_notify events must be exactly
-``Schedule.fault_events``, in its order. A reroute must follow the
-fail_notify of the failure it names and lie in that failure's window of
-``Schedule.notified_windows``. The running count of injections
-minus absorptions must equal the stored total after every round, so an
-edited total or a dropped event is refused with the first round where
-they disagree, and the totals record must be the last. Bytes that are
-not UTF-8 are refused with the line that holds them. Files of versions 1
-to 6 are refused as an unsupported format.
+A load refuses, with a ParseError: bytes that are not UTF-8, naming their
+line; a header of another format or version (files of versions 1 to 7
+are refused as unsupported), laid out otherwise than ``save_trace`` writes
+it, whose hash does not match its scenario, or whose scenario does not
+parse; a totals record that is missing, mistyped or not one int per round
+of the horizon; any line after it; and totals that differ from the
+replay's, naming the first round where they differ. A scenario that the
+engine cannot run raises what the run raises. The digest of a trace
+(``trace_digest``), which ``save_trace`` returns, is not stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from .buckets import AdversaryType, annihilation
-from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
+from .buckets import AdversaryType
+from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig, run
 from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
 SCENARIO_FORMAT = "aqsim-scenario"
 SCENARIO_VERSION = 2
 TRACE_FORMAT = "aqsim-trace"
-TRACE_VERSION = 7
+TRACE_VERSION = 8
 
 
 class ParseError(ValueError):
@@ -197,6 +175,7 @@ _RECOVERY_KEYS = _keys({"edge": str, "round": int})
 _RUN_KEYS = _keys({"horizon": int},
                   {"seed": int, "promote_after_tau": bool, "enforce_buckets": bool})
 _HEADER_KEYS = _keys({"format": str, "version": int, "scenario_hash": str, "scenario": dict})
+_TOTALS_KEYS = _keys({"q_totals": [int]})
 
 
 # -- scenario <-> dict ---------------------------------------------------------
@@ -402,16 +381,9 @@ def scenario_hash(config: ScenarioConfig) -> str:
 
 
 _encode_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-# The fast path of the trace line decoder (``_read_records``): ``_scan(line,
-# 0)`` gives the JSON value that starts the line and the index where it ends.
-_scan = json.JSONDecoder().scan_once
 # Events encoded per json call: one call per event would cost more in calls
 # than in JSON, one for the whole trace more in memory.
 _CHUNK_EVENTS = 1024
-# Where the next event starts in the compact JSON of an event list: a list
-# of a kind and a round. A path is a list of strings, never followed by a
-# number, and a string holds no bare quote, so nowhere else in an event.
-_NEXT_EVENT = re.compile(r'\],(?=\["[a-z_]+",\d)')
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
@@ -444,36 +416,37 @@ _HEADER_END = len(_HEADER_HASH) + 64 + len(_HEADER_TAIL)  # from the scenario's 
 
 
 def save_trace(trace: ExecutionTrace, path) -> str:
-    """Write the trace file; returns the trace's digest (``trace_digest``),
-    hashed from the same encoded chunks as the file."""
+    """Write the trace file, its header and its totals; returns the trace's
+    digest (``trace_digest``), which the file does not hold."""
     scenario = _scenario_text(trace.config)
     scenario_sha = hashlib.sha256(scenario.encode()).hexdigest()
-    events = trace.events
-    digest = hashlib.sha256(b"[")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER_HEAD + scenario + _HEADER_HASH + scenario_sha + _HEADER_TAIL + "\n")
-        for start in range(0, len(events), _CHUNK_EVENTS):
-            chunk = _encode_compact(events[start:start + _CHUNK_EVENTS])[1:-1]
-            if start:
-                digest.update(b",")
-            digest.update(chunk.encode())
-            # Each line is then what encoding its event alone would give.
-            fh.write(_NEXT_EVENT.sub("]\n", chunk) + "\n")
-        totals = _encode_compact(trace.q_totals)
-        fh.write('{"q_totals":' + totals + "}\n")
-    digest.update(b"]")
-    digest.update(totals.encode())
-    return digest.hexdigest()
+        fh.write('{"q_totals":' + _encode_compact(trace.q_totals) + "}\n")
+    return trace_digest(trace)
 
 
 def load_trace(path) -> ExecutionTrace:
+    """The run of the scenario in a trace file's header, once its stored
+    totals are found to be the run's.
+
+    The header and the totals record are read and checked first, then the
+    scenario runs once (``engine.run``); a scenario the engine cannot run
+    raises what the run raises. The totals must then equal the run's, or a
+    ParseError names the first round where they differ.
+    """
     # Bytes that are not UTF-8 are read as lone surrogates, which UTF-8 text
-    # never holds, so the line that holds them is found where it is decoded.
+    # never holds, so the line that holds them is found where it is read.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        trace = ExecutionTrace(_read_header(fh.readline()))
-        net, q_totals = _read_records(trace, fh)
-    _check_totals(net, q_totals, trace.horizon)
-    trace.q_totals = q_totals
+        config = _read_header(fh.readline())
+        stored = _read_totals(fh.readline(), config.horizon)
+        if fh.readline():
+            raise ParseError("line 3: a line after the q_totals record")
+    trace = run(config)
+    for rnd, (kept, replayed) in enumerate(zip(stored, trace.q_totals), 1):
+        if kept != replayed:
+            raise ParseError(f"q_totals disagrees with the replay of its scenario from round "
+                             f"{rnd}: {kept} stored, {replayed} replayed")
     return trace
 
 
@@ -484,12 +457,7 @@ def _read_header(line: str) -> ScenarioConfig:
     must be the SHA-256 of the scenario's bytes between the fixed head and
     tail; the scenario is then read from the decoded header.
     """
-    if _undecodable(line):
-        raise ParseError("line 1: bytes that are not UTF-8")
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"trace header: {exc.msg}") from None
+    header = _decode(line, 1)
     _require(header, "trace header", _HEADER_KEYS)
     if header["format"] != TRACE_FORMAT or header["version"] != TRACE_VERSION:
         raise ParseError(
@@ -505,328 +473,29 @@ def _read_header(line: str) -> ScenarioConfig:
     return scenario_from_dict(header["scenario"])
 
 
-def _undecodable(text: str) -> bool:
-    """Whether text read with ``surrogateescape`` held bytes that are not UTF-8."""
-    if text.isascii():
-        return False
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        return True
-    return False
+def _read_totals(line: str, horizon: int) -> list[int]:
+    """The totals of the record on the line after the header: one int per
+    round of the horizon."""
+    if not line:
+        raise ParseError("trace has no q_totals record")
+    totals = _require(_decode(line, 2), "line 2", _TOTALS_KEYS)["q_totals"]
+    if len(totals) != horizon:
+        raise ParseError(f"q_totals has {len(totals)} rounds, the horizon is {horizon}")
+    return totals
 
 
-def _decode_line(line: str, lineno: int):
-    """The record of a line as ``json.loads`` reads it, or a ParseError
-    naming the line: bytes that are not UTF-8 first, then bad JSON."""
-    if _undecodable(line):
-        raise ParseError(f"line {lineno}: bytes that are not UTF-8")
+def _decode(line: str, lineno: int):
+    """The JSON value of a line, or a ParseError naming the line: bytes that
+    are not UTF-8 first, then bad JSON."""
+    if not line.isascii():
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise ParseError(f"line {lineno}: bytes that are not UTF-8") from None
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: {exc.msg}") from None
-
-
-def _tuplify(value: list) -> tuple:
-    """``value`` with every list in it, at any depth, made a tuple."""
-    return tuple([_tuplify(v) if type(v) is list else v for v in value])
-
-
-# The number of fields of each kind of event, kind and round included.
-_EVENT_FIELDS = {"inject": 5, "transmit": 4, "stall": 5, "annihilate": 4, "absorb": 3,
-                 "reroute": 7, "fail": 3, "fail_notify": 4, "recover": 3}
-# The fields that hold a path: the only lists in a well-formed event.
-_PATH_FIELDS = {"inject": (3,), "reroute": (3, 4)}
-
-
-def _is_path(value, edges) -> bool:
-    return isinstance(value, tuple) and all(
-        isinstance(e, str) and e in edges for e in value)
-
-
-def _fault_text(ev: tuple) -> str:
-    """A fail, fail_notify or recover event in words."""
-    kind, rnd, edge = ev[:3]
-    of = f" of its failure in round {ev[3]!r}" if kind == "fail_notify" else ""
-    return f"{kind} of edge {edge!r} in round {rnd}{of}"
-
-
-def _is_scheduled(ev: tuple, faults: list[tuple]) -> bool:
-    """Whether the fault event ``ev`` is one of ``faults``. The round is an
-    int; so must a failure round be, or True would equal 1."""
-    return ev in faults and (ev[0] != "fail_notify" or type(ev[3]) is int)
-
-
-def _off_schedule(ev: tuple, faults: list[tuple], at: int) -> ParseError:
-    """The error for a fault event that is not ``faults[at]``, the next of
-    the schedule: that one is missing when ``ev`` comes later in it."""
-    if at == len(faults):
-        return ParseError(f"{_fault_text(ev)}, after the scenario's last fault event")
-    expected = _fault_text(faults[at])
-    if _is_scheduled(ev, faults[at + 1:]):
-        return ParseError(f"trace has no {expected}, which the scenario schedules before "
-                          f"this {_fault_text(ev)}")
-    return ParseError(f"{_fault_text(ev)}, where the scenario's next fault event is the "
-                      f"{expected}")
-
-
-def _read_records(trace: ExecutionTrace, lines):
-    """Decode and check the lines after the header and fold their events
-    into ``trace``.
-
-    One pass. Each line is decoded as ``json.loads`` decodes it on its own,
-    by the fast path of ``_scan`` when the value fills the line. Each event
-    must be well formed, in round order, by the horizon (an annihilate by
-    the end of the drain rounds) and move a packet that is queued where the
-    event says; ``ahead`` maps each injected packet to the edges it has
-    still to cross (``None`` once absorbed). A link transmits or stalls at
-    most once a round, its one selection. An inject must pass
-    ``ScenarioConfig.injection_fault``, checked once per config for each
-    distinct (path, priority) (``Schedule.injectable``), and must not cross
-    a link in a notified window. The events the scenario determines are
-    checked against it by equality: a stall must be in a round the
-    scenario schedules for its edge, once, and creates the next group id
-    (they count the stalls from 0), which its annihilate must end in the
-    round and manner ``annihilation`` gives;
-    each fail, recover and fail_notify must be the next event of
-    ``Schedule.fault_events``; a reroute must come after the
-    fail_notify of the failure it names, within that failure's notified
-    window. The event, its lists made tuples, is then appended and counted
-    in its round's injections minus absorptions. The totals record ends
-    the records: a line after it is refused. Every scheduled fault event
-    must then have been read, and every group annihilated. Returns the
-    per-round counts and the stored totals.
-
-    Well-typed transmit, absorb and inject events, most of any trace, take
-    a lane of their own that runs their checks in the same order. An event
-    a lane does not accept goes on, untouched, to the generic checks, the
-    only ones that raise, so a refusal reads the same whichever way the
-    event came.
-    """
-    config = trace.config
-    schedule = config.schedule
-    edges = set(config.network.edges)
-    horizon = config.horizon
-    drained = config.last_round  # the last round of an annihilate
-    # Per edge, the scheduled stall rounds not read yet.
-    stalls_left = {edge: set(rounds) for edge, rounds in config.stalls.items()}
-    delays = config.annihilation_delays
-    max_delay = config.adversary.delay
-    faults = schedule.fault_events
-    fault_at = 0  # the index in ``faults`` of the next fault event
-    windows = schedule.notified_windows
-    # Whether an inject's path crosses a notified failure is asked only of
-    # a scenario that has one.
-    notified_edge = schedule.notified_edge if schedule.edge_windows else None
-    notice = {ev[2:]: i for i, ev in enumerate(faults) if ev[0] == "fail_notify"}
-    append = trace.events.append
-    ahead: dict[int, tuple | None] = {}
-    injectable = schedule.injectable  # the (path, priority) pairs checked so far
-    selected: dict[str, int] = {}  # link -> the last round it transmitted or stalled in
-    # Per group id, the (round, manner) of its annihilation, None once read.
-    # Ids count the stalls from 0, so the next stall creates len(groups).
-    groups: list[tuple[int, str] | None] = []
-    net: dict[int, int] = {}  # round -> injections minus absorptions
-    q_totals = None
-    last_round = 1
-    numbered = enumerate(lines, 2)
-    for lineno, line in numbered:
-        try:
-            ev, end = _scan(line, 0)
-        except (StopIteration, ValueError):
-            end = None
-        if end is None or line[end:] != "\n" or not line.isascii() and _undecodable(line):
-            ev = _decode_line(line, lineno)
-        if type(ev) is list:
-            n = len(ev)
-            if n == 4:
-                kind, rnd, edge, pid = ev
-                if (kind == "transmit" and type(rnd) is int and last_round <= rnd <= horizon
-                        and type(pid) is int):
-                    rest = ahead.get(pid)
-                    if rest and rest[0] == edge and selected.get(edge) != rnd:
-                        selected[edge] = rnd
-                        ahead[pid] = rest[1:]
-                        last_round = rnd
-                        append(("transmit", rnd, edge, pid))
-                        continue
-            elif n == 3:
-                kind, rnd, pid = ev
-                if (kind == "absorb" and type(rnd) is int and last_round <= rnd <= horizon
-                        and type(pid) is int and ahead.get(pid) == ()):
-                    ahead[pid] = None
-                    net[rnd] = net.get(rnd, 0) - 1
-                    last_round = rnd
-                    append(("absorb", rnd, pid))
-                    continue
-            elif n == 5:
-                kind, rnd, pid, path, priority = ev
-                if (kind == "inject" and type(rnd) is int and last_round <= rnd <= horizon
-                        and type(pid) is int and pid not in ahead
-                        and type(path) is list and all(type(e) is str for e in path)
-                        and type(priority) is int
-                        and ((path := tuple(path)), priority) in injectable
-                        and (notified_edge is None or notified_edge(path, rnd) is None)):
-                    ahead[pid] = path
-                    net[rnd] = net.get(rnd, 0) + 1
-                    last_round = rnd
-                    append(("inject", rnd, pid, path, priority))
-                    continue
-        try:
-            if type(ev) is not list:
-                if not (type(ev) is dict and "q_totals" in ev):
-                    raise ParseError("unknown record")
-                q_totals = ev["q_totals"]
-                break
-            if not (len(ev) >= 2 and type(ev[0]) is str and type(ev[1]) is int):
-                raise ParseError("an event is a list [kind, round, ...]")
-            kind, rnd = ev[0], ev[1]
-            if _EVENT_FIELDS.get(kind) != len(ev):
-                raise ParseError(f"malformed {kind!r} event")
-            for i in _PATH_FIELDS.get(kind, ()):
-                if type(ev[i]) is list:
-                    ev[i] = _tuplify(ev[i])
-            ev = _tuplify(ev) if list in map(type, ev) else tuple(ev)
-            if rnd < 1:
-                raise ParseError(f"event of round {rnd}; rounds start at 1")
-            if rnd < last_round:
-                raise ParseError(f"event of round {rnd} after round {last_round}")
-            if rnd > horizon:
-                if kind != "annihilate":
-                    raise ParseError(f"{kind} event of round {rnd}, after the horizon {horizon}")
-                if rnd > drained:
-                    raise ParseError(f"annihilate event of round {rnd}, after the drain "
-                                     f"rounds {horizon + 1}..{drained}")
-            last_round = rnd
-            if kind == "annihilate":
-                _, _, gid, how = ev
-                if type(gid) is not int:
-                    raise ParseError(f"annihilate event with group id {gid!r}")
-                if not 0 <= gid < len(groups):
-                    raise ParseError(f"annihilate of group {gid}, which is never created")
-                due = groups[gid]
-                if due is None:
-                    raise ParseError(f"annihilate of group {gid}, which is already annihilated")
-                if (rnd, how) != due:
-                    raise ParseError(
-                        f"annihilate of group {gid} in round {rnd} as {how!r}; its stall "
-                        f"annihilates it in round {due[0]} as {due[1]!r}")
-                groups[gid] = None
-                append(ev)
-                continue
-            if kind == "fail" or kind == "recover" or kind == "fail_notify":
-                if not _is_scheduled(ev, faults[fault_at:fault_at + 1]):
-                    raise _off_schedule(ev, faults, fault_at)
-                fault_at += 1
-                append(ev)
-                continue
-            pid = ev[3] if kind == "transmit" or kind == "stall" else ev[2]
-            if type(pid) is not int:
-                raise ParseError(f"{kind} event with packet id {pid!r}")
-            if kind == "inject":
-                path, priority = ev[3], ev[4]
-                if pid in ahead:
-                    raise ParseError(f"packet {pid} is injected twice")
-                if not (type(path) is tuple and all(type(e) is str for e in path)):
-                    raise ParseError(
-                        f"packet {pid} is injected on a path not in the network")
-                fault = config.injection_fault(path, priority)
-                if fault:
-                    raise ParseError(f"packet {pid} is injected {fault}")
-                injectable.add((path, priority))
-                if notified_edge is not None and (edge := notified_edge(path, rnd)):
-                    raise ParseError(f"packet {pid} is injected in round {rnd} over {edge!r} "
-                                     "after its failure notification")
-                ahead[pid] = path
-                net[rnd] = net.get(rnd, 0) + 1
-                append(ev)
-                continue
-            rest = ahead.get(pid)
-            if rest is None:
-                state = "already absorbed" if pid in ahead else "never injected"
-                raise ParseError(f"{kind} of packet {pid}, which is {state}")
-            if kind == "absorb":
-                if rest:
-                    raise ParseError(
-                        f"absorb of packet {pid} with {list(rest)} still to cross")
-                ahead[pid] = None
-                net[rnd] = net.get(rnd, 0) - 1
-                append(ev)
-                continue
-            edge = ev[5] if kind == "reroute" else ev[2]
-            if not rest or rest[0] != edge:
-                raise ParseError(
-                    f"{kind} of packet {pid} at {edge!r}, where it is not queued")
-            if kind == "transmit":
-                ahead[pid] = rest[1:]
-            elif kind == "stall":
-                gid = ev[4]
-                if type(gid) is not int:
-                    raise ParseError(f"stall event with group id {gid!r}")
-                if gid != len(groups):
-                    raise ParseError(
-                        f"group {gid} is created twice" if 0 <= gid < len(groups) else
-                        f"stall of packet {pid} creates group {gid}, not the next, {len(groups)}")
-                unstalled = stalls_left.get(edge)
-                if not unstalled or rnd not in unstalled:
-                    state = ("is stalled already" if rnd in config.stalls.get(edge, ())
-                             else "the scenario does not schedule")
-                    raise ParseError(
-                        f"stall of packet {pid} at {edge!r} in round {rnd}, which {state}")
-                unstalled.remove(rnd)
-                groups.append(annihilation(rnd, delays.get((edge, rnd), max_delay), max_delay))
-            else:
-                new_suffix, fail_round = ev[4], ev[6]
-                if ev[3] != rest or not _is_path(new_suffix, edges):
-                    raise ParseError(f"reroute of packet {pid} does not match its path")
-                window = windows.get((edge, fail_round)) if type(fail_round) is int else None
-                if window is None or not window[0] <= rnd < window[1]:
-                    raise ParseError(
-                        f"reroute of packet {pid} at {edge!r} in round {rnd} names a failure "
-                        f"in round {fail_round!r}, " + (
-                            f"visible in rounds {window[0]}..{window[1] - 1}" if window
-                            else "which the scenario never makes visible"))
-                if notice[edge, fail_round] >= fault_at:
-                    raise ParseError(f"reroute of packet {pid} at {edge!r} before the "
-                                     f"fail_notify of its failure in round {fail_round}")
-                ahead[pid] = new_suffix
-            if kind != "reroute":  # a transmit or a stall, the link's selection
-                if selected.get(edge) == rnd:
-                    raise ParseError(
-                        f"{kind} of packet {pid} at {edge!r} in round {rnd}, after the link "
-                        "already transmitted or stalled in that round")
-                selected[edge] = rnd
-            append(ev)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    for lineno, _line in numbered:
-        raise ParseError(f"line {lineno}: a record after the q_totals record")
-    if fault_at < len(faults):
-        raise ParseError(f"trace has no {_fault_text(faults[fault_at])}, "
-                         "which the scenario schedules")
-    gid = next((gid for gid, due in enumerate(groups) if due is not None), None)
-    if gid is not None:
-        rnd, how = groups[gid]
-        raise ParseError(f"trace has no annihilate of group {gid}, which its stall "
-                         f"annihilates in round {rnd} as {how!r}")
-    return net, q_totals
-
-
-def _check_totals(net: dict[int, int], q_totals, horizon: int):
-    """The stored totals must be the running sum of the per-round net counts."""
-    if q_totals is None:
-        raise ParseError("trace has no q_totals record")
-    if not (isinstance(q_totals, list) and all(type(q) is int for q in q_totals)):
-        raise ParseError("q_totals is not a list of integers")
-    if len(q_totals) != horizon:
-        raise ParseError(f"q_totals has {len(q_totals)} rounds, the horizon is {horizon}")
-    queued = 0
-    for rnd, stored in enumerate(q_totals, 1):
-        queued += net.get(rnd, 0)
-        if stored != queued:
-            raise ParseError(
-                f"q_totals disagrees with the events from round {rnd}: "
-                f"{stored} stored, {queued} injected and not absorbed")
 
 
 def write_metrics_csv(trace: ExecutionTrace, path):

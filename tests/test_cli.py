@@ -15,12 +15,12 @@ import pytest
 from aqsim.analysis import injections_after_notification
 from aqsim.buckets import AdversaryType
 from aqsim.cli import build_parser, main
-from aqsim.engine import HIGH_ID_BASE, ExecutionTrace, Injection, ScenarioConfig
+from aqsim.engine import ExecutionTrace, Injection, ScenarioConfig, run
+from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.scenario_io import (ParseError, load_scenario, load_trace, save_scenario,
-                               trace_digest)
-from test_scenario_io import SCHEDULE_EDITS, SELECTION_EDITS, one_link_lines
-from trace_lines import event_line, first_event, is_event_line, line_event
+                               save_trace, scenario_from_dict, trace_digest)
+from test_scenario_io import SCHEDULE_EDITS, SELECTION_EDITS, one_link_run, save_edited
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHECK_MODES = ("admissibility", "regular", "stall-bound", "recovery")
@@ -69,23 +69,23 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
     scenario = gen(tmp_path)
     out_dir = tmp_path / "out"
     main(["run", str(scenario), "--out", str(out_dir)])
-    trace = out_dir / "scenario.trace.jsonl"
-    lines = trace.read_text().splitlines()
-    cfg = load_scenario(scenario)
+    path = out_dir / "scenario.trace.jsonl"
+    trace = load_trace(path)
+    cfg = trace.config
     edge = sorted(cfg.network.edges)[0]
     pids = range(900, 900 + cfg.adversary.burst + 2)
-    flood = [event_line(["inject", 5, pid, [edge], 0]) for pid in pids]
-    at = next(i for i, line in enumerate(lines)
-              if is_event_line(line) and line_event(line)[1] > 5)
-    trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
-    # The extra packets are never absorbed, so the stored totals give it away.
-    assert main(["check", str(trace), "--mode", "admissibility"]) == 2
-    # Sent and absorbed in the round they enter, they keep the totals
-    # consistent, but the link sends more than one packet in the round.
-    flood += [event_line([kind, 5, *args]) for pid in pids
+    flood = [("inject", 5, pid, (edge,), 0) for pid in pids]
+    at = next(i for i, ev in enumerate(trace.events) if ev[1] > 5)
+    # A file holds only the totals of a flood of extra packets, which are
+    # never absorbed: they differ from the replay's, and the load says so.
+    save_edited(trace, [*trace.events[:at], *flood, *trace.events[at:]], path)
+    assert main(["check", str(path), "--mode", "admissibility"]) == 2
+    # Sent and absorbed in the round they enter, they leave the totals as
+    # they were: the file is the run's, and the check reads the run.
+    flood += [(kind, 5, *args) for pid in pids
               for kind, *args in (("transmit", edge, pid), ("absorb", pid))]
-    trace.write_text("\n".join(lines[:at] + flood + lines[at:]) + "\n")
-    assert main(["check", str(trace), "--mode", "admissibility"]) == 2
+    save_edited(trace, [*trace.events[:at], *flood, *trace.events[at:]], path)
+    assert main(["check", str(path), "--mode", "admissibility"]) == 0
     # The same flood scripted into a scenario that does not enforce the
     # buckets runs, and only the admissibility check refuses its trace.
     flooded = tmp_path / "flooded.json"
@@ -96,18 +96,23 @@ def test_corrupted_trace_fails_admissibility(tmp_path):
                  "--mode", "admissibility"]) == 1
 
 
+def assert_edit_is_the_run(path, events):
+    """An edit of the events of the trace saved at ``path`` that moves no
+    total saves to the same file: the readers read the run."""
+    saved = path.read_bytes()
+    save_edited(load_trace(path), events, path)
+    assert path.read_bytes() == saved
+
+
 def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
     scenario = gen(tmp_path)
     out_dir = tmp_path / "out"
     main(["run", str(scenario), "--out", str(out_dir)])
-    trace = out_dir / "scenario.trace.jsonl"
-    lines = trace.read_text().splitlines()
-    at = first_event(lines, "absorb")
-    lines[at] = event_line(["absorb", line_event(lines[at])[1], 123456])
-    trace.write_text("\n".join(lines) + "\n")
-    for mode in CHECK_MODES:
-        assert main(["check", str(trace), "--mode", mode]) == 2
-    assert main(["reduce", str(trace)]) == 2
+    path = out_dir / "scenario.trace.jsonl"
+    events = list(load_trace(path).events)
+    at = next(i for i, ev in enumerate(events) if ev[0] == "absorb")
+    events[at] = ("absorb", events[at][1], 123456)
+    assert_edit_is_the_run(path, events)
 
 
 def generated_trace(tmp_path, *extra):
@@ -120,20 +125,23 @@ def generated_trace(tmp_path, *extra):
     return out_dir / "scenario.trace.jsonl"
 
 
-def assert_every_reader_exits_2(trace):
+def assert_every_reader_exits(trace, code):
     for mode in CHECK_MODES:
-        assert main(["check", str(trace), "--mode", mode]) == 2, mode
-    assert main(["reduce", str(trace)]) == 2
+        assert main(["check", str(trace), "--mode", mode]) == code, mode
+    assert main(["reduce", str(trace)]) == code
+
+
+def assert_every_reader_exits_2(trace):
+    assert_every_reader_exits(trace, 2)
 
 
 def test_trace_with_bytes_that_are_not_utf8_is_a_parse_error(tmp_path, capsys):
     trace = generated_trace(tmp_path)
     lines = trace.read_bytes().split(b"\n")
-    at = max(i for i, line in enumerate(lines) if is_event_line(line.decode()))
-    lines[at] = b"\xff\xfe" + lines[at]
+    lines[1] = b"\xff\xfe" + lines[1]
     trace.write_bytes(b"\n".join(lines))
     assert_every_reader_exits_2(trace)
-    assert f"line {at + 1}: bytes that are not UTF-8" in capsys.readouterr().err
+    assert "line 2: bytes that are not UTF-8" in capsys.readouterr().err
 
 
 def test_second_totals_record_is_a_parse_error(tmp_path, capsys):
@@ -142,13 +150,107 @@ def test_second_totals_record_is_a_parse_error(tmp_path, capsys):
     trace = generated_trace(tmp_path, "--failures", "2")
     lines = trace.read_text().splitlines()
     totals = json.loads(lines[-1])
-    lines.insert(len(lines) - 1, json.dumps({"q_totals": [9, *totals["q_totals"]]},
+    lines.insert(len(lines) - 1, json.dumps({"q_totals": [9, *totals["q_totals"][1:]]},
                                             separators=(",", ":")))
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert_every_reader_exits_2(trace)
-    message = f"parse error: line {len(lines)}: a record after the q_totals record"
+    message = "parse error: line 3: a line after the q_totals record"
     assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
+
+
+def totals_edited(rnd):
+    """An edit of a trace's lines that adds one to the total of round ``rnd``."""
+    def edit(lines):
+        totals = json.loads(lines[1])["q_totals"]
+        totals[rnd - 1] += 1
+        lines[1] = json.dumps({"q_totals": totals}, separators=(",", ":"))
+    return edit
+
+
+def as_version_7(lines):
+    # A version 7 file held each event on a line of its own.
+    header = json.loads(lines[0])
+    header["version"] = 7
+    events = run(scenario_from_dict(header["scenario"])).events
+    lines[:] = [json.dumps(header, sort_keys=True, separators=(",", ":")),
+                *(json.dumps(ev, separators=(",", ":")) for ev in events), lines[1]]
+
+
+def not_utf8_in_the_header(lines):
+    lines[0] = lines[0].replace('"FTG"', '"FT\udcffG"')
+
+
+# Edits of a saved 200-round trace that every reader refuses: (the edit,
+# what the refusal says).
+TRACE_REFUSALS = [
+    pytest.param(totals_edited(120), "q_totals disagrees with the replay of its scenario "
+                 "from round 120: ", id="edited-total"),
+    pytest.param(lambda lines: lines.__setitem__(1, '{"q_totals":[0]}'),
+                 "q_totals has 1 rounds, the horizon is 200", id="totals-too-short"),
+    pytest.param(lambda lines: lines.__setitem__(1, lines[1].replace(",", ',"1",', 1)),
+                 "line 2.q_totals[1]: expected int, got '1'", id="totals-hold-text"),
+    pytest.param(lambda lines: lines.pop(), "trace has no q_totals record",
+                 id="totals-missing"),
+    pytest.param(lambda lines: lines.append("{}"), "line 3: a line after the q_totals record",
+                 id="line-after-the-totals"),
+    pytest.param(as_version_7, "unsupported trace format 'aqsim-trace' v7", id="version-7"),
+    pytest.param(not_utf8_in_the_header, "line 1: bytes that are not UTF-8",
+                 id="header-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("edit, message", TRACE_REFUSALS)
+def test_trace_file_refusals_exit_2(tmp_path, capsys, edit, message):
+    trace = generated_trace(tmp_path, "--failures", "2")
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 2
+    edit(lines)
+    trace.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+    capsys.readouterr()
+    assert_every_reader_exits_2(trace)
+    assert capsys.readouterr().err.count(f"parse error: {message}") == len(CHECK_MODES) + 1
+
+
+def test_trace_whose_header_the_buckets_cannot_afford_exits_3(tmp_path, capsys):
+    # The header's script floods one link in round 1, as a scenario file
+    # that ``run`` refuses would: the load raises what the run raises.
+    trace = generated_trace(tmp_path)
+    saved = load_trace(trace)
+    config = saved.config
+    edge = sorted(config.network.edges)[0]
+    flooded = ExecutionTrace(replace(config, injections=(
+        *[Injection(1, (edge,))] * (config.adversary.burst + 1), *config.injections)))
+    flooded.q_totals = saved.q_totals
+    save_trace(flooded, trace)
+    capsys.readouterr()
+    assert_every_reader_exits(trace, 3)
+    err = capsys.readouterr().err
+    assert err.count(f"model violation: round 1: buckets cannot afford the scripted "
+                     f"injections, edge {edge!r} is short") == len(CHECK_MODES) + 1
+
+
+def test_swapped_fifo_sends_load_in_the_engines_order(tmp_path):
+    # Two packets queued in round 1 at one FIFO link: the link sends packet
+    # 0, then packet 1. The run with the two sends swapped keeps every
+    # total, so it saves to the run's own file, and every reader reads the
+    # engine's order.
+    net = Network(["a", "b"], [Edge("ab", "a", "b")])
+    cfg = ScenarioConfig(network=net, adversary=AdversaryType(Fraction(1), 1, 1),
+                         policy="FIFO", horizon=4, injections=(Injection(1, ("ab",)),) * 2,
+                         enforce_buckets=False)
+    path = tmp_path / "fifo.trace.jsonl"
+    save_trace(run(cfg), path)
+    sends = [("transmit", 1, "ab", 0), ("absorb", 1, 0),
+             ("transmit", 2, "ab", 1), ("absorb", 2, 1)]
+    events = list(load_trace(path).events)
+    assert events[2:] == sends
+    events[2:] = [("transmit", 1, "ab", 1), ("absorb", 1, 1),
+                  ("transmit", 2, "ab", 0), ("absorb", 2, 0)]
+    assert_edit_is_the_run(path, events)
+    assert load_trace(path).events[2:] == sends
+    for mode in CHECK_MODES:
+        assert main(["check", str(path), "--mode", mode]) in (0, 1), mode
 
 
 def test_run_horizon_before_a_promoted_failure_exits_3(tmp_path, capsys):
@@ -194,48 +296,50 @@ def test_runs_of_saved_scenarios_are_pinned(tmp_path, capsys, seed, failures, di
 
 
 def edit_first(kind, edit):
-    """Replace the first event of ``kind`` in a trace's lines by ``edit(event)``."""
-    def apply(lines):
-        at = first_event(lines, kind)
-        lines[at] = event_line(edit(line_event(lines[at])))
+    """Replace the first event of ``kind`` in a run's events by ``edit(event)``."""
+    def apply(events):
+        at = next(i for i, ev in enumerate(events) if ev[0] == kind)
+        events[at] = edit(events[at])
     return apply
 
 
 def drop_first(kind):
-    """Delete the first event of ``kind`` from a trace's lines."""
-    def apply(lines):
-        del lines[first_event(lines, kind)]
+    """Delete the first event of ``kind`` from a run's events."""
+    def apply(events):
+        del events[next(i for i, ev in enumerate(events) if ev[0] == kind)]
     return apply
 
 
 def after_first(kind, make):
-    """Insert ``make(event)`` after the first event of ``kind`` in a trace's lines."""
-    def apply(lines):
-        at = first_event(lines, kind)
-        lines.insert(at + 1, event_line(make(line_event(lines[at]))))
+    """Insert ``make(event)`` after the first event of ``kind`` in a run's events."""
+    def apply(events):
+        at = next(i for i, ev in enumerate(events) if ev[0] == kind)
+        events.insert(at + 1, make(events[at]))
     return apply
 
 
-# A stall creates its antitoken group, so the group cases edit a stall.
+# Edits of the events of a run. A stall creates its antitoken group, so the
+# group cases edit a stall. None moves a total, so each saves to the run's
+# own file.
 @pytest.mark.parametrize("apply", [
-    edit_first("stall", lambda ev: ev[:2] + ["zz"] + ev[3:]),
-    edit_first("stall", lambda ev: ev[:4] + [ev[4] + 1]),
-    edit_first("stall", lambda ev: ev[:4] + [None]),
-    edit_first("annihilate", lambda ev: ev[:2] + [10 ** 6, ev[3]]),
-    edit_first("annihilate", lambda ev: ev[:3] + ["eventually"]),
-    edit_first("fail", lambda ev: ev[:2] + ["zz"]),
-    edit_first("fail_notify", lambda ev: ev[:2] + ["zz", ev[3]]),
-    edit_first("fail_notify", lambda ev: ev[:3] + [ev[1] + 1]),
-    edit_first("inject", lambda ev: ev[:4] + [[7]]),
-    edit_first("stall", lambda ev: ev[:3] + [999999, ev[4]]),
+    edit_first("stall", lambda ev: ev[:2] + ("zz",) + ev[3:]),
+    edit_first("stall", lambda ev: ev[:4] + (ev[4] + 1,)),
+    edit_first("stall", lambda ev: ev[:4] + (None,)),
+    edit_first("annihilate", lambda ev: ev[:2] + (10 ** 6, ev[3])),
+    edit_first("annihilate", lambda ev: ev[:3] + ("eventually",)),
+    edit_first("fail", lambda ev: ev[:2] + ("zz",)),
+    edit_first("fail_notify", lambda ev: ev[:2] + ("zz", ev[3])),
+    edit_first("fail_notify", lambda ev: ev[:3] + (ev[1] + 1,)),
+    edit_first("inject", lambda ev: ev[:4] + ((7,),)),
+    edit_first("stall", lambda ev: ev[:3] + (999999, ev[4])),
     drop_first("stall"),
-    edit_first("reroute", lambda ev: ev[:6] + [[["x"]]]),
-    edit_first("reroute", lambda ev: ev[:6] + [ev[6] - 1]),
+    edit_first("reroute", lambda ev: ev[:6] + ((("x",),),)),
+    edit_first("reroute", lambda ev: ev[:6] + (ev[6] - 1,)),
     drop_first("fail"),
     after_first("fail", lambda ev: ev),
-    after_first("fail", lambda ev: ["recover", ev[1], ev[2]]),
-    edit_first("fail", lambda ev: ev[:2] + ["e000"]),
-    edit_first("fail_notify", lambda ev: ev[:3] + [ev[3] - 1]),
+    after_first("fail", lambda ev: ("recover", ev[1], ev[2])),
+    edit_first("fail", lambda ev: ev[:2] + ("e000",)),
+    edit_first("fail_notify", lambda ev: ev[:3] + (ev[3] - 1,)),
     after_first("fail_notify", lambda ev: ev),
 ], ids=["group-edge", "group-id", "stall-group", "annihilate-unknown",
         "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
@@ -245,103 +349,94 @@ def after_first(kind, make):
         "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure",
         "fail-notify-repeated"])
 def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
-    trace = generated_trace(tmp_path, "--failures", "2")
-    lines = trace.read_text().splitlines()
-    apply(lines)
-    trace.write_text("\n".join(lines) + "\n")
-    assert_every_reader_exits_2(trace)
+    path = generated_trace(tmp_path, "--failures", "2")
+    events = list(load_trace(path).events)
+    apply(events)
+    assert_edit_is_the_run(path, events)
 
 
-@pytest.mark.parametrize("saved, edit, message", SCHEDULE_EDITS)
-def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, saved, edit,
-                                                           message):
-    path, lines = saved(tmp_path)
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+@pytest.mark.parametrize("make, edit, differs_from", SCHEDULE_EDITS)
+def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, make, edit,
+                                                           differs_from):
+    path = tmp_path / "t.jsonl"
+    save_trace(make(), path)
+    events = list(load_trace(path).events)
+    edit(events)
+    if differs_from is None:
+        assert_edit_is_the_run(path, events)
+        return
+    save_edited(load_trace(path), events, path)
     capsys.readouterr()
     assert_every_reader_exits_2(path)
-    assert capsys.readouterr().err.count(f"parse error: {message}\n") == len(CHECK_MODES) + 1
-
-
-def inject_line_at(lines, event):
-    """Insert the inject ``event`` after the events of its round, and count
-    its packet, which is never sent, in the totals from that round on."""
-    rnd = event[1]
-    at = next((i for i, line in enumerate(lines[1:-1], 1) if line_event(line)[1] > rnd),
-              len(lines) - 1)
-    totals = json.loads(lines[-1])["q_totals"]
-    totals[rnd - 1:] = [q + 1 for q in totals[rnd - 1:]]
-    return [*lines[:at], event_line(event), *lines[at:-1],
-            json.dumps({"q_totals": totals}, separators=(",", ":"))]
+    message = ("parse error: q_totals disagrees with the replay of its scenario from "
+               f"round {differs_from}: ")
+    assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_inject_in_a_notified_window_is_refused_as_the_oracle_reports(tmp_path, seed):
-    # Injects edited into a ``gen random --failures 2`` trace, on the
-    # script's paths over a failed link and on that link alone, at the
-    # edges of its notified window: the load refuses exactly those that
-    # injections_after_notification reports, naming the first such link.
+    # Injections added to the script in the header of a ``gen random
+    # --failures 2`` trace, on the script's paths over a failed link and on
+    # that link alone, at the edges of its notified window: the load refuses
+    # exactly those that injections_after_notification reports, naming the
+    # first such link, as ``aqsim run`` would (exit 3).
     scenario, out_dir = tmp_path / "scenario.json", tmp_path / "out"
     assert main(["gen", "random", "--seed", str(seed), "--horizon", "200",
                  "--failures", "2", "--out", str(scenario)]) == 0
     assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
     path = out_dir / "scenario.trace.jsonl"
-    lines = path.read_text().splitlines()
     trace = load_trace(path)
     config = trace.config
     assert injections_after_notification(trace) == []
-    pid, refused = HIGH_ID_BASE, 0
+    refused = 0
     for edge, windows in config.schedule.edge_windows.items():
         paths = {(edge,), *(inj.path for inj in config.injections if edge in inj.path)}
         rounds = {r for first, end in windows for r in (first - 1, first, end - 1, end)}
         for rnd in sorted(r for r in rounds if 1 <= r <= config.horizon):
             for inj_path in sorted(paths):
-                pid += 1
-                event = ["inject", rnd, pid, list(inj_path), 0]
-                edited = inject_line_at(lines, event)
-                path.write_text("\n".join(edited) + "\n")
+                edited = replace(config, enforce_buckets=False,
+                                 injections=(*config.injections, Injection(rnd, inj_path)))
+                # No totals: a header that passes its checks is refused by them.
+                save_trace(ExecutionTrace(edited), path)
                 alone = ExecutionTrace(config)
-                alone.events = [("inject", rnd, pid, inj_path, 0)]
+                alone.events = [("inject", rnd, 0, inj_path, 0)]
                 reported = injections_after_notification(alone)
                 if not reported:
-                    load_trace(path)
+                    with pytest.raises(ParseError, match="^q_totals has 0 rounds"):
+                        load_trace(path)
                     continue
                 refused += 1
-                lineno = edited.index(event_line(event)) + 1
-                with pytest.raises(ParseError, match="^" + re.escape(
-                        f"line {lineno}: packet {pid} is injected in round {rnd} over "
-                        f"{reported[0][2]!r} after its failure notification") + "$"):
+                with pytest.raises(ScenarioError, match="^" + re.escape(
+                        f"round {rnd}: injection routed over {reported[0][2]!r} after its "
+                        "failure notification") + "$"):
                     load_trace(path)
+                assert main(["check", str(path), "--mode", "recovery"]) == 3
     assert refused
 
 
-@pytest.mark.parametrize("edit, message", SELECTION_EDITS)
-def test_second_selection_of_a_link_in_a_round_is_a_parse_error(tmp_path, capsys, edit,
-                                                                message):
-    path, lines = one_link_lines(tmp_path)
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert_every_reader_exits_2(path)
-    assert capsys.readouterr().err.count(f"parse error: {message}\n") == len(CHECK_MODES) + 1
+@pytest.mark.parametrize("edit", SELECTION_EDITS)
+def test_second_selection_of_a_link_in_a_round_is_a_parse_error(tmp_path, edit):
+    path = tmp_path / "one-link.jsonl"
+    save_trace(one_link_run(), path)
+    events = list(load_trace(path).events)
+    edit(events)
+    assert_edit_is_the_run(path, events)
 
 
-@pytest.mark.parametrize("kind, message", [
-    ("fail", "trace has no fail of edge 'e003' in round 96"),
-    ("fail_notify", "trace has no fail_notify of edge 'e003' in round 97 of its failure "
-                    "in round 96"),
+# No packet re-routes at e003 after it fails in round 96, so only the
+# schedule would tell that the event is missing; the file cannot hold it.
+@pytest.mark.parametrize("kind", [
+    pytest.param("fail", id="fail-trace has no fail of edge 'e003' in round 96"),
+    pytest.param("fail_notify", id="fail_notify-trace has no fail_notify of edge 'e003' in "
+                                   "round 97 of its failure in round 96"),
 ])
-def test_trace_missing_a_scheduled_fault_event_is_a_parse_error(tmp_path, capsys, kind,
-                                                                 message):
-    # No packet re-routes at e003 after it fails in round 96, so only the
-    # schedule tells that the event is missing.
-    trace = generated_trace(tmp_path, "--failures", "2")
-    lines = trace.read_text().splitlines()
-    lines.remove(next(line for line in reversed(lines) if is_event_line(line, kind)))
-    trace.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert_every_reader_exits_2(trace)
-    assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
+def test_trace_missing_a_scheduled_fault_event_is_a_parse_error(tmp_path, kind):
+    path = generated_trace(tmp_path, "--failures", "2")
+    events = list(load_trace(path).events)
+    last = max(i for i, ev in enumerate(events) if ev[0] == kind)
+    assert events[last][:3] == (kind, 96 if kind == "fail" else 97, "e003")
+    del events[last]
+    assert_edit_is_the_run(path, events)
 
 
 def test_gadget_gen_writes_expected_topology(tmp_path):

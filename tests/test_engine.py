@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,6 @@ from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
 from aqsim.reduction import _replay_config, build_two_priority_trace
 from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
                                save_trace, trace_digest)
-from trace_lines import before_the_totals, event_line, first_event
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -572,7 +572,6 @@ def test_notified_windows_run_from_notification_to_recovery():
     # bz's first failure recovers as it is notified and ab's is notified
     # after the horizon: neither is ever visible.
     schedule = mixed_fault_schedule().schedule
-    assert schedule.notified_windows == {("cz", 3): (5, 9), ("bz", 6): (7, 11)}
     assert schedule.edge_windows == {"cz": [(5, 9)], "bz": [(7, 11)]}
 
 
@@ -1100,15 +1099,9 @@ def load_time_refusals():
                         injections=tuple(Injection(r, ("ab",)) for r in range(1, 6)))
     unpaired = detour_cfg(failures=(FailureEvent("bz", 1), FailureEvent("bz", 3)))
 
-    def replace_first(kind, event):
+    def totals(values):
         def edit(lines):
-            lines[first_event(lines, kind)] = event_line(event)
-        return edit
-
-    def repeat_first(kind):
-        def edit(lines):
-            at = first_event(lines, kind)
-            lines.insert(at + 1, lines[at])
+            lines[1] = json.dumps({"q_totals": values}, separators=(",", ":"))
         return edit
 
     def as_version(version):
@@ -1118,16 +1111,18 @@ def load_time_refusals():
             lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         return edit
 
-    # Edits of the lines of a saved run of detour_cfg().
+    # Edits of the two lines of a saved run of detour_cfg(), whose packet is
+    # queued in rounds 1 and 2 and absorbed in round 4.
     trace_edits = [
-        replace_first("reroute", ["reroute", 2, 0, ["bz"], ["bc", "cz"], "bz", [["x"]]]),
-        replace_first("fail", ["fail", 1, "cz"]),
-        replace_first("fail_notify", ["fail_notify", 2, "bz", 2]),
-        repeat_first("fail_notify"),
-        before_the_totals(["transmit", 11, "ab", 0]),
+        totals([1, 1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        totals([1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        totals([1, 1, 1, "0", 0, 0, 0, 0, 0, 0]),
+        lambda lines: lines.pop(),
+        lambda lines: lines.append(lines[1]),
         as_version(4),
         as_version(5),
         as_version(6),
+        as_version(7),
     ]
 
     def set_in(keys, value):
@@ -1186,19 +1181,16 @@ LOAD_TIME_REFUSALS = [
     ("ScenarioError", "round 3: injection routed over 'ab' after its failure notification"),
     ("ScenarioError", "edge 'bz' fault events must alternate failure/recovery"),
     ("ScenarioError", "annihilation delay for (ab, 3), which is not a stall round"),
-    ("ParseError", "line 6: reroute of packet 0 at 'bz' in round 2 names a failure in round "
-                   "(('x',),), which the scenario never makes visible"),
-    ("ParseError", "line 2: fail of edge 'cz' in round 1, where the scenario's next fault "
-                   "event is the fail of edge 'bz' in round 1"),
-    ("ParseError", "line 5: fail_notify of edge 'bz' in round 2 of its failure in round 2, "
-                   "where the scenario's next fault event is the fail_notify of edge 'bz' in "
-                   "round 2 of its failure in round 1"),
-    ("ParseError", "line 6: fail_notify of edge 'bz' in round 2 of its failure in round 1, "
-                   "after the scenario's last fault event"),
-    ("ParseError", "line 10: transmit event of round 11, after the horizon 10"),
+    ("ParseError", "q_totals disagrees with the replay of its scenario from round 4: "
+                   "1 stored, 0 replayed"),
+    ("ParseError", "q_totals has 9 rounds, the horizon is 10"),
+    ("ParseError", "line 2.q_totals[3]: expected int, got '0'"),
+    ("ParseError", "trace has no q_totals record"),
+    ("ParseError", "line 3: a line after the q_totals record"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v4"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v5"),
     ("ParseError", "unsupported trace format 'aqsim-trace' v6"),
+    ("ParseError", "unsupported trace format 'aqsim-trace' v7"),
     ("ParseError", "run.horizon: expected int, got '10'"),
     ("ParseError", "unsupported scenario format v1: the document has no version; v2 is read"),
     ("ParseError", "injections.path[0]: 1 is not an index of the 1 paths"),
@@ -1272,6 +1264,22 @@ def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
     assert Engine(cfg)._by_round is by_round
 
 
+def test_a_scripted_injection_on_a_list_path_is_a_scenario_error():
+    cfg = two_node(injections=(Injection(1, ("ab",)), Injection(2, ["ab"])))
+    with pytest.raises(ScenarioError, match=re.escape(
+            "injection of round 2 on path ['ab'], which is not a tuple of edge ids")):
+        cfg.validate()
+
+
+def test_a_drivers_injection_on_a_list_path_is_a_scenario_error():
+    # The tuple of the same edges is in the memo of checked injections.
+    cfg = two_node(injections=(Injection(1, ("ab",)),))
+    engine = Engine(cfg, driver=lambda engine, rnd: [Injection(rnd, ["ab"])] if rnd == 3 else [])
+    with pytest.raises(ScenarioError, match=re.escape(
+            "round 3: injection on path ['ab'], which is not a tuple of edge ids")):
+        engine.run()
+
+
 def test_a_replaced_config_is_checked_on_its_own_first_use():
     cfg = two_node(injections=(Injection(1, ("ab",)),)).validate()
     late = replace(cfg, horizon=0)  # its injection is now after the horizon
@@ -1295,6 +1303,7 @@ def test_two_engines_on_one_config_run_alike():
 def test_a_checked_config_pickles_to_one_that_runs_alike():
     cfg = failing_scenario().validate()
     copied = pickle.loads(pickle.dumps(cfg))
-    assert dumps_scenario(copied) == dumps_scenario(cfg)
+    assert copied.network is not cfg.network
+    assert copied == cfg and dumps_scenario(copied) == dumps_scenario(cfg)
     assert copied.schedule.fault_events == cfg.schedule.fault_events
     assert trace_digest(run(copied)) == trace_digest(run(cfg))
