@@ -131,16 +131,12 @@ def assert_every_reader_exits(trace, code):
     assert main(["reduce", str(trace)]) == code
 
 
-def assert_every_reader_exits_2(trace):
-    assert_every_reader_exits(trace, 2)
-
-
 def test_trace_with_bytes_that_are_not_utf8_is_a_parse_error(tmp_path, capsys):
     trace = generated_trace(tmp_path)
     lines = trace.read_bytes().split(b"\n")
     lines[1] = b"\xff\xfe" + lines[1]
     trace.write_bytes(b"\n".join(lines))
-    assert_every_reader_exits_2(trace)
+    assert_every_reader_exits(trace, 2)
     assert "line 2: bytes that are not UTF-8" in capsys.readouterr().err
 
 
@@ -154,7 +150,7 @@ def test_second_totals_record_is_a_parse_error(tmp_path, capsys):
                                             separators=(",", ":")))
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert_every_reader_exits_2(trace)
+    assert_every_reader_exits(trace, 2)
     message = "parse error: line 3: a line after the q_totals record"
     assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
 
@@ -208,7 +204,7 @@ def test_trace_file_refusals_exit_2(tmp_path, capsys, edit, message):
     edit(lines)
     trace.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     capsys.readouterr()
-    assert_every_reader_exits_2(trace)
+    assert_every_reader_exits(trace, 2)
     assert capsys.readouterr().err.count(f"parse error: {message}") == len(CHECK_MODES) + 1
 
 
@@ -367,7 +363,7 @@ def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, make
         return
     save_edited(load_trace(path), events, path)
     capsys.readouterr()
-    assert_every_reader_exits_2(path)
+    assert_every_reader_exits(path, 2)
     message = ("parse error: q_totals disagrees with the replay of its scenario from "
                f"round {differs_from}: ")
     assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
@@ -500,7 +496,7 @@ def test_trace_with_a_mistyped_header_scenario_exits_2(tmp_path, capsys):
     header["scenario_hash"] = hashlib.sha256(compact.encode()).hexdigest()
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     trace.write_text("\n".join(lines) + "\n")
-    assert_every_reader_exits_2(trace)
+    assert_every_reader_exits(trace, 2)
     assert "parse error: run.horizon: expected int, got '50'" in capsys.readouterr().err
 
 
