@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .buckets import AdversaryType
-from .engine import Engine, ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig
+from .engine import (Engine, ExecutionTrace, FailureEvent, Injection, RecoveryEvent,
+                     ScenarioConfig, _injection)
 from .errors import ModelViolation, ScenarioError
 from .netmodel import Edge, Network
 
@@ -264,35 +265,46 @@ class GreedyDriver:
             return []
         # A random walk of 1..max_path_len hops from a random node, over
         # distinct links with no visible failure; it stops where none is left.
-        # ``below(n)`` is the draw behind ``rng.choice`` of n options and
-        # ``rng.randint(1, n) - 1``, called directly.
-        net, avoid, below = engine.net, engine.visible_failed, rng._randbelow
+        net, avoid, bits = engine.net, engine.visible_failed, rng.getrandbits
         out_edges, edges, nodes = net.out_edges, net.edges, net.sorted_nodes
-        node = nodes[below(len(nodes))]
-        hops = 1 + below(self.max_path_len)
+        node = nodes[_below(bits, len(nodes))]
+        hops = 1 + _below(bits, self.max_path_len)
         options = [e for e in out_edges[node] if e not in avoid] if avoid else out_edges[node]
         if not options:
             return []
-        eid = options[below(len(options))]
+        eid = options[_below(bits, len(options))]
         path = [eid]
         for _ in range(hops - 1):
             options = [e for e in out_edges[edges[eid].head] if e not in path and e not in avoid]
             if not options:
                 break
-            eid = options[below(len(options))]
+            eid = options[_below(bits, len(options))]
             path.append(eid)
         path = tuple(path)
         max_burst = self.max_burst
-        want = 1 + below(max_burst) if max_burst > 1 else 1
+        want = 1 + _below(bits, max_burst) if max_burst > 1 else 1
         if engine.config.enforce_buckets:
             # Whole tokens floor the level where int() of the Fraction would
             # truncate it; the two differ only below zero, and max(0, ...)
             # clamps both to 0.
-            want = min(want, max(0, min(map(engine.buckets.whole_tokens, path))))
+            want = min(want, max(0, engine.buckets.whole_tokens(path)))
         if want < 1:
             return []
         # An Injection is immutable, so one object serves the whole burst.
-        return [Injection(rnd, path)] * want
+        return [_injection((rnd, path, 0, None))] * want
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, by the rejection loop that
+    ``random.Random._randbelow`` runs on Python 3.10 to 3.13: on one seed,
+    ``seq[_below(rng.getrandbits, len(seq))]`` draws what ``rng.choice(seq)``
+    draws, and ``a + _below(rng.getrandbits, b - a + 1)`` what
+    ``rng.randint(a, b)`` draws. It skips the method lookups of those calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _stall_rounds(rng: random.Random, horizon: int, tau: int, density: float):
@@ -302,9 +314,10 @@ def _stall_rounds(rng: random.Random, horizon: int, tau: int, density: float):
     mean_run = (1 + tau) / 2
     mean_gap = max(1.0, mean_run * (1 - density) / density)
     rounds = []
+    bits = rng.getrandbits
     t = 1 + int(rng.expovariate(1.0 / mean_gap))
     while t <= horizon:
-        run = rng.randint(1, tau)
+        run = 1 + _below(bits, tau)
         rounds.extend(range(t, min(t + run, horizon + 1)))
         t += run + 1 + int(rng.expovariate(1.0 / mean_gap))
     return frozenset(rounds)
@@ -338,7 +351,8 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
         rounds = _stall_rounds(rng, horizon, tau, stall_density)
         if rounds:
             stalls[edge] = rounds
-    delays = {(edge, rnd): rng.randint(0, delay)
+    bits = rng.getrandbits
+    delays = {(edge, rnd): _below(bits, delay + 1)
               for edge in sorted(stalls) for rnd in sorted(stalls[edge])}
 
     fail_events = []
@@ -369,8 +383,8 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
                                      "not strongly connected")
         lo, hi = max(1, horizon // 4), max(1, horizon // 2)
         for eid in sorted(chosen):
-            fail_events.append(
-                FailureEvent(eid, rng.randint(lo, hi), rng.randint(0, tau_prime)))
+            fail_events.append(FailureEvent(eid, lo + _below(bits, hi - lo + 1),
+                                            _below(bits, tau_prime + 1)))
         fail_events.sort(key=lambda ev: (ev.round, ev.edge))
 
     config = ScenarioConfig(
@@ -388,7 +402,7 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
     driver = GreedyDriver(seed ^ 0x9E3779B9, inject_prob, max_path_len,
                           max_burst or burst)
     trace = Engine(config, driver=driver).run()
-    script = tuple(Injection(ev[1], ev[3], ev[4])
+    script = tuple(_injection((ev[1], ev[3], ev[4], None))
                    for ev in trace.events if ev[0] == "inject")
     final = replace(config, injections=script)
     if with_trace:

@@ -5,11 +5,13 @@ and clamps at the burst capacity; injecting i packets whose paths cross
 the edge requires i <= K and removes i; annihilating an antitoken removes
 one rate unit. Levels may go negative through annihilations.
 
-Levels are stored as integers scaled by the rate denominator, so every
-comparison is exact. Accrual is applied lazily: an untouched bucket's
-level is reconstructed as min(capacity, level + rate * elapsed), which is
-exact because ticks are the only increments and the clamp commutes with
-them below capacity.
+Levels are integers scaled by the rate denominator, so every comparison
+is exact. Each edge stores its level relative to the round clock, the
+rate accrued since round 0: the level is min(capacity, rel[e] + clock).
+That is exact because ticks are the only increments and the clamp
+commutes with them below capacity. So a tick adds the rate to the one
+clock and touches no edge; an edge is written only when its level drops,
+and the drop starts from the clamped level.
 """
 
 from __future__ import annotations
@@ -89,31 +91,29 @@ class BucketSystem:
         self._den = adversary.rate.denominator
         self._cap = adversary.burst * self._den
         self.round = 0
-        self._lvl = {e: 0 for e in edge_ids}
-        self._touched = {e: 0 for e in edge_ids}
+        self._clock = 0  # the rate accrued since round 0: num * round
+        self._rel = {e: 0 for e in edge_ids}  # level - clock, before the clamp
         self._due: dict[int, list[AntitokenGroup]] = {}  # round -> groups, gid order
         self._next_gid = 0
 
     # -- level bookkeeping -------------------------------------------------
 
-    def _accrue(self, edge):
-        last = self._touched[edge]
-        if last != self.round:
-            lvl = self._lvl[edge] + self._num * (self.round - last)
-            self._lvl[edge] = self._cap if lvl > self._cap else lvl
-            self._touched[edge] = self.round
-        return self._lvl[edge]
+    def _scaled(self, edge) -> int:
+        lvl = self._rel[edge] + self._clock
+        return self._cap if lvl > self._cap else lvl
 
     def level(self, edge) -> Fraction:
         """Current exact bucket level (after this round's tick)."""
-        return Fraction(self._accrue(edge), self._den)
+        return Fraction(self._scaled(edge), self._den)
 
-    def whole_tokens(self, edge) -> int:
-        """Whole tokens in the bucket: the level floored to an integer."""
-        return self._accrue(edge) // self._den
+    def whole_tokens(self, path) -> int:
+        """The whole tokens every edge of the non-empty ``path`` holds: its
+        lowest level, floored to an integer."""
+        lvl = min(map(self._rel.__getitem__, path)) + self._clock
+        return (self._cap if lvl > self._cap else lvl) // self._den
 
     def levels(self) -> dict[str, Fraction]:
-        return {e: self.level(e) for e in sorted(self._lvl)}
+        return {e: self.level(e) for e in sorted(self._rel)}
 
     def tick(self) -> bool:
         """Advance one round; every bucket gains the rate, clamped at burst.
@@ -122,6 +122,7 @@ class BucketSystem:
         Must run once per round before any other bucket operation.
         """
         self.round += 1
+        self._clock += self._num
         return self.round in self._due
 
     # -- injection ---------------------------------------------------------
@@ -139,23 +140,15 @@ class BucketSystem:
         for path in paths:
             for edge in path:
                 demand[edge] = demand.get(edge, 0) + 1
-        lvl, touched, now = self._lvl, self._touched, self.round
-        num, den, cap = self._num, self._den, self._cap
+        rel, clock, den = self._rel, self._clock, self._den
+        full = self._cap - clock  # the relative level of a full bucket
         for edge, count in demand.items():
-            # _accrue, inline.
-            last = touched[edge]
-            if last == now:
-                level = lvl[edge]
-            else:
-                level = lvl[edge] + num * (now - last)
-                if level > cap:
-                    level = cap
-                lvl[edge] = level
-                touched[edge] = now
-            if level < count * den:
+            r = rel[edge]
+            if (full if r > full else r) + clock < count * den:
                 return InjectionResult(False, edge)
         for edge, count in demand.items():
-            lvl[edge] -= count * den
+            r = rel[edge]
+            rel[edge] = (full if r > full else r) - count * den
         return _AFFORDED
 
     # -- antitokens ----------------------------------------------------------
@@ -184,9 +177,10 @@ class BucketSystem:
         return group, events
 
     def _annihilate(self, group: AntitokenGroup):
+        rel, num, full = self._rel, self._num, self._cap - self._clock
         for edge in group.edges:
-            self._accrue(edge)
-            self._lvl[edge] -= self._num
+            r = rel[edge]
+            rel[edge] = (full if r > full else r) - num
         return (group.manner, group)
 
     def tick_antitokens(self):

@@ -69,9 +69,10 @@ no special scheduling treatment.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -96,6 +97,11 @@ class Injection(NamedTuple):
     path: tuple[str, ...]
     priority: int = 0
     id: int | None = None
+
+
+# Builds an Injection in C from a tuple of exactly its four fields
+# (round, path, priority, id), without the Python-level ``Injection.__new__``.
+_injection = partial(tuple.__new__, Injection)
 
 
 @dataclass(frozen=True)
@@ -290,25 +296,28 @@ class ScenarioConfig:
     @cached_property
     def by_round(self) -> tuple[dict, dict, dict, dict]:
         """The tables the engine's round loop reads, per round: the scripted
-        injections, the stalled edges, the recoveries and failures (step 1)
-        and the notifications (step 4). Built once per config, by the first
-        run, after the checks (``schedule``); not with them, because a config
-        that is checked and then replaced, as ``aqsim run --horizon`` does,
-        never runs."""
+        injections, the stalled edges in edge order, the recoveries and
+        failures (step 1) and the notifications (step 4), each a tuple. Built
+        once per config, by the first run, after the checks (``schedule``);
+        not with them, because a config that is checked and then replaced, as
+        ``aqsim run --horizon`` does, never runs. They live as long as the
+        config, so they are tuples: a round stalls few edges, and a tuple
+        holds them in less memory than a set."""
         fault_events = self.schedule.fault_events
-        injections: dict[int, list[Injection]] = {}
+        tables: tuple[dict, ...] = ({}, {}, {}, {})
+        injections, stalls, faults, notifications = tables
         for inj in self.injections:
             injections.setdefault(inj.round, []).append(inj)
-        stalls: dict[int, set[str]] = {}
-        for edge, rounds in self.stalls.items():
-            for t in rounds:
-                stalls.setdefault(t, set()).add(edge)
-        faults: dict[int, list[tuple]] = {}
-        notifications: dict[int, list[tuple]] = {}
+        for edge in sorted(self.stalls):
+            for t in self.stalls[edge]:
+                stalls.setdefault(t, []).append(edge)
         for ev in fault_events:
             by_kind = notifications if ev[0] == "fail_notify" else faults
             by_kind.setdefault(ev[1], []).append(ev)
-        return injections, stalls, faults, notifications
+        for table in tables:
+            for rnd, entries in table.items():
+                table[rnd] = tuple(entries)
+        return tables
 
 
 def _fault_events(failures, recoveries, horizon: int) -> tuple[tuple, ...]:
@@ -631,6 +640,11 @@ class Engine:
         injection and absorption counters live in locals too and are written
         back when the call ends, also when a round raises (that round then
         counts as run).
+
+        Automatic cyclic garbage collection is off for the call: a run makes
+        no reference cycles, so the collector's passes over the growing event
+        list would free nothing. It is turned back on when the call ends, if
+        the caller had it on.
         """
         buckets, queues = self.buckets, self.queues
         tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
@@ -645,6 +659,8 @@ class Engine:
         enforce_buckets = self.config.enforce_buckets
         next_pid, injected, absorbed = self._next_pid, self._injected, self._absorbed
         rnd = first - 1
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             for rnd in range(first, last + 1):
                 # 1-4: faults, bucket tick, antitoken countdown, notifications.
@@ -760,6 +776,8 @@ class Engine:
                         f"round {rnd}: packet conservation broken ({injected} injected, "
                         f"{absorbed} absorbed, {total} queued)")
         finally:
+            if collecting:
+                gc.enable()
             self._next_pid, self._injected, self._absorbed = next_pid, injected, absorbed
             self._next_round = rnd + 1
 

@@ -43,11 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 
 from .buckets import AdversaryType
-from .engine import ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig, run
+from .engine import (ExecutionTrace, FailureEvent, Injection, RecoveryEvent, ScenarioConfig,
+                     _injection, run)
 from .netmodel import Edge, Network
 from .policies import POLICY_NAMES, Prioritized, parse_policy
 
@@ -296,11 +296,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     return config.validate()
 
 
-# Builds an Injection from its four fields, all in C: every tuple of the
-# columns' zip has exactly the four.
-_injection = partial(tuple.__new__, Injection)
-
-
 def _injection_columns(sched: dict) -> tuple[Injection, ...]:
     """The injections of the schedules' columns, each path looked up in the
     path table. The columns must be of one length, and every path index
@@ -501,7 +496,9 @@ def _decode(line: str, lineno: int):
 def write_metrics_csv(trace: ExecutionTrace, path):
     """Per-round rows: round, edge, queue length and the total queued."""
     rows = ["round,edge,queue_len,q_total\n"]
-    for rnd, (sizes, total) in enumerate(zip(trace.queue_sizes(), trace.q_totals), 1):
+    # The fold updates one dict in place; each round's rows are written
+    # before the next round's events are folded.
+    for rnd, (sizes, total) in enumerate(zip(trace._fold_queues(), trace.q_totals), 1):
         if not sizes:
             rows.append(f"{rnd},,0,{total}\n")
             continue

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -8,8 +9,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, count_rerouted,
+from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, _below, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
                             strongly_connected, sweep)
@@ -249,9 +251,16 @@ def test_greedy_driver_whole_tokens_keep_the_truncating_scripts(monkeypatch):
         return scripts
 
     floored = sweep()
-    monkeypatch.setattr(BucketSystem, "whole_tokens",
-                        lambda self, edge: int(self.level(edge)))
+    truncated = []
+
+    def int_of_level(self, path):
+        truncated.append(path)
+        return min(int(self.level(edge)) for edge in path)
+
+    # The driver reads its path's whole tokens through this one method.
+    monkeypatch.setattr(BucketSystem, "whole_tokens", int_of_level)
     assert sweep() == floored
+    assert len(truncated) > 27 * 1000
     assert sum(map(len, floored)) > 27 * 1000
 
 
@@ -408,12 +417,28 @@ class OracleGreedyDriver:
             return []
         want = self.rng.randint(1, self.max_burst) if self.max_burst > 1 else 1
         if engine.config.enforce_buckets:
-            whole_tokens = engine.buckets.whole_tokens
-            afford = min((whole_tokens(edge) for edge in path), default=0)
+            level = engine.buckets.level
+            afford = min((math.floor(level(edge)) for edge in path), default=0)
             want = min(want, max(0, afford))
         if want < 1:
             return []
         return [Injection(rnd, path) for _ in range(want)]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 64), st.one_of(st.integers(1, 40), st.integers(1, 2 ** 62)),
+       st.integers(-3, 3))
+def test_below_draws_what_random_draws(seed, n, low):
+    # Three streams of one seed: _below's draws must be the draws
+    # Random._randbelow, randint and choice make, number for number.
+    mine, theirs = random.Random(seed), random.Random(seed)
+    bits = mine.getrandbits
+    for _ in range(4):
+        assert _below(bits, n) == theirs._randbelow(n)
+        assert low + _below(bits, n) == theirs.randint(low, low + n - 1)
+        options = range(low, low + n)
+        assert options[_below(bits, n)] == theirs.choice(options)
+    assert mine.random() == theirs.random()
 
 
 def driven_rounds(cfg, driver):

@@ -301,13 +301,18 @@ def test_lazy_levels_match_eager_reference(ops, rate, burst):
 
 
 def test_whole_tokens_floor_the_level():
-    sys = BucketSystem(AdversaryType(HALF, 2, 2), ["e1"])
+    sys = BucketSystem(AdversaryType(HALF, 2, 2), ["e1", "e2"])
     sys.tick()
     sys.tick()
     sys.tick()
-    assert sys.level("e1") == Fraction(3, 2) and sys.whole_tokens("e1") == 1
+    assert sys.level("e1") == Fraction(3, 2) and sys.whole_tokens(("e1",)) == 1
     for pid in range(4):  # each zero-delay group annihilates 1/2 at once
         sys.register_stall(("e1",), 0)
     # Below zero, flooring and truncation part: -1/2 floors to -1.
     assert sys.level("e1") == -HALF
-    assert sys.whole_tokens("e1") == -1 and int(sys.level("e1")) == 0
+    assert sys.whole_tokens(("e1",)) == -1 and int(sys.level("e1")) == 0
+    # A path holds the whole tokens of its lowest level; a full bucket, the burst.
+    sys.tick()
+    sys.tick()
+    assert sys.level("e2") == 2 and sys.whole_tokens(("e2",)) == 2
+    assert sys.whole_tokens(("e2", "e1")) == sys.whole_tokens(("e1", "e2")) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -23,7 +24,7 @@ from aqsim.engine import (Engine, FailureEvent, Injection, PacketRecord, Recover
 from aqsim.errors import ContractViolation, ModelViolation, ScenarioError
 from aqsim.netmodel import Edge, Network, Packet, shortest_path_avoiding
 from aqsim.policies import POLICY_NAMES, SIS, Prioritized, select_packet
-from aqsim.reduction import _replay_config, build_two_priority_trace
+from aqsim.reduction import _replay_config, build_two_priority_trace, verify_reduction
 from aqsim.scenario_io import (ParseError, dumps_scenario, load_trace, loads_scenario,
                                save_trace, trace_digest)
 
@@ -1262,6 +1263,8 @@ def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
                       "_fault_pairs": 1, "_notified_windows": 1}
     assert cfg.schedule is schedule and schedule.injectable == distinct
     assert Engine(cfg)._by_round is by_round
+    assert all(type(entries) is tuple for table in by_round for entries in table.values())
+    assert all(list(edges) == sorted(edges) for edges in by_round[1].values())
 
 
 def test_a_scripted_injection_on_a_list_path_is_a_scenario_error():
@@ -1307,3 +1310,61 @@ def test_a_checked_config_pickles_to_one_that_runs_alike():
     assert copied == cfg and dumps_scenario(copied) == dumps_scenario(cfg)
     assert copied.schedule.fault_events == cfg.schedule.fault_events
     assert trace_digest(run(copied)) == trace_digest(run(cfg))
+
+
+def co_run():
+    return gen_random_scenario(5, rate=Fraction(3, 4), burst=2, delay=2, tau=2,
+                               policy="FTG", horizon=400, with_trace=True)
+
+
+def rerouting_run():
+    trace = run(failing_scenario())
+    assert trace.events_of("reroute")
+    return trace
+
+
+@pytest.mark.parametrize("make", [
+    co_run,
+    lambda: run(co_run()[0]),
+    rerouting_run,
+    lambda: run(rerouting_gadget(2, 6, 5, 12).config),
+    lambda: verify_reduction(run(co_run()[0])),
+], ids=["co-run", "replay", "failure-run", "gadget-run", "verify-reduction"])
+def test_a_run_leaves_no_cyclic_garbage(make):
+    # Automatic collection is off while the engine runs rounds; that frees
+    # nothing only while runs make no reference cycles. A first call fills
+    # the caches that last the process; the second must leave nothing.
+    make()
+    gc.collect()
+    kept = make()
+    assert gc.collect() == 0
+    assert kept
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_runs_and_steps_keep_the_callers_gc_state(collecting):
+    inside = []
+
+    def driver(engine, rnd):
+        inside.append(gc.isenabled())
+        # Round 3's injection is for round 4: that round raises.
+        return [Injection(rnd + (rnd == 3), ("ab",))]
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        run(two_node(), driver=lambda engine, rnd: [Injection(rnd, ("ab",))])
+        assert gc.isenabled() is collecting
+        engine = Engine(two_node(), driver=driver)
+        for rnd in (1, 2):
+            engine.step(rnd)
+            assert gc.isenabled() is collecting
+        with pytest.raises(ScenarioError, match="^round 3: a driver's injection is for round 4$"):
+            engine.step(3)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ScenarioError, match="^round 3: a driver's injection is for round 4$"):
+            Engine(two_node(), driver=driver).run()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False] * 6
