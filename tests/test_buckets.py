@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aqsim.buckets import FORCED, VOLUNTARY, AdversaryType, BucketSystem, annihilation
 from aqsim.errors import ScenarioError
@@ -275,6 +275,9 @@ ops_strategy = st.lists(
     min_size=1, max_size=40)
 
 
+# Full buckets that then drop: an injection and an annihilation must start
+# from the clamped level, not from the rate accrued past it.
+@example([("tick",)] * 6 + [("inject", [["e1"]]), ("annihilate", ["e2"])], HALF, 1)
 @settings(deadline=None)
 @given(ops_strategy, st.sampled_from([Fraction(1, 3), HALF, Fraction(9, 10)]),
        st.integers(1, 4))
