@@ -98,13 +98,9 @@ class BucketSystem:
 
     # -- level bookkeeping -------------------------------------------------
 
-    def _scaled(self, edge) -> int:
-        lvl = self._rel[edge] + self._clock
-        return self._cap if lvl > self._cap else lvl
-
     def level(self, edge) -> Fraction:
         """Current exact bucket level (after this round's tick)."""
-        return Fraction(self._scaled(edge), self._den)
+        return Fraction(min(self._rel[edge] + self._clock, self._cap), self._den)
 
     def whole_tokens(self, path) -> int:
         """The whole tokens every edge of the non-empty ``path`` holds: its
