@@ -7,7 +7,9 @@ contract and tests depend on it:
   2. bucket tick (every level gains the rate, clamps at burst)
   3. antitoken countdown: scheduled and forced group annihilations
   4. delivery of due permanent-failure notifications
-  5. adversary injections (joint bucket feasibility, applied atomically)
+  5. adversary injections, the scripted ones first: a driver's pass the
+     injection gate, then all are bought from the buckets jointly and
+     applied atomically
   6. per live edge with a waiting packet: policy selection, then either a
      stall (its event names the antitoken group it creates, whose
      annihilation round and manner ``buckets.annihilation`` fixes) or a
@@ -46,20 +48,27 @@ config too, by its first run (``ScenarioConfig.by_round``), so
 runs the scenario in its header, so every trace a checker reads is a run
 of this pipeline.
 
-Every injection passes one check, ``ScenarioConfig.injection_fault``: its
-path is a tuple that ``validate_path`` accepts and its priority one of the
-policy's levels. ``Schedule.injectable`` remembers the (path, priority)
-pairs that passed it, the script's first, so each is checked once per
-config, whether the script or a driver (step 5) brings it. A driver's
-injection must also be for the round it is returned in.
+Every injection passes one gate, ``Schedule.admit``: its path is a tuple
+that ``validate_path`` accepts, its priority one of the policy's levels,
+and no link of its path has a failure visible in its round (a notified
+window of ``Schedule.edge_windows``). The gate remembers the (path,
+priority) pairs that passed the first two rules, so each is checked once
+per config; the window rule is checked for each injection. The scenario's
+checks run the gate over the script, in script order, so step 5 runs it
+only over a driver's injections, which must also be for the round they are
+returned in. A refusal reads "round R: injection ..." whichever brought
+the injection.
+
+Packet ids are fixed before the run: a script either gives every
+injection its id or none, and the engine numbers the others 0, 1, ... in
+the order they enter. A driver's injection carries no id, and a driver
+may not add to a script whose injections carry ids, so no id is ever
+given twice.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
 ``promote_after_tau`` adds included. ``Schedule.fault_events`` is the one
 list of the fail, recover and fail_notify events they make, in the order
-a run writes them: steps 1 and 4 append its tuples. ``Schedule.edge_windows``
-gives, per edge, the rounds in which its failures are visible; the checks
-refuse every scripted injection over a link in such a window, so step 1
-raises nothing and step 5 refuses only a driver's injection.
+a run writes them: steps 1 and 4 append its tuples.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
@@ -82,9 +91,6 @@ from .netmodel import Network, Packet, shortest_path_avoiding, validate_path
 # select_packet is imported, though unused here, so that perfbench's tracer
 # finds it where it looks for it (aqsim.engine.select_packet).
 from .policies import POLICY_NAMES, Prioritized, packet_key, select_packet  # noqa: F401
-
-HIGH_ID_BASE = 10 ** 9  # explicit ids at or above this never collide with auto ids
-
 
 def _arrival_order(entry):
     """Sort key of a queue entry ``(policy key, packet)``: arrival round, id."""
@@ -122,30 +128,56 @@ class Schedule:
     """What a valid scenario fixes before its run, built once per config
     by ``ScenarioConfig.schedule`` with the scenario's checks.
 
-    ``fault_events`` lists the fail, recover and fail_notify events in the
-    order a run writes them; ``fault_pairs`` pairs each failure with its
-    recovery, and ``edge_windows`` gives, per edge, the rounds in which its
-    failures are visible. ``injectable`` remembers the (path, priority)
-    pairs that passed ``ScenarioConfig.injection_fault``: the script's, and
-    those a driver adds, each checked once.
+    ``network`` and ``levels`` (the policy's priority levels) are what the
+    injection gate, ``admit``, checks paths and priorities against;
+    ``injectable`` remembers the (path, priority) pairs that passed it, the
+    script's and those a driver adds. ``fault_events`` lists the fail,
+    recover and fail_notify events in the order a run writes them;
+    ``fault_pairs`` pairs each failure with its recovery, and
+    ``edge_windows`` gives, per edge, the rounds in which its failures are
+    visible.
     """
 
+    network: Network
+    levels: int
     fault_events: tuple[tuple, ...]
     fault_pairs: dict[tuple[str, int], int | None]
     edge_windows: dict[str, list[tuple[int, int]]]
-    injectable: set[tuple]
+    injectable: set[tuple] = field(default_factory=set)
 
-    def notified_edge(self, path, rnd: int) -> str | None:
-        """The first edge of ``path`` whose failure is visible in round
-        ``rnd``, or None."""
+    def admit(self, rnd: int, path, priority) -> None:
+        """Refuse an injection in round ``rnd`` on ``path`` at ``priority``
+        with a ScenarioError that names the round, and the link for a
+        notified one: the path must be a tuple that ``validate_path``
+        accepts, the priority an int below ``levels``, and no link of the
+        path notified as failed in round ``rnd``."""
+        # False == 0 and 1.0 == 1 and hash alike, and a list is no key: only
+        # a tuple path and an int priority may pass by the memo.
+        if (type(path) is not tuple or type(priority) is not int
+                or (path, priority) not in self.injectable):
+            if type(path) is not tuple:
+                fault = f"on path {path!r}, which is not a tuple of edge ids"
+            elif not (verdict := validate_path(self.network, path)):
+                fault = (f"on a path not in the network, path {path}: "
+                         f"{verdict.kind} at {verdict.index}")
+            elif not (type(priority) is int and 0 <= priority < self.levels):
+                fault = (f"with priority {priority!r}, not one of the policy's "
+                         f"{self.levels} level(s)")
+            else:
+                fault = None
+            if fault:
+                raise ScenarioError(f"round {rnd}: injection {fault}", round=rnd)
+            self.injectable.add((path, priority))
         windows = self.edge_windows
-        for edge in path:
-            spans = windows.get(edge)
-            if spans is not None:
-                at = bisect_left(spans, (rnd + 1,)) - 1
-                if at >= 0 and rnd < spans[at][1]:
-                    return edge
-        return None
+        if windows:
+            for edge in path:
+                spans = windows.get(edge)
+                if spans is not None:
+                    # The last window that opens by round rnd: is it still open?
+                    at = bisect_left(spans, (rnd + 1,)) - 1
+                    if at >= 0 and rnd < spans[at][1]:
+                        raise ScenarioError(f"round {rnd}: injection routed over {edge!r} "
+                                            "after its failure notification", round=rnd, edge=edge)
 
 
 @dataclass(frozen=True)
@@ -154,11 +186,13 @@ class ScenarioConfig:
 
     A config never changes: ``stalls`` and ``annihilation_delays`` are
     copied when it is made, so nothing a caller still holds can change it.
-    It is checked once, on its first use (``schedule``); a config derived
-    with ``dataclasses.replace`` is a new object, checked on its own first
-    use. Two configs of the same scenario compare equal, but ``hash(config)``
-    is unsupported: the ``stalls`` and ``annihilation_delays`` fields are
-    dicts.
+    It is checked once, on its first use (``schedule``), which also runs the
+    injection gate, ``Schedule.admit``, over the script in script order; a
+    config derived with ``dataclasses.replace`` is a new object, checked on
+    its own first use. The script's injections all carry packet ids, or
+    none do. Two configs of the same scenario compare equal, but
+    ``hash(config)`` is unsupported: the ``stalls`` and
+    ``annihilation_delays`` fields are dicts.
     """
 
     network: Network
@@ -202,23 +236,6 @@ class ScenarioConfig:
         which groups created near it still annihilate."""
         return self.horizon + self.adversary.delay
 
-    def injection_fault(self, path, priority) -> str | None:
-        """What makes an injection on ``path`` at ``priority`` invalid, in
-        words that follow "injection", or None when it is valid: the path
-        must be a tuple that ``validate_path`` accepts in the network, and
-        the priority an int below the policy's levels. Scripted injections
-        and a driver's are all checked by it."""
-        if type(path) is not tuple:
-            return f"on path {path!r}, which is not a tuple of edge ids"
-        verdict = validate_path(self.network, path)
-        if not verdict:
-            return (f"on a path not in the network, path {path}: "
-                    f"{verdict.kind} at {verdict.index}")
-        levels = self.policy.levels if isinstance(self.policy, Prioritized) else 1
-        if not (type(priority) is int and 0 <= priority < levels):
-            return f"with priority {priority!r}, not one of the policy's {levels} level(s)"
-        return None
-
     def validate(self):
         """Check the scenario, the first time only (see ``schedule``);
         returns the config."""
@@ -242,16 +259,6 @@ class ScenarioConfig:
             raise ScenarioError("either all injections carry ids or none do")
         if len(set(explicit)) != len(explicit):
             raise ScenarioError("explicit packet ids must be unique")
-        injectable = set()  # each distinct (path, priority) is checked once
-        for rnd, path, priority, _ in self.injections:
-            if not 1 <= rnd <= horizon:
-                raise ScenarioError(f"injection round {rnd} outside horizon")
-            if (type(path) is not tuple or type(priority) is not int
-                    or (path, priority) not in injectable):
-                fault = self.injection_fault(path, priority)
-                if fault:
-                    raise ScenarioError(f"injection of round {rnd} {fault}")
-                injectable.add((path, priority))
         for edge, rounds in self.stalls.items():
             if edge not in net.edges:
                 raise ScenarioError(f"stall schedule references unknown edge {edge!r}")
@@ -280,17 +287,16 @@ class ScenarioConfig:
             if not 1 <= ev.round <= horizon:
                 raise ScenarioError("recovery round outside horizon")
         pairs = _fault_pairs(self.failures, self.recoveries)
-        schedule = Schedule(fault_events=_fault_events(self.failures, self.recoveries, horizon),
-                            fault_pairs=pairs,
-                            edge_windows=_notified_windows(self.failures, pairs, horizon),
-                            injectable=injectable)
-        if schedule.edge_windows:
-            for rnd, path in dict.fromkeys((inj.round, inj.path) for inj in self.injections):
-                edge = schedule.notified_edge(path, rnd)
-                if edge is not None:
-                    raise ScenarioError(
-                        f"round {rnd}: injection routed over {edge!r} after its "
-                        "failure notification", round=rnd, edge=edge)
+        schedule = Schedule(
+            network=net,
+            levels=self.policy.levels if isinstance(self.policy, Prioritized) else 1,
+            fault_events=_fault_events(self.failures, self.recoveries, horizon),
+            fault_pairs=pairs,
+            edge_windows=_notified_windows(self.failures, pairs, horizon))
+        for rnd, path, priority, _ in self.injections:
+            if not 1 <= rnd <= horizon:
+                raise ScenarioError(f"injection round {rnd} outside horizon")
+            schedule.admit(rnd, path, priority)
         return schedule
 
     @cached_property
@@ -548,6 +554,8 @@ class Engine:
     def __init__(self, config: ScenarioConfig, driver=None):
         self.config = config
         self._by_round = config.by_round  # the first read checks the config
+        if driver is not None and config.injections and config.injections[0].id is not None:
+            raise ScenarioError("a driver cannot add to a script whose injections carry ids")
         self.net = config.network
         self.driver = driver
         self.buckets = BucketSystem(config.adversary, self.net.edges)
@@ -559,10 +567,8 @@ class Engine:
         # destination) asked for so far; ``_routes`` is the current set's.
         self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
         self._routes_by_failed: dict[frozenset[str], dict] = {frozenset(): self._routes}
-        self.failed: set[str] = set()
+        self.failed: dict[str, int] = {}  # failed link -> the round it failed
         self.visible_failed: set[str] = set()
-        self._active_failure: dict[str, int] = {}
-        self._packets: dict[int, Packet] = {}
         self._next_round = 1
         self._next_pid = 0
         self._injected = 0
@@ -575,12 +581,10 @@ class Engine:
         for ev in events:
             kind, _, edge = ev
             if kind == "recover":
-                self.failed.discard(edge)
+                del self.failed[edge]
                 self.visible_failed.discard(edge)
-                self._active_failure.pop(edge, None)
             else:
-                self.failed.add(edge)
-                self._active_failure[edge] = rnd
+                self.failed[edge] = rnd
             append(ev)
         # A route depends only on the network and the failed set, so the
         # routes found for a set stay valid whenever that set recurs.
@@ -592,7 +596,7 @@ class Engine:
             self.trace.events.append(ev)
             # A notification for an already recovered edge is delivered but
             # imposes no constraint.
-            if edge in self.failed and self._active_failure.get(edge) == fail_round:
+            if self.failed.get(edge) == fail_round:
                 self.visible_failed.add(edge)
 
     def _reroute_blocked(self, rnd: int) -> int:
@@ -606,7 +610,7 @@ class Engine:
                 continue
             if len(queue) > 1:
                 queue.sort(key=_arrival_order)
-            fail_round = self._active_failure[edge]
+            fail_round = self.failed[edge]
             node = edges[edge].tail
             for _, pkt in queue:
                 path, idx = pkt.path, pkt.idx
@@ -651,11 +655,10 @@ class Engine:
         register_stall = buckets.register_stall
         append, total_of = self.trace.events.append, self.trace.q_totals.append
         scripted, stalls, faults, notifications = self._by_round
-        driver, injection_fault = self.driver, self.config.injection_fault
-        injectable = self.config.schedule.injectable
+        driver, admit = self.driver, self.config.schedule.admit
         delays = self.config.annihilation_delays
         failed, visible, slowness = self.failed, self.visible_failed, self._slowness
-        packets, key = self._packets, self._key
+        key = self._key
         enforce_buckets = self.config.enforce_buckets
         next_pid, injected, absorbed = self._next_pid, self._injected, self._absorbed
         rnd = first - 1
@@ -673,36 +676,24 @@ class Engine:
                     self._deliver_notifications(notifications[rnd])
                 # 5: injections, the scripted ones first, bought atomically.
                 # The config's checks passed the scripted ones; a driver's
-                # must be for this round, and each distinct (path, priority)
-                # is checked once per config.
+                # pass the same gate, and must be for this round and carry
+                # no packet id.
                 requests = scripted.get(rnd)
                 if driver is not None:
                     driven = driver(self, rnd)
                     if driven:
-                        for inj_round, path, priority, _ in driven:
+                        for inj_round, path, priority, pid in driven:
                             if inj_round != rnd:
                                 raise ScenarioError(
                                     f"round {rnd}: a driver's injection is for round "
                                     f"{inj_round!r}", round=rnd)
-                            # False == 0 and 1.0 == 1 and hash alike, and a list
-                            # is no key: only a tuple path and an int priority
-                            # may pass by the memo.
-                            if (type(path) is not tuple or type(priority) is not int
-                                    or (path, priority) not in injectable):
-                                fault = injection_fault(path, priority)
-                                if fault:
-                                    raise ScenarioError(f"round {rnd}: injection {fault}",
-                                                        round=rnd)
-                                injectable.add((path, priority))
+                            if pid is not None:
+                                raise ScenarioError(
+                                    f"round {rnd}: a driver's injection carries packet id "
+                                    f"{pid!r}", round=rnd)
+                            admit(rnd, path, priority)
                         requests = [*requests, *driven] if requests else driven
                 if requests:
-                    if visible:
-                        for inj in requests:
-                            for edge in inj.path:
-                                if edge in visible:
-                                    raise ScenarioError(
-                                        f"round {rnd}: injection routed over {edge!r} "
-                                        "after its failure notification", round=rnd, edge=edge)
                     if enforce_buckets:
                         result = buy([inj.path for inj in requests])
                         if result is not _AFFORDED:
@@ -714,9 +705,7 @@ class Engine:
                         if pid is None:
                             pid = next_pid
                             next_pid += 1
-                        if pid in packets:
-                            raise ScenarioError(f"duplicate packet id {pid}")
-                        packets[pid] = pkt = Packet(pid, rnd, path, priority)
+                        pkt = Packet(pid, rnd, path, priority)
                         path = pkt.path
                         queue = queues.get(path[0])
                         if queue is None:

@@ -24,20 +24,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import feedback
-from .engine import HIGH_ID_BASE, Engine, ExecutionTrace, Injection, ScenarioConfig
+from .engine import Engine, ExecutionTrace, Injection, ScenarioConfig
 from .errors import ModelViolation, ScenarioError
 from .policies import Prioritized
 
 HIGH = 1
+# The high packets' ids start here, above the source packets' ids that the
+# low copies keep, so an id separates the low copies from the high packets.
+HIGH_ID_BASE = 10 ** 9
 
 
 @dataclass(frozen=True)
 class ReducedParams:
     rate2: Fraction
     burst2: Fraction
-    source_rate: Fraction
-    source_burst: int
-    source_delay: int
     tau: int
 
 
@@ -50,7 +50,7 @@ def compute_reduced_params(rate: Fraction, burst: int, delay: int, tau: int) -> 
     burst2 = rate * delay + burst
     if not 0 < rate2 < 1:
         raise ModelViolation(f"reduced rate {rate2} outside (0, 1)")
-    return ReducedParams(rate2, burst2, rate, burst, delay, tau)
+    return ReducedParams(rate2, burst2, tau)
 
 
 def tau_window_violation(stalls: feedback.StallTrace, tau: int):
@@ -77,7 +77,6 @@ def tau_window_violation(stalls: feedback.StallTrace, tau: int):
 class TwoPriorityTrace:
     low: tuple[Injection, ...]
     high: tuple[Injection, ...]
-    stall_free: bool = True
 
 
 def build_two_priority_trace(src: ExecutionTrace) -> TwoPriorityTrace:
@@ -99,7 +98,7 @@ def build_two_priority_trace(src: ExecutionTrace) -> TwoPriorityTrace:
             high.append(Injection(rnd, (queue,), HIGH, HIGH_ID_BASE + serial))
             serial += 1
     high.sort(key=lambda inj: (inj.round, inj.id))
-    return TwoPriorityTrace(low, tuple(high), stall_free=not high)
+    return TwoPriorityTrace(low, tuple(high))
 
 
 @dataclass(frozen=True)

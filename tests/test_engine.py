@@ -3,7 +3,6 @@ import gc
 import json
 import os
 import pickle
-import re
 import subprocess
 import sys
 import tempfile
@@ -445,34 +444,61 @@ def cycle_cfg(**kw):
                           policy="FIFO", horizon=4, **kw)
 
 
-@pytest.mark.parametrize("path, priority, fault", [
-    (("ab", "ca"), 0, r"path \('ab', 'ca'\): discontinuity at 1"),
-    (("ab", "bc", "ca", "ab"), 0, r"path \('ab', 'bc', 'ca', 'ab'\): repeated_edge at 3"),
-    (("ab",), 5, "with priority 5, not one of the policy's 1 level"),
-], ids=["discontinuous", "repeated-edge", "priority"])
-def test_a_drivers_injections_are_checked_as_scripted_ones(path, priority, fault):
-    def driver(engine, rnd):
-        return [Injection(rnd, path, priority)] if rnd == 2 else []
+# Each fault of an injection in round 2 of cycle_cfg, whose edge ab fails in
+# round 1 and is notified in round 2: (path, priority, the refusal, its
+# edge). The script's round-1 injection, before the notification, puts
+# (("ab",), 0) in the memo of checked pairs.
+INJECTION_FAULTS = [
+    pytest.param(("ab", "ca"), 0, "round 2: injection on a path not in the network, "
+                 "path ('ab', 'ca'): discontinuity at 1", None, id="discontinuous"),
+    pytest.param(("ab", "bc", "ca", "ab"), 0, "round 2: injection on a path not in the "
+                 "network, path ('ab', 'bc', 'ca', 'ab'): repeated_edge at 3", None,
+                 id="repeated-edge"),
+    pytest.param(("ab",), 5, "round 2: injection with priority 5, not one of the "
+                 "policy's 1 level(s)", None, id="priority-beyond-levels"),
+    # False == 0 and hashes alike, so the memo must not pass it.
+    pytest.param(("ab",), False, "round 2: injection with priority False, not one of the "
+                 "policy's 1 level(s)", None, id="false-after-a-checked-0"),
+    # The tuple of the same edges is in the memo.
+    pytest.param(["ab"], 0, "round 2: injection on path ['ab'], which is not a tuple of "
+                 "edge ids", None, id="list-path"),
+    # The memo holds the pair; the window rule still refuses it.
+    pytest.param(("ab",), 0, "round 2: injection routed over 'ab' after its failure "
+                 "notification", "ab", id="notified-link"),
+]
 
-    with pytest.raises(ScenarioError, match=f"^round 2: injection .*{fault}") as err:
+
+@pytest.mark.parametrize("source", ["script", "driver"])
+@pytest.mark.parametrize("path, priority, message, edge", INJECTION_FAULTS)
+def test_an_injection_fault_is_refused_alike_from_the_script_and_a_driver(
+        source, path, priority, message, edge):
+    cfg = cycle_cfg(injections=(Injection(1, ("ab",)),), failures=(FailureEvent("ab", 1, 1),))
+    bad = Injection(2, path, priority)
+    if source == "script":
+        attempt = replace(cfg, injections=(*cfg.injections, bad)).validate
+    else:
+        attempt = Engine(cfg, driver=lambda engine, rnd: [bad] if rnd == 2 else []).run
+    with pytest.raises(ScenarioError) as err:
+        attempt()
+    assert (str(err.value), err.value.round, err.value.edge) == (message, 2, edge)
+
+
+def test_a_drivers_injection_that_carries_a_packet_id_is_refused():
+    def driver(engine, rnd):
+        return [Injection(rnd, ("ab",), 0, 7)] if rnd == 2 else []
+
+    with pytest.raises(ScenarioError,
+                       match="^round 2: a driver's injection carries packet id 7$") as err:
         run(cycle_cfg(), driver=driver)
     assert err.value.round == 2
-    with pytest.raises(ScenarioError, match=f"^injection of round 2 .*{fault}"):
-        cycle_cfg(injections=(Injection(2, path, priority),)).validate()
 
 
-def test_a_priority_equal_to_a_checked_one_is_still_checked():
-    # False == 0 and hashes alike, so the memo of checked (path, priority)
-    # pairs must not pass it.
-    cfg = cycle_cfg(injections=(Injection(1, ("ab",)),))
-
-    def driver(engine, rnd):
-        return [Injection(rnd, ("ab",), False)] if rnd == 2 else []
-
-    with pytest.raises(ScenarioError, match="^round 2: injection with priority False"):
-        run(cfg, driver=driver)
-    with pytest.raises(ScenarioError, match="^injection of round 2 with priority False"):
-        replace(cfg, injections=(*cfg.injections, Injection(2, ("ab",), False))).validate()
+def test_a_driver_cannot_add_to_a_script_whose_injections_carry_ids():
+    cfg = cycle_cfg(injections=(Injection(1, ("ab",), 0, 5),))
+    with pytest.raises(ScenarioError, match="^a driver cannot add to a script whose "
+                                            "injections carry ids$"):
+        Engine(cfg, driver=lambda engine, rnd: [])
+    assert run(cfg).events_of("inject") == [("inject", 1, 5, ("ab",), 0)]
 
 
 def test_a_drivers_injection_must_be_for_the_current_round():
@@ -954,20 +980,6 @@ def oracle_records(events):
     return records
 
 
-def engine_records(engine, absorbed_in):
-    """The fields of the packet records that the engine's own packets hold:
-    injection round, priority and path; ``absorbed_in`` maps each absorbed
-    packet to its round."""
-    return {pid: (pkt.injected_at, pkt.priority, pkt.path, absorbed_in.get(pid))
-            for pid, pkt in engine._packets.items()}
-
-
-def held_fields(records):
-    """Of each packet record, the fields that ``engine_records`` gives."""
-    return {pid: (rec.injected_at, rec.priority, rec.final_path, rec.absorbed_round)
-            for pid, rec in records.items()}
-
-
 def detour_absorb_cfg():
     # The packet waits at bc, which fails; its destination b is the node it
     # waits at, so its re-route is empty and it is absorbed on the spot.
@@ -997,16 +1009,24 @@ def derived_record_configs():
 @pytest.mark.parametrize("name, cfg", derived_record_configs(),
                          ids=[name for name, _ in derived_record_configs()])
 def test_packet_records_are_current_after_every_step(name, cfg):
+    # A queued packet's record holds its injection round, priority and
+    # path; a packet that is no longer queued was absorbed in the round it
+    # left the queues.
     engine = Engine(cfg)
     trace = engine.trace
     absorbed_in = {}
     for rnd in range(1, cfg.horizon + 1):
         engine.step(rnd)
-        for pid, pkt in engine._packets.items():
-            if pkt.idx == len(pkt.path):
-                absorbed_in.setdefault(pid, rnd)
-        assert held_fields(trace.packets) == engine_records(engine, absorbed_in), rnd
-        assert trace.packets == oracle_records(trace.events), rnd
+        queued = {pkt.id: (pkt.injected_at, pkt.priority, pkt.path)
+                  for queue in engine.queues.values() for _, pkt in queue}
+        records = trace.packets
+        for pid in records.keys() - queued.keys():
+            absorbed_in.setdefault(pid, rnd)
+        assert {pid: (rec.injected_at, rec.priority, rec.final_path)
+                for pid, rec in records.items() if pid in queued} == queued, rnd
+        assert {pid: rec.absorbed_round for pid, rec in records.items()} == {
+            pid: absorbed_in.get(pid) for pid in records}, rnd
+        assert records == oracle_records(trace.events), rnd
     records = trace.packets.values()
     assert any(rec.rerouted for rec in records)
     if name == "detour-absorb":
@@ -1265,22 +1285,6 @@ def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
     assert Engine(cfg)._by_round is by_round
     assert all(type(entries) is tuple for table in by_round for entries in table.values())
     assert all(list(edges) == sorted(edges) for edges in by_round[1].values())
-
-
-def test_a_scripted_injection_on_a_list_path_is_a_scenario_error():
-    cfg = two_node(injections=(Injection(1, ("ab",)), Injection(2, ["ab"])))
-    with pytest.raises(ScenarioError, match=re.escape(
-            "injection of round 2 on path ['ab'], which is not a tuple of edge ids")):
-        cfg.validate()
-
-
-def test_a_drivers_injection_on_a_list_path_is_a_scenario_error():
-    # The tuple of the same edges is in the memo of checked injections.
-    cfg = two_node(injections=(Injection(1, ("ab",)),))
-    engine = Engine(cfg, driver=lambda engine, rnd: [Injection(rnd, ["ab"])] if rnd == 3 else [])
-    with pytest.raises(ScenarioError, match=re.escape(
-            "round 3: injection on path ['ab'], which is not a tuple of edge ids")):
-        engine.run()
 
 
 def test_a_replaced_config_is_checked_on_its_own_first_use():
