@@ -20,7 +20,7 @@ from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.scenario_io import (ParseError, load_scenario, load_trace, save_scenario,
                                save_trace, scenario_from_dict, trace_digest)
-from test_scenario_io import save_edited
+from test_scenario_io import SCHEDULE_EDITS, SELECTION_EDITS, one_link_run, save_edited
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHECK_MODES = ("admissibility", "regular", "stall-bound", "recovery")
@@ -102,6 +102,17 @@ def assert_edit_is_the_run(path, events):
     saved = path.read_bytes()
     save_edited(load_trace(path), events, path)
     assert path.read_bytes() == saved
+
+
+def test_trace_naming_an_unknown_packet_is_a_parse_error(tmp_path):
+    scenario = gen(tmp_path)
+    out_dir = tmp_path / "out"
+    main(["run", str(scenario), "--out", str(out_dir)])
+    path = out_dir / "scenario.trace.jsonl"
+    events = list(load_trace(path).events)
+    at = next(i for i, ev in enumerate(events) if ev[0] == "absorb")
+    events[at] = ("absorb", events[at][1], 123456)
+    assert_edit_is_the_run(path, events)
 
 
 def generated_trace(tmp_path, *extra):
@@ -280,6 +291,84 @@ def test_runs_of_saved_scenarios_are_pinned(tmp_path, capsys, seed, failures, di
     assert trace_digest(load_trace(out_dir / f"s{seed}.trace.jsonl")) == digest
 
 
+def edit_first(kind, edit):
+    """Replace the first event of ``kind`` in a run's events by ``edit(event)``."""
+    def apply(events):
+        at = next(i for i, ev in enumerate(events) if ev[0] == kind)
+        events[at] = edit(events[at])
+    return apply
+
+
+def drop_first(kind):
+    """Delete the first event of ``kind`` from a run's events."""
+    def apply(events):
+        del events[next(i for i, ev in enumerate(events) if ev[0] == kind)]
+    return apply
+
+
+def after_first(kind, make):
+    """Insert ``make(event)`` after the first event of ``kind`` in a run's events."""
+    def apply(events):
+        at = next(i for i, ev in enumerate(events) if ev[0] == kind)
+        events.insert(at + 1, make(events[at]))
+    return apply
+
+
+# Edits of the events of a run. A stall creates its antitoken group, so the
+# group cases edit a stall. None moves a total, so each saves to the run's
+# own file.
+@pytest.mark.parametrize("apply", [
+    edit_first("stall", lambda ev: ev[:2] + ("zz",) + ev[3:]),
+    edit_first("stall", lambda ev: ev[:4] + (ev[4] + 1,)),
+    edit_first("stall", lambda ev: ev[:4] + (None,)),
+    edit_first("annihilate", lambda ev: ev[:2] + (10 ** 6, ev[3])),
+    edit_first("annihilate", lambda ev: ev[:3] + ("eventually",)),
+    edit_first("fail", lambda ev: ev[:2] + ("zz",)),
+    edit_first("fail_notify", lambda ev: ev[:2] + ("zz", ev[3])),
+    edit_first("fail_notify", lambda ev: ev[:3] + (ev[1] + 1,)),
+    edit_first("inject", lambda ev: ev[:4] + ((7,),)),
+    edit_first("stall", lambda ev: ev[:3] + (999999, ev[4])),
+    drop_first("stall"),
+    edit_first("reroute", lambda ev: ev[:6] + ((("x",),),)),
+    edit_first("reroute", lambda ev: ev[:6] + (ev[6] - 1,)),
+    drop_first("fail"),
+    after_first("fail", lambda ev: ev),
+    after_first("fail", lambda ev: ("recover", ev[1], ev[2])),
+    edit_first("fail", lambda ev: ev[:2] + ("e000",)),
+    edit_first("fail_notify", lambda ev: ev[:3] + (ev[3] - 1,)),
+    after_first("fail_notify", lambda ev: ev),
+], ids=["group-edge", "group-id", "stall-group", "annihilate-unknown",
+        "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
+        "inject-priority", "group-packet", "group-without-stall",
+        "reroute-failure-round-not-a-round",
+        "reroute-other-failure-round", "reroute-at-live-edge", "fail-of-failed-edge",
+        "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure",
+        "fail-notify-repeated"])
+def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
+    path = generated_trace(tmp_path, "--failures", "2")
+    events = list(load_trace(path).events)
+    apply(events)
+    assert_edit_is_the_run(path, events)
+
+
+@pytest.mark.parametrize("make, edit, differs_from", SCHEDULE_EDITS)
+def test_trace_off_its_scenario_schedule_is_a_parse_error(tmp_path, capsys, make, edit,
+                                                           differs_from):
+    path = tmp_path / "t.jsonl"
+    save_trace(make(), path)
+    events = list(load_trace(path).events)
+    edit(events)
+    if differs_from is None:
+        assert_edit_is_the_run(path, events)
+        return
+    save_edited(load_trace(path), events, path)
+    capsys.readouterr()
+    assert_every_reader_exits(path, 2)
+    message = ("parse error: q_totals disagrees with the replay of its scenario from "
+               f"round {differs_from}: ")
+    assert capsys.readouterr().err.count(message) == len(CHECK_MODES) + 1
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_inject_in_a_notified_window_is_refused_as_the_oracle_reports(tmp_path, seed):
     # Injections added to the script in the header of a ``gen random
@@ -319,6 +408,31 @@ def test_inject_in_a_notified_window_is_refused_as_the_oracle_reports(tmp_path, 
                     load_trace(path)
                 assert main(["check", str(path), "--mode", "recovery"]) == 3
     assert refused
+
+
+@pytest.mark.parametrize("edit", SELECTION_EDITS)
+def test_second_selection_of_a_link_in_a_round_is_a_parse_error(tmp_path, edit):
+    path = tmp_path / "one-link.jsonl"
+    save_trace(one_link_run(), path)
+    events = list(load_trace(path).events)
+    edit(events)
+    assert_edit_is_the_run(path, events)
+
+
+# No packet re-routes at e003 after it fails in round 96, so only the
+# schedule would tell that the event is missing; the file cannot hold it.
+@pytest.mark.parametrize("kind", [
+    pytest.param("fail", id="fail-trace has no fail of edge 'e003' in round 96"),
+    pytest.param("fail_notify", id="fail_notify-trace has no fail_notify of edge 'e003' in "
+                                   "round 97 of its failure in round 96"),
+])
+def test_trace_missing_a_scheduled_fault_event_is_a_parse_error(tmp_path, kind):
+    path = generated_trace(tmp_path, "--failures", "2")
+    events = list(load_trace(path).events)
+    last = max(i for i, ev in enumerate(events) if ev[0] == kind)
+    assert events[last][:3] == (kind, 96 if kind == "fail" else 97, "e003")
+    del events[last]
+    assert_edit_is_the_run(path, events)
 
 
 def test_gadget_gen_writes_expected_topology(tmp_path):

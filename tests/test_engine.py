@@ -444,43 +444,57 @@ def cycle_cfg(**kw):
                           policy="FIFO", horizon=4, **kw)
 
 
-# Each fault of an injection in round 2 of cycle_cfg, whose edge ab fails in
-# round 1 and is notified in round 2: (path, priority, the refusal, its
-# edge). The script's round-1 injection, before the notification, puts
-# (("ab",), 0) in the memo of checked pairs.
-INJECTION_FAULTS = [
-    pytest.param(("ab", "ca"), 0, "round 2: injection on a path not in the network, "
-                 "path ('ab', 'ca'): discontinuity at 1", None, id="discontinuous"),
-    pytest.param(("ab", "bc", "ca", "ab"), 0, "round 2: injection on a path not in the "
-                 "network, path ('ab', 'bc', 'ca', 'ab'): repeated_edge at 3", None,
-                 id="repeated-edge"),
-    pytest.param(("ab",), 5, "round 2: injection with priority 5, not one of the "
-                 "policy's 1 level(s)", None, id="priority-beyond-levels"),
-    # False == 0 and hashes alike, so the memo must not pass it.
-    pytest.param(("ab",), False, "round 2: injection with priority False, not one of the "
-                 "policy's 1 level(s)", None, id="false-after-a-checked-0"),
-    # The tuple of the same edges is in the memo.
-    pytest.param(["ab"], 0, "round 2: injection on path ['ab'], which is not a tuple of "
-                 "edge ids", None, id="list-path"),
-    # The memo holds the pair; the window rule still refuses it.
-    pytest.param(("ab",), 0, "round 2: injection routed over 'ab' after its failure "
-                 "notification", "ab", id="notified-link"),
-]
-
-
-@pytest.mark.parametrize("source", ["script", "driver"])
-@pytest.mark.parametrize("path, priority, message, edge", INJECTION_FAULTS)
-def test_an_injection_fault_is_refused_alike_from_the_script_and_a_driver(
-        source, path, priority, message, edge):
+def gate_refusal(source, bad):
+    """The refusal of ``bad``, an injection in round 2 of cycle_cfg whose
+    edge ab fails in round 1 and is notified in round 2, added to the script
+    (``source="script"``) or returned by a driver: (message, round, edge).
+    The script's round-1 injection, before the notification, puts
+    (("ab",), 0) in the memo of checked pairs."""
     cfg = cycle_cfg(injections=(Injection(1, ("ab",)),), failures=(FailureEvent("ab", 1, 1),))
-    bad = Injection(2, path, priority)
     if source == "script":
         attempt = replace(cfg, injections=(*cfg.injections, bad)).validate
     else:
         attempt = Engine(cfg, driver=lambda engine, rnd: [bad] if rnd == 2 else []).run
     with pytest.raises(ScenarioError) as err:
         attempt()
-    assert (str(err.value), err.value.round, err.value.edge) == (message, 2, edge)
+    return str(err.value), err.value.round, err.value.edge
+
+
+@pytest.mark.parametrize("path, priority, message, edge", [
+    pytest.param(("ab", "ca"), 0, "round 2: injection on a path not in the network, "
+                 "path ('ab', 'ca'): discontinuity at 1", None, id="discontinuous"),
+    pytest.param(("ab", "bc", "ca", "ab"), 0, "round 2: injection on a path not in the "
+                 "network, path ('ab', 'bc', 'ca', 'ab'): repeated_edge at 3", None,
+                 id="repeated-edge"),
+    pytest.param(("ab",), 5, "round 2: injection with priority 5, not one of the "
+                 "policy's 1 level(s)", None, id="priority"),
+    # The memo holds the pair; the window rule still refuses it.
+    pytest.param(("ab",), 0, "round 2: injection routed over 'ab' after its failure "
+                 "notification", "ab", id="notified-link"),
+])
+def test_a_drivers_injections_are_checked_as_scripted_ones(path, priority, message, edge):
+    bad = Injection(2, path, priority)
+    assert gate_refusal("script", bad) == gate_refusal("driver", bad) == (message, 2, edge)
+
+
+def test_a_priority_equal_to_a_checked_one_is_still_checked():
+    # False == 0 and hashes alike, so the memo must not pass it.
+    bad = Injection(2, ("ab",), False)
+    assert gate_refusal("script", bad) == gate_refusal("driver", bad) == (
+        "round 2: injection with priority False, not one of the policy's 1 level(s)", 2, None)
+
+
+# The tuple of the same edges is in the memo of checked pairs.
+LIST_PATH_REFUSAL = ("round 2: injection on path ['ab'], which is not a tuple of edge ids",
+                     2, None)
+
+
+def test_a_scripted_injection_on_a_list_path_is_a_scenario_error():
+    assert gate_refusal("script", Injection(2, ["ab"])) == LIST_PATH_REFUSAL
+
+
+def test_a_drivers_injection_on_a_list_path_is_a_scenario_error():
+    assert gate_refusal("driver", Injection(2, ["ab"])) == LIST_PATH_REFUSAL
 
 
 def test_a_drivers_injection_that_carries_a_packet_id_is_refused():

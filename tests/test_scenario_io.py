@@ -405,15 +405,20 @@ def test_trace_round_trip(tmp_path):
 # -- edits of the events ---------------------------------------------------------
 #
 # A version 8 file holds no events, so an edit of a run's events reaches a
-# file only through the totals the edited events imply (``save_edited``).
+# file only through the totals the edited events imply. Each edit below,
+# made to the events in memory, is saved that way (``save_edited``): an
+# edit that moves a total is refused from the first round where the
+# totals differ from the replay's; one that moves none saves to the very
+# file of the run, which loads to the engine's events.
 
 
 def implied_totals(events, horizon):
     """The totals ``events`` imply: after each round of the horizon, the
-    injections minus the absorptions so far."""
+    injections minus the absorptions so far. An event without an int round
+    in 1..horizon moves none."""
     net = [0] * (horizon + 1)
     for ev in events:
-        if ev[1] <= horizon:
+        if len(ev) > 1 and type(ev[1]) is int and 1 <= ev[1] <= horizon:
             net[ev[1]] += {"inject": 1, "absorb": -1}.get(ev[0], 0)
     return list(accumulate(net[1:]))
 
@@ -427,16 +432,18 @@ def save_edited(trace, events, path):
     return save_trace(edited, path)
 
 
-def test_an_edit_of_the_events_that_keeps_every_total_loads_as_the_run(tmp_path):
-    # A second inject of packet 0 where packet 1 enters keeps every total,
-    # so it saves to the file of the run, which loads to the replay's
-    # events. Digests tell the edit from the run.
-    trace = run_small()
-    events = list(trace.events)
-    assert events[4] == ("inject", 3, 1, ("bc",), 0)
-    events[4] = ("inject", 3, 0, ("bc",), 0)
+def assert_edit_reaches_no_checker(tmp_path, trace, events, differs_from=None):
+    """The edit of ``trace`` to ``events`` is refused from round
+    ``differs_from``, or, given None, saves to the file of ``trace`` and
+    loads to the engine's events. Digests tell the edit from the run where
+    Python equality would not: True == 1, but its JSON is true."""
     path = tmp_path / "edited.jsonl"
     digest = save_edited(trace, events, path)
+    if differs_from is not None:
+        with pytest.raises(ParseError, match="^q_totals disagrees with the replay of its "
+                                             f"scenario from round {differs_from}: "):
+            load_trace(path)
+        return
     save_trace(trace, tmp_path / "run.jsonl")
     assert path.read_bytes() == (tmp_path / "run.jsonl").read_bytes()
     loaded = load_trace(path)
@@ -444,18 +451,15 @@ def test_an_edit_of_the_events_that_keeps_every_total_loads_as_the_run(tmp_path)
     assert trace_digest(loaded) == trace_digest(trace) != digest
 
 
-def test_an_edit_of_the_events_that_moves_a_total_is_refused_from_its_round(tmp_path):
-    # The transmit and absorb of packet 1 in round 4 become a stall, so the
-    # packet stays queued from round 4 on.
-    trace = run_small()
-    events = list(trace.events)
-    assert events[8:] == [("transmit", 4, "bc", 1), ("absorb", 4, 1)]
-    events[8:] = [("stall", 4, "bc", 1, 1)]
-    path = tmp_path / "edited.jsonl"
-    save_edited(trace, events, path)
-    with pytest.raises(ParseError, match="^q_totals disagrees with the replay of its scenario "
-                                         "from round 4: 1 stored, 0 replayed$"):
-        load_trace(path)
+def edited(events, at, event):
+    """``events`` with the one at ``at`` replaced by ``event``, or deleted
+    when ``event`` is None."""
+    events = list(events)
+    if event is None:
+        del events[at]
+    else:
+        events[at] = event
+    return events
 
 
 def test_trace_rebuilds_rerouted_paths(tmp_path):
@@ -467,11 +471,17 @@ def test_trace_rebuilds_rerouted_paths(tmp_path):
         policy="FIFO", horizon=8,
         injections=(Injection(1, ("ab", "bz")),),
         failures=(FailureEvent("bz", 1, notify_delay=1),))
+    trace = run(cfg)
     path = tmp_path / "t.jsonl"
-    save_trace(run(cfg), path)
+    save_trace(trace, path)
     loaded = load_trace(path)
     assert loaded.packets[0].final_path == ("ab", "bc", "cz")
     assert loaded.packets[0].rerouted
+    at = next(i for i, ev in enumerate(trace.events) if ev[0] == "reroute")
+    ev = trace.events[at]
+    assert ev[3] == ("bz",)
+    assert_edit_reaches_no_checker(
+        tmp_path, trace, edited(trace.events, at, ev[:3] + (("ab", "bz"),) + ev[4:]))
 
 
 def test_tampered_header_detected(tmp_path):
@@ -517,6 +527,278 @@ def test_edited_queue_total_refused(tmp_path):
         load_trace(path)
 
 
+def test_deleted_absorb_refused(tmp_path):
+    trace = run_small()
+    assert trace.events[6] == ("absorb", 3, 0)
+    assert_edit_reaches_no_checker(tmp_path, trace, edited(trace.events, 6, None), 3)
+
+
+def test_events_out_of_round_order_refused(tmp_path):
+    # The annihilate of round 4 moves ahead of the inject of round 3; each
+    # keeps its round, so no total moves.
+    trace = run_small()
+    events = list(trace.events)
+    events[4], events[7] = events[7], events[4]
+    assert_edit_reaches_no_checker(tmp_path, trace, events)
+
+
+# Edits of the run_small events: (the index of the event, its replacement).
+# A stall creates its antitoken group, so the group cases edit a stall.
+# Each keeps the injections and absorptions of every round, so none moves a
+# total.
+INCONSISTENT_EDITS = [
+    pytest.param(4, ["inject", 3, 0, ["bc"], 0], id="duplicate-inject"),
+    pytest.param(4, ["inject", 3, 1, ["zz"], 0], id="unknown-edge"),
+    pytest.param(4, ["inject", 3, 1, ["bc", "ab"], 0], id="discontinuous-path"),
+    pytest.param(4, ["inject", 3, 1, ["bc", "ca", "ab", "bc"], 0], id="repeated-edge"),
+    pytest.param(6, ["absorb", 3, 123456], id="unknown-absorb"),
+    pytest.param(8, ["transmit", 4, "bc", 0], id="absorbed-transmit"),
+    pytest.param(1, ["transmit", 1, "bc", 0], id="wrong-edge"),
+    pytest.param(2, ["stall", 2, "ab", 0, 0], id="wrong-stall"),
+    pytest.param(6, ["absorb", 3, 1], id="early-absorb"),
+    pytest.param(1, ["transmit"], id="no-round"),
+    pytest.param(1, ["transmit", "1", "ab", 0], id="text-round"),
+    pytest.param(1, ["transmit", 1, "ab", "0"], id="text-packet"),
+    pytest.param(1, ["transmit", 1, "ab"], id="short"),
+    pytest.param(1, ["tick", 1], id="v1-kind"),
+    pytest.param(1, ["transmit", 0, "ab", 0], id="round-0"),
+    pytest.param(2, ["stall", 2, "zz", 0, 0], id="group-unknown-edge"),
+    pytest.param(7, ["stall", 4, "bc", 1, 0], id="group-twice"),
+    pytest.param(2, ["stall", 2, "bc", 0, "0"], id="stall-text-group"),
+    pytest.param(7, ["annihilate", 4, "0", "forced"], id="annihilate-text-id"),
+    pytest.param(7, ["annihilate", 4, 7, "forced"], id="annihilate-unknown"),
+    pytest.param(8, ["annihilate", 4, 0, "voluntary"], id="annihilate-twice"),
+    pytest.param(7, ["annihilate", 4, 0, "later"], id="annihilate-manner"),
+    pytest.param(3, ["fail", 3, "zz"], id="fail-unknown-edge"),
+    pytest.param(7, ["recover", 4, ["bc"]], id="recover-unknown-edge"),
+    pytest.param(7, ["fail_notify", 4, "zz", 4], id="fail-notify-unknown-edge"),
+    pytest.param(7, ["fail_notify", 4, "ca", 5], id="fail-notify-later"),
+    pytest.param(7, ["fail_notify", 4, "ca", "3"], id="fail-notify-text-round"),
+    pytest.param(4, ["inject", 3, 1, ["bc"], [7]], id="inject-priority-list"),
+    pytest.param(4, ["inject", 3, 1, ["bc"], 1], id="inject-priority-beyond-levels"),
+    pytest.param(4, ["inject", 3, 1, ["bc"], -1], id="inject-priority-negative"),
+    pytest.param(4, ["inject", 3, 1, ["bc"], "0"], id="inject-priority-text"),
+    pytest.param(2, ["stall", 2, "bc", 999999, 0], id="group-other-packet"),
+    pytest.param(2, ["stall", 3, "bc", 0, 0], id="group-other-round"),
+    pytest.param(2, ["stall", 2, "bc", 0, 1], id="group-other-id"),
+    pytest.param(3, ["stall", 2, "bc", 0, 1], id="stall-after-stall"),
+    pytest.param(7, ["fail", 4, "bc"], id="fail-unscheduled"),
+    pytest.param(3, ["recover", 3, "ca"], id="recover-unscheduled"),
+    pytest.param(7, ["fail_notify", 4, "ca", 3], id="fail-notify-unscheduled"),
+]
+
+
+@pytest.mark.parametrize("at, event", INCONSISTENT_EDITS)
+def test_inconsistent_event_refused(tmp_path, at, event):
+    trace = run_small()
+    assert_edit_reaches_no_checker(tmp_path, trace, edited(trace.events, at, event))
+
+
+def fault_run():
+    """A run whose edge bz fails in round 1, recovers in round 3 and fails
+    again in round 5; each failure re-routes one packet over bc, cz.
+
+    Its events are: 0 fail, 1 inject 0, 2 transmit 0 on ab, 3 fail_notify,
+    4 reroute 0, 5 recover, 6 and 7 transmit 0 on bc and cz, 8 absorb 0,
+    9 fail, 10 inject 1, 11 transmit 1 on ab, 12 fail_notify, 13 reroute 1,
+    14 and 15 transmit 1 on bc and cz, 16 absorb 1.
+    """
+    net = Network(["a", "b", "c", "z"],
+                  [Edge("ab", "a", "b"), Edge("bz", "b", "z"),
+                   Edge("bc", "b", "c"), Edge("cz", "c", "z")])
+    cfg = ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
+        injections=(Injection(1, ("ab", "bz")), Injection(5, ("ab", "bz"))),
+        failures=(FailureEvent("bz", 1, 1), FailureEvent("bz", 5, 1)),
+        recoveries=(RecoveryEvent("bz", 3),))
+    return run(cfg)
+
+
+# Edits of the fault_run events against its fault schedule: each an index
+# and the event put there, or None to delete the event, applied in turn.
+# None moves a total.
+FAULT_EDITS = [
+    pytest.param([(5, None)], id="fail-of-failed-edge"),
+    pytest.param([(4, None), (3, None), (0, None)], id="recover-of-live-edge"),
+    pytest.param([(3, None), (0, None)], id="reroute-at-live-edge"),
+    pytest.param([(13, ("reroute", 6, 1, ("bz",), ("bc", "cz"), "bz", 1))],
+                 id="reroute-of-earlier-failure"),
+    pytest.param([(4, ("reroute", 2, 0, ("bz",), ("bc", "cz"), "bz", (("x",),)))],
+                 id="reroute-failure-round-not-a-round"),
+    pytest.param([(4, ("reroute", 2, 0, ("bz",), ("bc", "cz"), "bz", True))], id="reroute-bool"),
+    pytest.param([(12, ("fail_notify", 6, "bz", 1))], id="fail-notify-of-earlier-failure"),
+    pytest.param([(3, ("fail_notify", 3, "bz", 1))], id="fail-notify-late"),
+    pytest.param([(9, ("fail", 5, "bc"))], id="fail-of-other-edge"),
+    pytest.param([(5, ("recover", 4, "bz"))], id="recover-in-other-round"),
+    pytest.param([(3, ("fail_notify", 2, "bz", True))], id="fail-notify-bool"),
+]
+
+
+@pytest.mark.parametrize("edits", FAULT_EDITS)
+def test_fault_event_off_the_schedule_refused(tmp_path, edits):
+    trace = fault_run()
+    events = trace.events
+    for at, event in edits:
+        events = edited(events, at, event)
+    assert_edit_reaches_no_checker(tmp_path, trace, events)
+
+
+def test_repeated_fail_notify_refused(tmp_path):
+    trace = fault_run()
+    assert trace.events[3] == ("fail_notify", 2, "bz", 1)
+    events = list(trace.events)
+    events.insert(4, events[3])
+    assert_edit_reaches_no_checker(tmp_path, trace, events)
+
+
+def notified_reroute_run():
+    """A run whose edge bz fails in round 2, with notify delay 2 and
+    tau_prime 2: packet 0 waits at bz until the notification in round 4,
+    then re-routes over bc, cz."""
+    net = Network(["a", "b", "c", "z"],
+                  [Edge("ab", "a", "b"), Edge("bz", "b", "z"),
+                   Edge("bc", "b", "c"), Edge("cz", "c", "z")])
+    return run(ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
+        injections=(Injection(1, ("ab", "bz")),), failures=(FailureEvent("bz", 2, 2),),
+        tau_prime=2))
+
+
+def delete_annihilate(events):
+    assert events.pop(7) == ("annihilate", 4, 0, "forced")
+
+
+def annihilate_a_round_early(events):
+    delete_annihilate(events)
+    assert events[3] == ("fail", 3, "ca")
+    events.insert(4, ("annihilate", 3, 0, "voluntary"))
+
+
+def reroute_before_its_notification(events):
+    at = next(i for i, ev in enumerate(events) if ev[0] == "reroute")
+    assert events[at - 1] == ("fail_notify", 4, "bz", 2)
+    events[at - 1], events[at] = events[at], events[at - 1]
+
+
+def notified_failure_run():
+    """A run of two links, ab and ba, whose packet 0 crosses ab in round 1;
+    ab fails in round 2, notified at once, and never recovers."""
+    net = Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ba", "b", "a")])
+    return run(ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 1, 1), policy="FIFO", horizon=4,
+        injections=(Injection(1, ("ab",)),), failures=(FailureEvent("ab", 2, 0),),
+        enforce_buckets=False))
+
+
+def injected_in_round_3(path):
+    """An edit that injects packet 1 on ``path`` in round 3: the packet is
+    never sent, so it stays in the totals from round 3 on."""
+    def edit(events):
+        assert events == [("inject", 1, 0, ("ab",), 0), ("transmit", 1, "ab", 0),
+                          ("absorb", 1, 0), ("fail", 2, "ab"), ("fail_notify", 2, "ab", 2)]
+        events.append(("inject", 3, 1, path, 0))
+    return edit
+
+
+# Edits that keep a run's events consistent with themselves but not with
+# the feedback and fault events its scenario determines: (the run, the edit
+# of its events, the first round whose total the edit moves, or None).
+SCHEDULE_EDITS = [
+    pytest.param(run_small, delete_annihilate, None, id="annihilate-deleted"),
+    pytest.param(run_small, annihilate_a_round_early, None, id="annihilate-moved"),
+    pytest.param(notified_reroute_run, reroute_before_its_notification, None,
+                 id="reroute-before-notification"),
+    # The script's path, and one that only ends on the failed link.
+    pytest.param(notified_failure_run, injected_in_round_3(("ab",)), 3,
+                 id="inject-after-notification"),
+    pytest.param(notified_failure_run, injected_in_round_3(("ba", "ab")), 3,
+                 id="inject-via-a-notified-link"),
+]
+
+
+@pytest.mark.parametrize("make, edit, differs_from", SCHEDULE_EDITS)
+def test_trace_off_its_scenario_schedule_refused(tmp_path, make, edit, differs_from):
+    trace = make()
+    events = list(trace.events)
+    edit(events)
+    assert_edit_reaches_no_checker(tmp_path, trace, events, differs_from)
+
+
+def one_link_run():
+    """A run of one link, ab, whose three packets are injected in round 1
+    and cross it one a round, but for a stall of packet 1 in round 2.
+
+    Its events are: 0 to 2 inject 0, 1 and 2; 3 transmit and 4 absorb 0
+    (round 1); 5 the stall of packet 1 (round 2); 6 the annihilate of its
+    group, 7 transmit and 8 absorb 1 (round 3); 9 transmit and 10 absorb 2
+    (round 4).
+    """
+    net = Network(["a", "b"], [Edge("ab", "a", "b")])
+    return run(ScenarioConfig(
+        network=net, adversary=AdversaryType(Fraction(1), 1, 1), policy="FIFO", horizon=4,
+        injections=(Injection(1, ("ab",)),) * 3, stalls={"ab": {2}}, enforce_buckets=False))
+
+
+def inserted(at, event):
+    """An edit that puts ``event`` at index ``at`` of a run's events."""
+    def edit(events):
+        events.insert(at, event)
+    return edit
+
+
+# A link selects one packet a round, to transmit or to stall. Edits of the
+# one_link_run events that select a second; none moves a total.
+SELECTION_EDITS = [
+    pytest.param(inserted(5, ("transmit", 1, "ab", 1)), id="transmit-after-transmit"),
+    pytest.param(inserted(5, ("transmit", 2, "ab", 2)), id="stall-after-transmit"),
+    pytest.param(inserted(6, ("transmit", 2, "ab", 2)), id="transmit-after-stall"),
+]
+
+
+@pytest.mark.parametrize("edit", SELECTION_EDITS)
+def test_second_selection_of_a_link_in_a_round_refused(tmp_path, edit):
+    trace = one_link_run()
+    assert trace.events[3:7] == [("transmit", 1, "ab", 0), ("absorb", 1, 0),
+                                 ("stall", 2, "ab", 1, 0), ("annihilate", 3, 0, "forced")]
+    events = list(trace.events)
+    edit(events)
+    assert_edit_reaches_no_checker(tmp_path, trace, events)
+
+
+def at_round(at, rnd):
+    """Move the event at index ``at`` to round ``rnd``."""
+    def edit(events):
+        events[at] = events[at][:1] + (rnd,) + events[at][2:]
+    return edit
+
+
+# Edits of the run_small events (horizon 6, annihilation delay 2) that put
+# an event after the horizon: (the edits, the first round whose total they
+# move, or None). An absorb after the horizon is in no total, so packet 1
+# stays queued from round 4 on.
+AFTER_THE_HORIZON = [
+    pytest.param([at_round(8, 7), at_round(9, 7)], 4, id="transmit"),
+    pytest.param([at_round(9, 7)], 4, id="absorb"),
+    pytest.param([inserted(10, ("inject", 7, 2, ("bc",), 0))], None, id="inject"),
+    pytest.param([inserted(10, ("stall", 7, "bc", 1, 1))], None, id="stall"),
+    pytest.param([inserted(10, ("reroute", 7, 1, ("bc",), ("bc",), "bc", 1))], None,
+                 id="reroute"),
+    pytest.param([inserted(10, ("fail", 7, "bc"))], None, id="fail"),
+    pytest.param([inserted(10, ("fail_notify", 7, "bc", 6))], None, id="fail_notify"),
+    pytest.param([inserted(10, ("recover", 7, "bc"))], None, id="recover"),
+    pytest.param([inserted(10, ("annihilate", 9, 0, "forced"))], None, id="annihilate"),
+]
+
+
+@pytest.mark.parametrize("edits, differs_from", AFTER_THE_HORIZON)
+def test_event_after_the_horizon_refused(tmp_path, edits, differs_from):
+    trace = run_small()
+    events = list(trace.events)
+    for edit in edits:
+        edit(events)
+    assert_edit_reaches_no_checker(tmp_path, trace, events, differs_from)
+
+
 @pytest.mark.parametrize("rnd", [7, 8])
 def test_annihilate_in_the_drain_rounds_loads(tmp_path, rnd):
     # A stall in round rnd - 2 <= 6 with the maximum delay, 2: its group
@@ -532,18 +814,13 @@ def test_annihilate_in_the_drain_rounds_loads(tmp_path, rnd):
     assert loaded.events[-1] == ("annihilate", rnd, 0, "forced")
 
 
-def fault_run():
-    """A run whose edge bz fails in round 1, recovers in round 3 and fails
-    again in round 5; each failure re-routes one packet over bc, cz."""
-    net = Network(["a", "b", "c", "z"],
-                  [Edge("ab", "a", "b"), Edge("bz", "b", "z"),
-                   Edge("bc", "b", "c"), Edge("cz", "c", "z")])
-    cfg = ScenarioConfig(
-        network=net, adversary=AdversaryType(Fraction(1), 2, 2), policy="FIFO", horizon=8,
-        injections=(Injection(1, ("ab", "bz")), Injection(5, ("ab", "bz"))),
-        failures=(FailureEvent("bz", 1, 1), FailureEvent("bz", 5, 1)),
-        recoveries=(RecoveryEvent("bz", 3),))
-    return run(cfg)
+def test_transmit_after_the_horizon_of_a_generated_trace_refused(tmp_path):
+    _cfg, trace = gen_random_scenario(
+        1, rate=Fraction(9, 10), burst=4, delay=2, tau=1, policy="FTG", horizon=200,
+        failures=2, with_trace=True)
+    assert trace.events[-1][1] == 200
+    assert_edit_reaches_no_checker(tmp_path, trace,
+                                   [*trace.events, ("transmit", 201, "e005", 330)])
 
 
 def test_fault_trace_loads_as_saved(tmp_path):
@@ -570,6 +847,21 @@ def quiet_fault_run(horizon=8):
         recoveries=(RecoveryEvent("bc", 5),) if horizon >= 5 else ()))
 
 
+@pytest.mark.parametrize("kinds", [("fail", "recover"), ("fail_notify",), ("recover",)],
+                         ids=["fail", "fail_notify", "recover"])
+def test_missing_scheduled_fault_event_refused(tmp_path, kinds):
+    trace = quiet_fault_run()
+    events = [ev for ev in trace.events if ev[0] not in kinds]
+    assert len(events) == len(trace.events) - len(kinds)
+    assert_edit_reaches_no_checker(tmp_path, trace, events)
+
+
+def test_missing_fault_events_are_named_first_round_first(tmp_path):
+    trace = quiet_fault_run()
+    assert_edit_reaches_no_checker(tmp_path, trace, [
+        ev for ev in trace.events if ev[0] not in ("recover", "fail_notify")])
+
+
 def test_traces_with_every_scheduled_fault_event_load(tmp_path):
     # A notification due past the horizon is not delivered, so not written.
     path = tmp_path / "quiet.jsonl"
@@ -589,6 +881,79 @@ def test_traces_with_every_scheduled_fault_event_load(tmp_path):
         assert load_trace(tmp_path / f"{name}.jsonl").events == trace.events, name
 
 
+# The inject, transmit and absorb events of the run_small events, by index.
+# Each field in turn is given a value of the wrong type (text, null, bool,
+# float) or made a list. Only an inject or absorb whose round is no longer
+# an int moves a total: it counts in no round, from its own on.
+LANE_EVENTS = {
+    0: ("inject", 1, 0, ("ab", "bc"), 0),
+    1: ("transmit", 1, "ab", 0),
+    4: ("inject", 3, 1, ("bc",), 0),
+    6: ("absorb", 3, 0),
+    8: ("transmit", 4, "bc", 1),
+    9: ("absorb", 4, 1),
+}
+
+
+def lane_field_edits():
+    # The ids number the events as the lines of a version 7 file did.
+    for at, ev in LANE_EVENTS.items():
+        kind = ev[0]
+        for field in range(1, len(ev)):
+            value = ev[field]
+            bad_values = [None, True, 1.5, [value]]
+            if type(value) is not str:
+                bad_values.append(str(value))
+            for bad in bad_values:
+                differs_from = ev[1] if field == 1 and kind != "transmit" else None
+                yield pytest.param(at, ev[:field] + (bad,) + ev[field + 1:], differs_from,
+                                   id=f"{at + 1}-{kind}-field{field}-{type(bad).__name__}")
+
+
+LANE_RULE_EDITS = [
+    pytest.param(1, ("transmit", 0, "ab", 0), None, id="transmit-round-0"),
+    pytest.param(8, ("transmit", 3, "bc", 1), None, id="transmit-round-back"),
+    pytest.param(8, ("transmit", 4, "bc", 123456), None, id="transmit-unknown"),
+    pytest.param(8, ("transmit", 4, "ab", 1), None, id="transmit-other-edge"),
+    pytest.param(8, ("transmit", 4, "zz", 1), None, id="transmit-unknown-edge"),
+    pytest.param(4, ("inject", 0, 1, ("bc",), 0), 3, id="inject-round-0"),
+    pytest.param(4, ("inject", 1, 1, ("bc",), 0), 1, id="inject-round-back"),
+    pytest.param(4, ("inject", 3, 0, ("bc",), 0), None, id="inject-second"),
+    pytest.param(4, ("inject", 3, 1, (), 0), None, id="inject-empty-path"),
+    pytest.param(4, ("inject", 3, 1, ("bc", 7), 0), None, id="inject-path-int"),
+    pytest.param(4, ("inject", 3, 1, ("bc",), 2), None, id="inject-priority-2"),
+    pytest.param(9, ("absorb", 0, 1), 4, id="absorb-round-0"),
+    pytest.param(9, ("absorb", 3, 1), 3, id="absorb-round-back"),
+    pytest.param(9, ("absorb", 4, 123456), None, id="absorb-unknown"),
+    pytest.param(9, ("absorb", 4, 0), None, id="absorb-absorbed"),
+    pytest.param(8, ("absorb", 4, 1), 4, id="absorb-edges-left"),
+]
+
+
+@pytest.mark.parametrize("at, event, differs_from", [*lane_field_edits(), *LANE_RULE_EDITS])
+def test_lane_refusals_read_as_the_generic_checks(tmp_path, at, event, differs_from):
+    trace = run_small()
+    assert trace.events[at] == LANE_EVENTS[at]
+    assert_edit_reaches_no_checker(tmp_path, trace, edited(trace.events, at, event),
+                                   differs_from)
+
+
+def test_group_without_its_stall_refused(tmp_path):
+    trace = run_small()
+    assert trace.events[2] == ("stall", 2, "bc", 0, 0)
+    assert_edit_reaches_no_checker(tmp_path, trace, edited(trace.events, 2, None))
+
+
+def test_stall_before_the_totals_refused(tmp_path):
+    # The transmit and absorb of packet 1 in round 4 become a stall, so the
+    # packet stays queued from round 4 on.
+    trace = run_small()
+    events = list(trace.events)
+    assert events[8:] == [("transmit", 4, "bc", 1), ("absorb", 4, 1)]
+    events[8:] = [("stall", 4, "bc", 1, 1)]
+    assert_edit_reaches_no_checker(tmp_path, trace, events, 4)
+
+
 # The totals record edited to each of these: (the record, the refusal).
 @pytest.mark.parametrize("record, message", [
     pytest.param(record, message, id=record) for record, message in (
@@ -605,19 +970,80 @@ def test_malformed_record_refused(tmp_path, record, message):
         load_trace(path)
 
 
-@pytest.mark.parametrize("version", range(1, 8))
-def test_trace_of_an_older_version_refused(tmp_path, version):
-    # Versions 1 to 7 laid out or hashed their header otherwise, and from
-    # version 4 on held one line per event; the version is refused before
-    # the hash or any line after the header is read.
-    path, lines = saved_lines(tmp_path)
+def as_version(lines, version):
+    """The header of a saved trace's lines, relabelled as of ``version``."""
     header = json.loads(lines[0])
     header["version"] = version
-    header["scenario_hash"] = "0" * 64
-    events = [json.dumps(ev, separators=(",", ":")) for ev in run_small().events]
-    path.write_text("\n".join([json.dumps(header), *events, lines[-1]]) + "\n")
-    with pytest.raises(ParseError,
-                       match=f"^unsupported trace format 'aqsim-trace' v{version}$"):
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+
+
+def event_lines(trace):
+    """The event lines a version 5 to 7 file held: each event's compact JSON."""
+    return [json.dumps(ev, separators=(",", ":")) for ev in trace.events]
+
+
+def test_version_1_trace_refused(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 1
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v1"):
+        load_trace(path)
+
+
+def test_version_2_trace_refused(tmp_path):
+    # A version 2 header hashed the indented scenario file text; the version
+    # is refused before the hash is compared.
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 2
+    header["scenario_hash"] = hashlib.sha256(
+        dumps_scenario(run_small().config).encode()).hexdigest()
+    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v2"):
+        load_trace(path)
+
+
+def test_version_4_trace_refused(tmp_path):
+    # A version 4 file held each event as {"event": [kind, round, ...]},
+    # under a header of the same layout; the version is refused first.
+    path, lines = saved_lines(tmp_path)
+    events = [json.dumps({"event": ev}, separators=(",", ":")) for ev in run_small().events]
+    path.write_text("\n".join([as_version(lines, 4), *events, lines[-1]]) + "\n")
+    with pytest.raises(ParseError, match="^unsupported trace format 'aqsim-trace' v4$"):
+        load_trace(path)
+
+
+def test_version_6_trace_refused(tmp_path):
+    # A version 6 file held a group line after each stall; the version is
+    # refused before any line after the header is read.
+    path, lines = saved_lines(tmp_path)
+    events = event_lines(run_small())
+    events.insert(3, '["group",2,0,"bc",0,["bc"]]')
+    path.write_text("\n".join([as_version(lines, 6), *events, lines[-1]]) + "\n")
+    with pytest.raises(ParseError, match="^unsupported trace format 'aqsim-trace' v6$"):
+        load_trace(path)
+
+
+def test_version_7_trace_refused(tmp_path):
+    # A version 7 file held one line per event between the header and the
+    # totals.
+    path, lines = saved_lines(tmp_path)
+    path.write_text("\n".join([as_version(lines, 7), *event_lines(run_small()),
+                               lines[-1]]) + "\n")
+    with pytest.raises(ParseError, match="^unsupported trace format 'aqsim-trace' v7$"):
+        load_trace(path)
+
+
+def test_version_3_trace_refused(tmp_path):
+    # A version 3 header was the key-sorted JSON with spaces after its
+    # separators, hashing the same compact scenario; the version is refused
+    # before the layout or the hash is looked at.
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["version"] = 3
+    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError, match="unsupported trace format 'aqsim-trace' v3"):
         load_trace(path)
 
 
@@ -805,7 +1231,7 @@ def long_header_trace(tmp_path, seed=3, horizon=2000):
     return path, raw
 
 
-def test_bytes_that_are_not_utf8_at_the_end_of_a_long_header_named(tmp_path):
+def test_bytes_that_are_not_utf8_past_the_first_chunk_of_lines(tmp_path):
     path, raw = long_header_trace(tmp_path)
     raw[0] = raw[0][:-100] + b"\xff\xfe" + raw[0][-100:]
     path.write_bytes(b"\n".join(raw))
@@ -822,15 +1248,18 @@ def test_bytes_that_do_not_decode_come_after_an_earlier_error(tmp_path):
         load_trace(path)
 
 
-# A second line that is no totals record: text that is not JSON, a record
-# in the version 4 layout and an event line, under a long header.
+# A record in the version 4 layout, or an event line, is no totals record;
+# the ids are those of the lines a version 7 file held them on.
 @pytest.mark.parametrize("record, message", [
-    pytest.param("not json", "line 2: Expecting value", id="not-json"),
-    pytest.param('{"event":["absorb",1000,123456]}', "line 2: unknown key 'event'",
-                 id="v4-event-record"),
-    pytest.param('["absorb",1000,123456]', "line 2: expected an object", id="event-line"),
+    pytest.param("not json", "line 2: Expecting value",
+                 id="1500-not json-Expecting value"),
+    pytest.param('{"event":["absorb",1000000,123456]}', "line 2: unknown key 'event'",
+                 id='2100-{"event":["absorb",1000000,123456]}-unknown record'),
+    pytest.param('["absorb",1000,123456]', "line 2: expected an object",
+                 id='2100-["absorb",1000,123456]-absorb of packet 123456, '
+                    'which is never injected'),
 ])
-def test_second_line_that_is_no_totals_record_named(tmp_path, record, message):
+def test_error_past_the_first_chunk_of_lines_named(tmp_path, record, message):
     path, raw = long_header_trace(tmp_path, seed=5, horizon=1000)
     raw[1] = record.encode()
     path.write_bytes(b"\n".join(raw))
@@ -876,7 +1305,7 @@ def oracle_traces():
     yield "gadget", run(dataclasses.replace(gadget.config, policy=Prioritized("FIFO", 2)))
 
 
-def test_load_trace_matches_json_loads_and_a_replay(tmp_path):
+def test_load_trace_matches_the_per_line_oracle(tmp_path):
     kinds = set()
     for name, trace in oracle_traces():
         path = tmp_path / f"{name}.jsonl"
@@ -900,6 +1329,20 @@ def test_load_trace_matches_json_loads_and_a_replay(tmp_path):
     assert {"inject", "stall", "reroute", "absorb"} <= kinds
 
 
+def test_lines_read_one_by_one_load_the_same(tmp_path):
+    # A totals record with spaces inside and around it is still read as
+    # json.loads reads it.
+    path, lines = saved_lines(tmp_path)
+    lines[1] = " " + json.dumps(json.loads(lines[1]), indent=None) + "\t"
+    assert " " in lines[1].strip()
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_trace(path)
+    trace = run_small()
+    assert loaded.events == trace.events
+    assert loaded.events[0] == ("inject", 1, 0, ("ab", "bc"), 0)
+    assert (loaded.q_totals, loaded.packets) == (trace.q_totals, trace.packets)
+
+
 # Edge ids that text handling in the wrong place would get wrong: the text
 # that started an event line, a kind, brackets, a quote, non-ASCII and
 # U+2028.
@@ -919,7 +1362,7 @@ def odd_trace():
     return run(cfg)
 
 
-def test_a_trace_of_odd_edge_ids_saves_two_lines_and_loads_as_the_run(tmp_path):
+def test_saved_lines_are_the_compact_json_of_each_event(tmp_path):
     # The file holds the header and the totals; the events come back from
     # the replay, odd ids and all.
     trace = odd_trace()
