@@ -15,8 +15,9 @@ contract and tests depend on it:
      annihilation round and manner ``buckets.annihilation`` fixes) or a
      transmission; transit arrivals
      are staged so no packet crosses two links in one round. Each queue
-     is a heap on the policy's key, computed when the packet enters it,
-     so selection reads the top and a transmission pops it
+     is a heap of the policy's keys (``packet_key``), each computed when
+     its packet enters the queue and ending in the packet itself, so
+     selection reads the packet at the top and a transmission pops it
   7. re-routing of packets whose next edge is failed and visibly so, in
      (arrival round, id) order. Each (node, destination) route is computed
      once per set of failed links and kept for the whole run, so a failed
@@ -53,11 +54,13 @@ that ``validate_path`` accepts, its priority one of the policy's levels,
 and no link of its path has a failure visible in its round (a notified
 window of ``Schedule.edge_windows``). The gate remembers the (path,
 priority) pairs that passed the first two rules, so each is checked once
-per config; the window rule is checked for each injection. The scenario's
-checks run the gate over the script, in script order, so step 5 runs it
-only over a driver's injections, which must also be for the round they are
-returned in. A refusal reads "round R: injection ..." whichever brought
-the injection.
+per config; the window rule is checked for each injection the gate sees.
+The scenario's checks run the gate over the script, in script order, once
+per burst: an injection whose round, path and int priority equal the
+previous one's passes as that one did. Step 5 runs the gate only over a
+driver's injections, which must also be for the round they are returned
+in. A refusal reads "round R: injection ..." whichever brought the
+injection.
 
 Packet ids are fixed before the run: a script either gives every
 injection its id or none, and the engine numbers the others 0, 1, ... in
@@ -83,6 +86,7 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
 from .buckets import _AFFORDED, AdversaryType, BucketSystem
@@ -93,8 +97,9 @@ from .netmodel import Network, Packet, shortest_path_avoiding, validate_path
 from .policies import POLICY_NAMES, Prioritized, packet_key, select_packet  # noqa: F401
 
 def _arrival_order(entry):
-    """Sort key of a queue entry ``(policy key, packet)``: arrival round, id."""
-    pkt = entry[1]
+    """Sort key of a queue entry (``packet_key``'s tuple, the packet last):
+    arrival round, id."""
+    pkt = entry[-1]
     return pkt.arrival_round, pkt.id
 
 
@@ -131,11 +136,12 @@ class Schedule:
     ``network`` and ``levels`` (the policy's priority levels) are what the
     injection gate, ``admit``, checks paths and priorities against;
     ``injectable`` remembers the (path, priority) pairs that passed it, the
-    script's and those a driver adds. ``fault_events`` lists the fail,
-    recover and fail_notify events in the order a run writes them;
-    ``fault_pairs`` pairs each failure with its recovery, and
-    ``edge_windows`` gives, per edge, the rounds in which its failures are
-    visible.
+    script's and those a driver adds. The scenario's checks call ``admit``
+    once per burst of equal scripted injections, not once per copy.
+    ``fault_events`` lists the fail, recover and fail_notify events in the
+    order a run writes them; ``fault_pairs`` pairs each failure with its
+    recovery, and ``edge_windows`` gives, per edge, the rounds in which its
+    failures are visible.
     """
 
     network: Network
@@ -187,10 +193,10 @@ class ScenarioConfig:
     A config never changes: ``stalls`` and ``annihilation_delays`` are
     copied when it is made, so nothing a caller still holds can change it.
     It is checked once, on its first use (``schedule``), which also runs the
-    injection gate, ``Schedule.admit``, over the script in script order; a
-    config derived with ``dataclasses.replace`` is a new object, checked on
-    its own first use. The script's injections all carry packet ids, or
-    none do. Two configs of the same scenario compare equal, but
+    injection gate, ``Schedule.admit``, over the script in script order,
+    once per burst of equal injections; a config derived with
+    ``dataclasses.replace`` is a new object, checked on its own first use.
+    The script's injections all carry packet ids, or none do. Two configs of the same scenario compare equal, but
     ``hash(config)`` is unsupported: the ``stalls`` and
     ``annihilation_delays`` fields are dicts.
     """
@@ -293,10 +299,16 @@ class ScenarioConfig:
             fault_events=_fault_events(self.failures, self.recoveries, horizon),
             fault_pairs=pairs,
             edge_windows=_notified_windows(self.failures, pairs, horizon))
+        last = None
         for rnd, path, priority, _ in self.injections:
+            # A copy of the injection just checked passes as it did; its
+            # priority must be an int, as False == 0 and 1.0 == 1.
+            if (rnd, path, priority) == last and type(priority) is int:
+                continue
             if not 1 <= rnd <= horizon:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
             schedule.admit(rnd, path, priority)
+            last = rnd, path, priority
         return schedule
 
     @cached_property
@@ -331,15 +343,18 @@ def _fault_events(failures, recoveries, horizon: int) -> tuple[tuple, ...]:
     it writes them: per round, the recoveries, then the failures, each in
     config order, then the notifications due that round, in the order of
     their failures. Only notifications due by the horizon are listed; the
-    others are never delivered."""
-    keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
-             for i, ev in enumerate(recoveries)]
-    for i, ev in enumerate(failures):
-        keyed.append(((ev.round, 1, i), ("fail", ev.round, ev.edge)))
+    others are never delivered.
+
+    Each event is keyed 3 * round + kind, kind 0 for recover, 1 for fail
+    and 2 for fail_notify; the sort is stable, so events of one key keep
+    the config order they are listed in."""
+    keyed = [(3 * ev.round, ("recover", ev.round, ev.edge)) for ev in recoveries]
+    for ev in failures:
+        keyed.append((3 * ev.round + 1, ("fail", ev.round, ev.edge)))
         notified = ev.round + ev.notify_delay
         if notified <= horizon:
-            keyed.append(((notified, 2, i), ("fail_notify", notified, ev.edge, ev.round)))
-    keyed.sort()
+            keyed.append((3 * notified + 2, ("fail_notify", notified, ev.edge, ev.round)))
+    keyed.sort(key=itemgetter(0))
     return tuple(ev for _, ev in keyed)
 
 
@@ -560,7 +575,7 @@ class Engine:
         self.driver = driver
         self.buckets = BucketSystem(config.adversary, self.net.edges)
         self.trace = ExecutionTrace(config)
-        self.queues: dict[str, list[tuple[tuple, Packet]]] = {}  # heaps of (key, packet)
+        self.queues: dict[str, list[tuple]] = {}  # heaps of packet_key tuples, packet last
         self._key = packet_key(config.policy)
         self._slowness = {eid: e.slowness for eid, e in self.net.edges.items()}
         # Per set of failed links, the live route suffix of each (node,
@@ -612,7 +627,8 @@ class Engine:
                 queue.sort(key=_arrival_order)
             fail_round = self.failed[edge]
             node = edges[edge].tail
-            for _, pkt in queue:
+            for entry in queue:
+                pkt = entry[-1]
                 path, idx = pkt.path, pkt.idx
                 dest = edges[path[-1]].head
                 try:
@@ -630,7 +646,7 @@ class Engine:
                 append(("reroute", rnd, pkt.id, path[idx:], suffix, edge, fail_round))
                 if suffix:
                     pkt.arrival_round = rnd
-                    heappush(queues.setdefault(suffix[0], []), (key(pkt), pkt))
+                    heappush(queues.setdefault(suffix[0], []), key(pkt))
                 else:
                     # Remaining path was a detour back to the current node.
                     absorbed += 1
@@ -709,9 +725,9 @@ class Engine:
                         path = pkt.path
                         queue = queues.get(path[0])
                         if queue is None:
-                            queues[path[0]] = [(key(pkt), pkt)]
+                            queues[path[0]] = [key(pkt)]
                         else:
-                            heappush(queue, (key(pkt), pkt))
+                            heappush(queue, key(pkt))
                         append(("inject", rnd, pid, path, priority))
                     injected += len(requests)
                 # 6: per live link with a queued packet, in link order, the
@@ -723,7 +739,7 @@ class Engine:
                         if edge in failed:
                             continue
                         queue = queues[edge]
-                        pkt = queue[0][1]
+                        pkt = queue[0][-1]
                         if edge in stalled:
                             group, inline = register_stall(pkt.path[pkt.idx:],
                                                            delays.get((edge, rnd)))
@@ -751,9 +767,9 @@ class Engine:
                         edge = pkt.path[pkt.idx]
                         queue = queues.get(edge)
                         if queue is None:
-                            queues[edge] = [(key(pkt), pkt)]
+                            queues[edge] = [key(pkt)]
                         else:
-                            heappush(queue, (key(pkt), pkt))
+                            heappush(queue, key(pkt))
                 # 7: re-routing.
                 if visible:
                     absorbed += self._reroute_blocked(rnd)

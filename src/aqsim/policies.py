@@ -23,15 +23,16 @@ SPL_NFS = "SPL-NFS"  # slowest previous link, ties by NFS
 POLICY_NAMES = (FIFO, NTG, FTG, NFS, FFS, SIS, LIS, SPL_NFS)
 
 # A packet has crossed idx edges of its path and has len(path) - idx left.
+# Each key ends in the unique id, then the packet itself (see packet_key).
 _KEYS = {
-    FIFO: lambda p: (p.arrival_round, p.id),
-    NTG: lambda p: (len(p.path) - p.idx, p.id),
-    FTG: lambda p: (p.idx - len(p.path), p.id),
-    NFS: lambda p: (p.idx, p.id),
-    FFS: lambda p: (-p.idx, p.id),
-    SIS: lambda p: (-p.injected_at, p.id),
-    LIS: lambda p: (p.injected_at, p.id),
-    SPL_NFS: lambda p: (-p.prev_slowness, p.idx, p.id),
+    FIFO: lambda p: (p.arrival_round, p.id, p),
+    NTG: lambda p: (len(p.path) - p.idx, p.id, p),
+    FTG: lambda p: (p.idx - len(p.path), p.id, p),
+    NFS: lambda p: (p.idx, p.id, p),
+    FFS: lambda p: (-p.idx, p.id, p),
+    SIS: lambda p: (-p.injected_at, p.id, p),
+    LIS: lambda p: (p.injected_at, p.id, p),
+    SPL_NFS: lambda p: (-p.prev_slowness, p.idx, p.id, p),
 }
 
 
@@ -61,11 +62,15 @@ def parse_policy(name: str, priorities: int | None = None):
 
 
 def packet_key(policy):
-    """The total order the policy transmits in, as a key on one packet.
+    """The total order the policy transmits in, as a key on one packet:
+    the fields it ranks by, then the unique id, then the packet itself,
+    e.g. ``(p.arrival_round, p.id, p)`` for FIFO.
 
     Every field it reads stays fixed while the packet waits in one queue,
-    and every key ends in the unique id, so a heap keyed on it serves the
-    queue exactly. Prioritized ranks the highest priority first.
+    so a heap of the keys serves the queue exactly, and each key is its
+    packet's queue entry, read back as ``entry[-1]``. The id is unique, so
+    neither a heap step nor ``min`` ever compares two packets. Prioritized
+    puts the negated priority in front, ranking the highest first.
     """
     if isinstance(policy, Prioritized):
         base = _KEYS[policy.base]

@@ -29,8 +29,8 @@ from .errors import ModelViolation, ScenarioError
 from .policies import Prioritized
 
 HIGH = 1
-# The high packets' ids start here, above the source packets' ids that the
-# low copies keep, so an id separates the low copies from the high packets.
+# The high packets' ids start here, or above the largest source id if that
+# reaches it: the low copies keep the source ids, so no id is given twice.
 HIGH_ID_BASE = 10 ** 9
 
 
@@ -92,11 +92,11 @@ def build_two_priority_trace(src: ExecutionTrace) -> TwoPriorityTrace:
         Injection(rnd, tuple(path), 0, pid)
         for _, rnd, pid, path, _pri in src.events_of("inject"))
     high = []
-    serial = 0
+    pid = max(HIGH_ID_BASE, max((inj.id for inj in low), default=-1) + 1)
     for queue in sorted(stalls.rounds):
         for rnd in stalls.rounds[queue]:
-            high.append(Injection(rnd, (queue,), HIGH, HIGH_ID_BASE + serial))
-            serial += 1
+            high.append(Injection(rnd, (queue,), HIGH, pid))
+            pid += 1
     high.sort(key=lambda inj: (inj.round, inj.id))
     return TwoPriorityTrace(low, tuple(high))
 
@@ -173,9 +173,10 @@ def verify_reduction(src: ExecutionTrace) -> ReductionReport:
                     f"two high packets overlap at {queue!r} in round {s2}")
                 break
 
+    high_ids = {inj.id for inj in two.high}
     src_tx = {(pid, edge, rnd) for _, rnd, edge, pid in src.events_of("transmit")}
     low_tx = {(pid, edge, rnd) for _, rnd, edge, pid in replay.events_of("transmit")
-              if pid < HIGH_ID_BASE}
+              if pid not in high_ids}
     transmissions_equal = src_tx == low_tx
     if not transmissions_equal and divergence is None:
         sample = sorted(src_tx ^ low_tx)[0]

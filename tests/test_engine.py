@@ -150,7 +150,7 @@ def test_queue_order_is_arrival_then_id():
         enforce_buckets=False)
     engine = Engine(cfg)
     engine.step(1)
-    queue = [pkt for _, pkt in sorted(engine.queues["cd"])]  # in the FIFO key's order
+    queue = [pkt for *_, pkt in sorted(engine.queues["cd"])]  # in the FIFO key's order
     assert [p.id for p in queue] == [0, 1, 2]
     assert [(p.arrival_round, p.id) for p in queue] == sorted(
         (p.arrival_round, p.id) for p in queue)
@@ -167,7 +167,7 @@ def test_waiting_packets_sit_at_their_next_edge():
     for rnd in (1, 2):
         engine.step(rnd)
     for edge, queue in engine.queues.items():
-        for _, pkt in queue:
+        for *_, pkt in queue:
             assert pkt.path[pkt.idx] == edge
 
 
@@ -422,7 +422,7 @@ def test_heap_selection_matches_select_packet(cfg):
     engine = Engine(cfg)
     reroutes = choices = 0
     for rnd in range(1, cfg.horizon + 1):
-        saved = {edge: [copy(pkt) for _, pkt in queue] for edge, queue in engine.queues.items()}
+        saved = {edge: [copy(pkt) for *_, pkt in queue] for edge, queue in engine.queues.items()}
         events = engine.step(rnd)
         for ev in events:
             if ev[0] == "inject":
@@ -482,6 +482,47 @@ def test_a_priority_equal_to_a_checked_one_is_still_checked():
     bad = Injection(2, ("ab",), False)
     assert gate_refusal("script", bad) == gate_refusal("driver", bad) == (
         "round 2: injection with priority False, not one of the policy's 1 level(s)", 2, None)
+
+
+def script_refusal(*script):
+    """The refusal of cycle_cfg with ``script``, its injections, whose edge
+    ab fails in round 1 and is notified in round 2: (message, round, edge)."""
+    cfg = cycle_cfg(injections=script, failures=(FailureEvent("ab", 1, 1),))
+    with pytest.raises(ScenarioError) as err:
+        cfg.validate()
+    return str(err.value), err.value.round, err.value.edge
+
+
+def test_a_copy_with_a_priority_only_equal_to_the_last_is_still_checked():
+    # False == 0, so a copy passes unchecked only with an int priority.
+    assert script_refusal(Injection(1, ("ab",), 0), Injection(1, ("ab",), False)) == (
+        "round 1: injection with priority False, not one of the policy's 1 level(s)", 1, None)
+
+
+def test_a_burst_over_a_notified_link_is_refused_at_its_first_copy():
+    assert script_refusal(Injection(1, ("ab",)), *[Injection(2, ("ab",))] * 10) == (
+        "round 2: injection routed over 'ab' after its failure notification", 2, "ab")
+
+
+def test_a_copy_after_another_injection_is_checked_again():
+    # Only the previous injection in script order is passed over.
+    fine, bad = Injection(2, ("bc",)), Injection(2, ("ab",))
+    assert script_refusal(fine, bad, fine) == (
+        "round 2: injection routed over 'ab' after its failure notification", 2, "ab")
+
+
+def test_the_gate_runs_once_per_burst(monkeypatch):
+    calls = []
+    admit = aqsim.engine.Schedule.admit
+
+    def counted(self, *args):
+        calls.append(args)
+        return admit(self, *args)
+
+    monkeypatch.setattr(aqsim.engine.Schedule, "admit", counted)
+    cfg = rerouting_gadget(3, 10, 10, 62).config
+    cfg.validate()
+    assert len(cfg.injections) == 1860 and len(calls) == 186
 
 
 # The tuple of the same edges is in the memo of checked pairs.
@@ -607,6 +648,32 @@ def test_fault_events_are_listed_in_write_order():
         ("fail_notify", 7, "bz", 6),
         ("recover", 9, "cz"), ("fail", 9, "ab"),
     )
+
+
+def nested_key_fault_events(failures, recoveries, horizon):
+    """The oracle of ``_fault_events``: the same events sorted on (round,
+    kind, config index) keys."""
+    keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
+             for i, ev in enumerate(recoveries)]
+    for i, ev in enumerate(failures):
+        keyed.append(((ev.round, 1, i), ("fail", ev.round, ev.edge)))
+        notified = ev.round + ev.notify_delay
+        if notified <= horizon:
+            keyed.append(((notified, 2, i), ("fail_notify", notified, ev.edge, ev.round)))
+    keyed.sort()
+    return tuple(ev for _, ev in keyed)
+
+
+fault_edges = st.sampled_from(("ab", "bz", "cz"))
+
+
+@given(st.lists(st.builds(FailureEvent, fault_edges, st.integers(1, 12), st.integers(0, 4)),
+                max_size=12),
+       st.lists(st.builds(RecoveryEvent, fault_edges, st.integers(1, 12)), max_size=12),
+       st.integers(0, 14))
+def test_fault_events_match_the_nested_key_sort(failures, recoveries, horizon):
+    assert aqsim.engine._fault_events(failures, recoveries, horizon) == (
+        nested_key_fault_events(failures, recoveries, horizon))
 
 
 def test_notified_windows_run_from_notification_to_recovery():
@@ -1032,7 +1099,7 @@ def test_packet_records_are_current_after_every_step(name, cfg):
     for rnd in range(1, cfg.horizon + 1):
         engine.step(rnd)
         queued = {pkt.id: (pkt.injected_at, pkt.priority, pkt.path)
-                  for queue in engine.queues.values() for _, pkt in queue}
+                  for queue in engine.queues.values() for *_, pkt in queue}
         records = trace.packets
         for pid in records.keys() - queued.keys():
             absorbed_in.setdefault(pid, rnd)

@@ -89,6 +89,23 @@ def test_hand_scenario_reduction_passes_all_checks():
     assert report.combined.ok
 
 
+@pytest.mark.parametrize("ids, first_high", [
+    ((0, 1), HIGH_ID_BASE),
+    ((HIGH_ID_BASE, HIGH_ID_BASE + 1), HIGH_ID_BASE + 2),
+    ((5, HIGH_ID_BASE + 7), HIGH_ID_BASE + 8),
+], ids=["below", "at-base", "straddling"])
+def test_sources_with_ids_at_or_above_the_high_base_reduce_exactly(ids, first_high):
+    # The high packets are numbered above every source id.
+    net = Network(["a", "b"], [Edge("ab", "a", "b"), Edge("ba", "b", "a")])
+    src = run(ScenarioConfig(
+        network=net, adversary=AdversaryType(HALF, 2, 2), policy="FIFO", horizon=6,
+        injections=tuple(Injection(rnd, ("ab",), 0, pid) for rnd, pid in zip((1, 2), ids)),
+        stalls={"ab": {1}}, enforce_buckets=False))
+    assert [inj.id for inj in build_two_priority_trace(src).high] == [first_high]
+    report = verify_reduction(src)
+    assert report.ok and report.transmissions_equal, report.first_divergence
+
+
 def test_high_packet_takes_exactly_the_stalled_slot():
     src = run(stall_case())
     # Source: the packet stalls in round 2 and crosses in round 3.
