@@ -484,31 +484,26 @@ def test_a_priority_equal_to_a_checked_one_is_still_checked():
         "round 2: injection with priority False, not one of the policy's 1 level(s)", 2, None)
 
 
-def script_refusal(*script):
-    """The refusal of cycle_cfg with ``script``, its injections, whose edge
-    ab fails in round 1 and is notified in round 2: (message, round, edge)."""
+NOTIFIED_AB = ("round 2: injection routed over 'ab' after its failure notification", 2, "ab")
+
+
+@pytest.mark.parametrize("script, refusal", [
+    # False == 0, so a copy passes unchecked only with an int priority.
+    pytest.param((Injection(1, ("ab",), 0), Injection(1, ("ab",), False)),
+                 ("round 1: injection with priority False, not one of the policy's "
+                  "1 level(s)", 1, None), id="false-after-0"),
+    pytest.param((Injection(1, ("ab",)), *[Injection(2, ("ab",))] * 10), NOTIFIED_AB,
+                 id="ten-copies-over-notified"),
+    # Only the previous injection in script order is passed over.
+    pytest.param((Injection(2, ("bc",)), Injection(2, ("ab",)), Injection(2, ("bc",))),
+                 NOTIFIED_AB, id="bad-between-copies"),
+])
+def test_a_burst_is_refused_as_its_copies_one_by_one_would_be(script, refusal):
+    # cycle_cfg's edge ab fails in round 1 and is notified in round 2.
     cfg = cycle_cfg(injections=script, failures=(FailureEvent("ab", 1, 1),))
     with pytest.raises(ScenarioError) as err:
         cfg.validate()
-    return str(err.value), err.value.round, err.value.edge
-
-
-def test_a_copy_with_a_priority_only_equal_to_the_last_is_still_checked():
-    # False == 0, so a copy passes unchecked only with an int priority.
-    assert script_refusal(Injection(1, ("ab",), 0), Injection(1, ("ab",), False)) == (
-        "round 1: injection with priority False, not one of the policy's 1 level(s)", 1, None)
-
-
-def test_a_burst_over_a_notified_link_is_refused_at_its_first_copy():
-    assert script_refusal(Injection(1, ("ab",)), *[Injection(2, ("ab",))] * 10) == (
-        "round 2: injection routed over 'ab' after its failure notification", 2, "ab")
-
-
-def test_a_copy_after_another_injection_is_checked_again():
-    # Only the previous injection in script order is passed over.
-    fine, bad = Injection(2, ("bc",)), Injection(2, ("ab",))
-    assert script_refusal(fine, bad, fine) == (
-        "round 2: injection routed over 'ab' after its failure notification", 2, "ab")
+    assert (str(err.value), err.value.round, err.value.edge) == refusal
 
 
 def test_the_gate_runs_once_per_burst(monkeypatch):
