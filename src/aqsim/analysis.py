@@ -250,14 +250,27 @@ class GreedyDriver:
     before submitting, and never routes over a link with a delivered
     failure notification. It drives scriptless scenarios: its injections
     are the run's only ones, as in the co-run of ``gen_random_scenario``.
+
+    ``script`` lists the injections it has returned, in order, a burst's
+    one object once per copy. It accumulates across runs of one driver, so
+    after a single run it is that run's script. Paths of at most
+    ``max_path_len`` links and bursts of at most ``max_burst`` copies are
+    drawn, so each must be at least 1.
     """
 
     def __init__(self, seed: int, inject_prob: float = 0.9, max_path_len: int = 4,
                  max_burst: int = 1):
+        if max_path_len < 1 or max_burst < 1:
+            raise ScenarioError("max_path_len and max_burst must be positive")
         self.rng = random.Random(seed)
         self.inject_prob = inject_prob
         self.max_path_len = max_path_len
         self.max_burst = max_burst
+        self.script: list[Injection] = []
+        # The walk's successor table of the last network driven: per link,
+        # the links out of its head.
+        self._net = None
+        self._next: dict[str, tuple[str, ...]] = {}
 
     def __call__(self, engine: Engine, rnd: int):
         rng = self.rng
@@ -266,7 +279,10 @@ class GreedyDriver:
         # A random walk of 1..max_path_len hops from a random node, over
         # distinct links with no visible failure; it stops where none is left.
         net, avoid, bits = engine.net, engine.visible_failed, rng.getrandbits
-        out_edges, edges, nodes = net.out_edges, net.edges, net.sorted_nodes
+        if net is not self._net:
+            self._next = {eid: net.out_edges[e.head] for eid, e in net.edges.items()}
+            self._net = net
+        out_edges, successors, nodes = net.out_edges, self._next, net.sorted_nodes
         node = nodes[_below(bits, len(nodes))]
         hops = 1 + _below(bits, self.max_path_len)
         options = [e for e in out_edges[node] if e not in avoid] if avoid else out_edges[node]
@@ -275,7 +291,7 @@ class GreedyDriver:
         eid = options[_below(bits, len(options))]
         path = [eid]
         for _ in range(hops - 1):
-            options = [e for e in out_edges[edges[eid].head] if e not in path and e not in avoid]
+            options = [e for e in successors[eid] if e not in path and e not in avoid]
             if not options:
                 break
             eid = options[_below(bits, len(options))]
@@ -291,7 +307,9 @@ class GreedyDriver:
         if want < 1:
             return []
         # An Injection is immutable, so one object serves the whole burst.
-        return [_injection((rnd, path, 0, None))] * want
+        batch = [_injection((rnd, path, 0, None))] * want
+        self.script += batch
+        return batch
 
 
 def _below(getrandbits, n: int) -> int:
@@ -332,10 +350,11 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
     """A complete random scenario, fully determined by the seed.
 
     Injections are decided by running the engine once with a greedy
-    driver, so the recorded script is feasible by construction: replaying
-    it reproduces the co-run bit for bit. With ``with_trace``, the co-run
-    is returned too, bound to the returned scenario. Parameters no scenario
-    can have are refused before the first draw.
+    driver, and the driver's ``script`` is the recorded script, so it is
+    feasible by construction: replaying it reproduces the co-run bit for
+    bit. With ``with_trace``, the co-run is returned too, bound to the
+    returned scenario. Parameters no scenario can have (``max_burst`` of
+    None means ``burst``) are refused before the first draw.
     """
     adversary = AdversaryType(rate, burst, delay)
     if tau < 1 or tau_prime < 1:
@@ -344,6 +363,8 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
         raise ScenarioError("horizon must be >= 0")
     if failures < 0:
         raise ScenarioError("failures must be >= 0")
+    if max_path_len < 1 or (max_burst is not None and max_burst < 1):
+        raise ScenarioError("max_path_len and max_burst must be positive")
     rng = random.Random(seed)
     net = random_network(rng, *nodes)
     stalls = {}
@@ -400,11 +421,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
         seed=seed,
     )
     driver = GreedyDriver(seed ^ 0x9E3779B9, inject_prob, max_path_len,
-                          max_burst or burst)
+                          burst if max_burst is None else max_burst)
     trace = Engine(config, driver=driver).run()
-    script = tuple(_injection((ev[1], ev[3], ev[4], None))
-                   for ev in trace.events if ev[0] == "inject")
-    final = replace(config, injections=script)
+    final = replace(config, injections=tuple(driver.script))
     if with_trace:
         trace.config = final  # the co-run is the run of the recorded script
         return final, trace

@@ -124,28 +124,51 @@ class BucketSystem:
     # -- injection ---------------------------------------------------------
 
     def inject(self, paths) -> InjectionResult:
-        """Atomically buy tokens for a batch of packet paths.
+        """Atomically buy tokens for a sequence of packet paths.
 
         For each edge, the number of requested packets crossing it must
         not exceed the bucket level; on refusal nothing is deducted and
         the first insufficient edge, in order of first appearance, is
         reported. Refusal is a normal outcome for an adversary driver, not
         an error.
+
+        The purchase is one pass: each link of each path gives one token
+        from its clamped level as the pass reaches it. On a shortfall the
+        takes so far are given back, which leaves each link at its clamped
+        level, the level it had, and only then is the demand per link
+        counted to name the short one.
         """
-        demand: dict[str, int] = {}
-        for path in paths:
-            for edge in path:
-                demand[edge] = demand.get(edge, 0) + 1
         rel, clock, den = self._rel, self._clock, self._den
         full = self._cap - clock  # the relative level of a full bucket
-        for edge, count in demand.items():
-            r = rel[edge]
-            if (full if r > full else r) + clock < count * den:
-                return InjectionResult(False, edge)
-        for edge, count in demand.items():
-            r = rel[edge]
-            rel[edge] = (full if r > full else r) - count * den
+        need = den - clock  # the relative level of one whole token
+        taken = 0
+        for path in paths:
+            for edge in path:
+                r = rel[edge]
+                if r > full:
+                    r = full
+                if r < need:
+                    return self._refuse(paths, taken)
+                rel[edge] = r - den
+                taken += 1
         return _AFFORDED
+
+    def _refuse(self, paths, taken: int) -> InjectionResult:
+        """Give back the first ``taken`` tokens of a purchase that fell
+        short, then name the first edge, in order of first appearance,
+        whose demand exceeds its level."""
+        rel, den = self._rel, self._den
+        demand: dict[str, int] = {}
+        for path in paths:
+            for e in path:
+                if taken:
+                    rel[e] += den
+                    taken -= 1
+                demand[e] = demand.get(e, 0) + 1
+        clock, cap = self._clock, self._cap
+        short = next(e for e, count in demand.items()
+                     if min(rel[e] + clock, cap) < count * den)
+        return InjectionResult(False, short)
 
     # -- antitokens ----------------------------------------------------------
 

@@ -8,8 +8,9 @@ contract and tests depend on it:
   3. antitoken countdown: scheduled and forced group annihilations
   4. delivery of due permanent-failure notifications
   5. adversary injections, the scripted ones first: a driver's pass the
-     injection gate, then all are bought from the buckets jointly and
-     applied atomically
+     injection gate, once per burst (one object returned again and
+     again), then all are bought from the buckets jointly, in one pass
+     over their links, and applied atomically
   6. per live edge with a waiting packet: policy selection, then either a
      stall (its event names the antitoken group it creates, whose
      annihilation round and manner ``buckets.annihilation`` fixes) or a
@@ -59,8 +60,10 @@ The scenario's checks run the gate over the script, in script order, once
 per burst: an injection whose round, path and int priority equal the
 previous one's passes as that one did. Step 5 runs the gate only over a
 driver's injections, which must also be for the round they are returned
-in. A refusal reads "round R: injection ..." whichever brought the
-injection.
+in, once per burst too: an injection that is the very object just checked
+passes as it did. That skip is by identity alone, so an equal injection
+built apart is checked on its own. A refusal reads "round R: injection
+..." whichever brought the injection.
 
 Packet ids are fixed before the run: a script either gives every
 injection its id or none, and the engine numbers the others 0, 1, ... in
@@ -693,12 +696,18 @@ class Engine:
                 # 5: injections, the scripted ones first, bought atomically.
                 # The config's checks passed the scripted ones; a driver's
                 # pass the same gate, and must be for this round and carry
-                # no packet id.
+                # no packet id. The object just checked, returned again
+                # (a burst), passes as it did.
                 requests = scripted.get(rnd)
                 if driver is not None:
                     driven = driver(self, rnd)
                     if driven:
-                        for inj_round, path, priority, pid in driven:
+                        checked = None
+                        for inj in driven:
+                            if inj is checked:
+                                continue
+                            checked = inj
+                            inj_round, path, priority, pid = inj
                             if inj_round != rnd:
                                 raise ScenarioError(
                                     f"round {rnd}: a driver's injection is for round "

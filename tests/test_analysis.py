@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aqsim.analysis
 from aqsim.analysis import (BOUNDED, GROWTH, GreedyDriver, _below, count_rerouted,
                             gen_random_scenario, injections_after_notification,
                             probe_stability, random_network, rerouting_gadget,
@@ -21,7 +22,7 @@ from aqsim.engine import (Engine, ExecutionTrace, FailureEvent, Injection,
 from aqsim.errors import ScenarioError
 from aqsim.netmodel import Edge, Network
 from aqsim.policies import Prioritized
-from aqsim.scenario_io import dumps_scenario, format_rational
+from aqsim.scenario_io import dumps_scenario, format_rational, scenario_hash
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -221,6 +222,26 @@ def test_gen_random_fails_at_most_every_edge():
     with pytest.raises(ScenarioError, match="3 failures asked of a network of 2 edges"):
         gen_random_scenario(5, rate=HALF, burst=2, delay=2, tau=1, policy="FIFO",
                             horizon=40, nodes=(2, 2), failures=3)
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_path_len=0), dict(max_path_len=-1),
+                                    dict(max_burst=0)],
+                         ids=["path-len-0", "path-len-negative", "burst-0"])
+def test_gen_refuses_empty_paths_and_bursts_before_the_first_draw(monkeypatch, kwargs):
+    # A walk of 0 hops drew getrandbits(0) == 0 forever, and the run hung.
+    def drawn(*args):
+        raise AssertionError("the network was drawn")
+
+    monkeypatch.setattr(aqsim.analysis, "random_network", drawn)
+    with pytest.raises(ScenarioError, match="^max_path_len and max_burst must be positive$"):
+        gen_random_scenario(1, rate=HALF, burst=2, delay=2, tau=1, policy="FIFO",
+                            horizon=40, **kwargs)
+
+
+@pytest.mark.parametrize("max_path_len, max_burst", [(0, 1), (-1, 1), (4, 0), (4, -2)])
+def test_greedy_driver_refuses_empty_paths_and_bursts(max_path_len, max_burst):
+    with pytest.raises(ScenarioError, match="^max_path_len and max_burst must be positive$"):
+        GreedyDriver(1, 0.9, max_path_len, max_burst)
 
 
 def test_greedy_driver_is_deterministic():
@@ -470,6 +491,54 @@ def test_greedy_driver_injects_as_the_oracle_does():
         bursts += sum(1 for _rnd, _visible, out in got if len(out) > 1)
         assert sum(ev[0] == "inject" for ev in trace.events) > 0
     assert seen_failures > 100 and bursts > 100
+
+
+def scanned_script(trace):
+    """The oracle of a co-run's script: one Injection per inject event."""
+    return [Injection(ev[1], ev[3], ev[4]) for ev in trace.events if ev[0] == "inject"]
+
+
+# Scenario hashes of gen_random_scenario(seed, rate 3/4, burst 4, delay 2,
+# tau 1, FTG, horizon 400, failures 2) as made when the generator took its
+# script from a scan of the co-run's inject events.
+SCANNED_SCRIPT_HASHES = {
+    1: "366e43fadb51427486827dac9389cb6f36ab6515e04ba7a08915f6c677edc311",
+    2: "c0abef6af6e8c8b928b59b44f8636f01a0cfde50907c541287084bb0fb39c882",
+    3: "1d601a652ed8a558f03626efe4ef40f3e9afe95f3b0b66c2885f51d71640c08d",
+    4: "4b9750c796c08603d3c987fc9efd6084999192e8ad538a021fbac8f4abddaa4e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCANNED_SCRIPT_HASHES))
+def test_the_generators_script_is_its_co_runs_injections(monkeypatch, seed):
+    drivers = []
+
+    class Kept(GreedyDriver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drivers.append(self)
+
+    monkeypatch.setattr(aqsim.analysis, "GreedyDriver", Kept)
+    cfg, co_run = gen_random_scenario(seed, rate=Fraction(3, 4), burst=4, delay=2, tau=1,
+                                      policy="FTG", horizon=400, failures=2,
+                                      with_trace=True)
+    [driver] = drivers
+    assert driver.script == scanned_script(co_run)
+    assert cfg.injections == tuple(driver.script)
+    assert scenario_hash(cfg) == SCANNED_SCRIPT_HASHES[seed]
+    # A burst is one object, listed once per copy.
+    assert sum(a is b for a, b in zip(cfg.injections, cfg.injections[1:])) > 100
+
+
+def test_a_greedy_drivers_script_accumulates_across_runs():
+    cfg = ScenarioConfig(network=random_network(random.Random(3), 4, 6),
+                         adversary=AdversaryType(HALF, 3, 2), policy="FIFO", horizon=60)
+    driver = GreedyDriver(99, max_burst=3)
+    first = Engine(cfg, driver=driver).run()
+    kept = len(driver.script)
+    second = Engine(cfg, driver=driver).run()
+    assert kept and driver.script[:kept] == scanned_script(first)
+    assert driver.script[kept:] == scanned_script(second)
 
 
 def square_in(x):

@@ -520,6 +520,39 @@ def test_the_gate_runs_once_per_burst(monkeypatch):
     assert len(cfg.injections) == 1860 and len(calls) == 186
 
 
+def test_the_driven_gate_runs_once_per_burst(monkeypatch):
+    calls = []
+    admit = aqsim.engine.Schedule.admit
+
+    def counted(self, *args):
+        calls.append(args)
+        return admit(self, *args)
+
+    monkeypatch.setattr(aqsim.engine.Schedule, "admit", counted)
+    trace = run(cycle_cfg(enforce_buckets=False),
+                driver=lambda engine, rnd: [Injection(rnd, ("ab", "bc"))] * 5)
+    assert calls == [(rnd, ("ab", "bc"), 0) for rnd in range(1, 5)]
+    assert len(trace.events_of("inject")) == 20
+
+
+def test_a_driven_burst_over_a_notified_link_is_refused():
+    cfg = cycle_cfg(injections=(Injection(1, ("ab",)),), failures=(FailureEvent("ab", 1, 1),))
+    bad = Injection(2, ("ab",))
+    with pytest.raises(ScenarioError) as err:
+        run(cfg, driver=lambda engine, rnd: [bad] * 5 if rnd == 2 else [])
+    assert (str(err.value), err.value.round, err.value.edge) == NOTIFIED_AB
+
+
+def test_the_driven_gate_passes_over_only_the_object_just_checked():
+    # False == 0, so the three are equal, but they are three objects.
+    batch = [Injection(2, ("bc",), 0), Injection(2, ("bc",), False), Injection(2, ("bc",), 0)]
+    assert batch[0] == batch[1] == batch[2]
+    with pytest.raises(ScenarioError) as err:
+        run(cycle_cfg(), driver=lambda engine, rnd: batch if rnd == 2 else [])
+    assert (str(err.value), err.value.round, err.value.edge) == (
+        "round 2: injection with priority False, not one of the policy's 1 level(s)", 2, None)
+
+
 # The tuple of the same edges is in the memo of checked pairs.
 LIST_PATH_REFUSAL = ("round 2: injection on path ['ab'], which is not a tuple of edge ids",
                      2, None)
