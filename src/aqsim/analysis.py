@@ -354,7 +354,8 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
     feasible by construction: replaying it reproduces the co-run bit for
     bit. With ``with_trace``, the co-run is returned too, bound to the
     returned scenario. Parameters no scenario can have (``max_burst`` of
-    None means ``burst``) are refused before the first draw.
+    None means ``burst``), an empty node range among them, are refused
+    before the first draw.
     """
     adversary = AdversaryType(rate, burst, delay)
     if tau < 1 or tau_prime < 1:
@@ -365,6 +366,9 @@ def gen_random_scenario(seed: int, *, rate: Fraction, burst: int, delay: int,
         raise ScenarioError("failures must be >= 0")
     if max_path_len < 1 or (max_burst is not None and max_burst < 1):
         raise ScenarioError("max_path_len and max_burst must be positive")
+    lo, hi = nodes
+    if not 1 <= lo <= hi:
+        raise ScenarioError(f"node range ({lo}, {hi}) must have 1 <= min <= max")
     rng = random.Random(seed)
     net = random_network(rng, *nodes)
     stalls = {}

@@ -41,14 +41,14 @@ have work. The engine owns the next round: ``step`` runs exactly that
 round, and ``run`` runs from it to the horizon, then the drain rounds.
 
 A ``ScenarioConfig`` is frozen, and checked once: the first read of its
-``schedule`` runs every check (``validate`` is that read) and builds the
-``Schedule`` that the engine and the checkers then read, whoever reads it
-first. ``dataclasses.replace`` makes a new config, which is checked on its
-own first use. The by-round tables the pipeline reads are built once per
-config too, by its first run (``ScenarioConfig.by_round``), so
-``Engine.__init__`` builds none. A trace file holds no events: its load
-runs the scenario in its header, so every trace a checker reads is a run
-of this pipeline.
+``schedule`` runs every check (``validate`` is that read) and, in the same
+pass, builds the ``Schedule`` that the engine and the checkers then read,
+whoever reads it first. It holds everything fixed before round 1,
+the per-round tables the pipeline reads included, so ``Engine.__init__``
+builds none. ``dataclasses.replace`` makes a new config, which is checked
+on its own first use. A trace file holds no events: its load runs the
+scenario in its header, so every trace a checker reads is a run of this
+pipeline.
 
 Every injection passes one gate, ``Schedule.admit``: its path is a tuple
 that ``validate_path`` accepts, its priority one of the policy's levels,
@@ -72,9 +72,10 @@ may not add to a script whose injections carry ids, so no id is ever
 given twice.
 
 The fault schedule is the config's ``failures`` and ``recoveries``, those
-``promote_after_tau`` adds included. ``Schedule.fault_events`` is the one
-list of the fail, recover and fail_notify events they make, in the order
-a run writes them: steps 1 and 4 append its tuples.
+``promote_after_tau`` adds included. The fail, recover and fail_notify
+events they make are filed once, per round, in the order a run writes
+them (``Schedule.faults`` and ``Schedule.notifications``): steps 1 and 4
+append those tuples.
 
 Feedback (steps 3/4) precedes injection so constraints bind the same round
 the feedback arrives. Permanently failed edges transmit nothing and
@@ -89,7 +90,6 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import NamedTuple
 
 from .buckets import _AFFORDED, AdversaryType, BucketSystem
@@ -134,24 +134,35 @@ class RecoveryEvent:
 @dataclass(frozen=True)
 class Schedule:
     """What a valid scenario fixes before its run, built once per config
-    by ``ScenarioConfig.schedule`` with the scenario's checks.
+    by ``ScenarioConfig.schedule`` in the pass that checks the scenario.
+    The engine reads nothing else of the config before round 1.
 
     ``network`` and ``levels`` (the policy's priority levels) are what the
     injection gate, ``admit``, checks paths and priorities against;
     ``injectable`` remembers the (path, priority) pairs that passed it, the
     script's and those a driver adds. The scenario's checks call ``admit``
     once per burst of equal scripted injections, not once per copy.
-    ``fault_events`` lists the fail, recover and fail_notify events in the
-    order a run writes them; ``fault_pairs`` pairs each failure with its
-    recovery, and ``edge_windows`` gives, per edge, the rounds in which its
-    failures are visible.
+    ``fault_pairs`` pairs each failure with its recovery, and
+    ``edge_windows`` gives, per edge, the rounds in which its failures are
+    visible.
+
+    The other four are the round loop's tables, each a tuple per round:
+    the scripted injections (step 5), in script order; the stalled edges
+    (step 6), in edge order; the recover, then the fail events (step 1);
+    and the fail_notify events due (step 4), of the failures in config
+    order. A notification due after the horizon is never delivered, so no
+    table holds it. They live as long as the config, and a tuple holds a
+    round's few entries in less memory than a list or a set.
     """
 
     network: Network
     levels: int
-    fault_events: tuple[tuple, ...]
     fault_pairs: dict[tuple[str, int], int | None]
     edge_windows: dict[str, list[tuple[int, int]]]
+    scripted: dict[int, tuple[Injection, ...]]
+    stalled: dict[int, tuple[str, ...]]
+    faults: dict[int, tuple[tuple, ...]]
+    notifications: dict[int, tuple[tuple, ...]]
     injectable: set[tuple] = field(default_factory=set)
 
     def admit(self, rnd: int, path, priority) -> None:
@@ -197,9 +208,10 @@ class ScenarioConfig:
     copied when it is made, so nothing a caller still holds can change it.
     It is checked once, on its first use (``schedule``), which also runs the
     injection gate, ``Schedule.admit``, over the script in script order,
-    once per burst of equal injections; a config derived with
-    ``dataclasses.replace`` is a new object, checked on its own first use.
-    The script's injections all carry packet ids, or none do. Two configs of the same scenario compare equal, but
+    once per burst of equal injections, and builds the round loop's tables;
+    a config derived with ``dataclasses.replace`` is a new object, checked
+    on its own first use. The script's injections all carry packet ids, or
+    none do. Two configs of the same scenario compare equal, but
     ``hash(config)`` is unsupported: the ``stalls`` and
     ``annihilation_delays`` fields are dicts.
     """
@@ -290,20 +302,33 @@ class ScenarioConfig:
                 raise ScenarioError("failure notification delay must be in [0, tau_prime]")
             if not 1 <= ev.round <= horizon:
                 raise ScenarioError("failure round outside horizon")
+        # The round loop's tables. Step 1's events, per round: the
+        # recoveries, then the failures, each in config order, as a run
+        # writes them. A notification due after the horizon is never
+        # delivered, so none is filed.
+        tables: tuple[dict, ...] = ({}, {}, {}, {})
+        scripted, stalled, faults, notifications = tables
         for ev in self.recoveries:
             if ev.edge not in net.edges:
                 raise ScenarioError(f"recovery references unknown edge {ev.edge!r}")
             if not 1 <= ev.round <= horizon:
                 raise ScenarioError("recovery round outside horizon")
-        pairs = _fault_pairs(self.failures, self.recoveries)
-        schedule = Schedule(
-            network=net,
-            levels=self.policy.levels if isinstance(self.policy, Prioritized) else 1,
-            fault_events=_fault_events(self.failures, self.recoveries, horizon),
-            fault_pairs=pairs,
-            edge_windows=_notified_windows(self.failures, pairs, horizon))
+            faults.setdefault(ev.round, []).append(("recover", ev.round, ev.edge))
+        for ev in self.failures:
+            faults.setdefault(ev.round, []).append(("fail", ev.round, ev.edge))
+            notified = ev.round + ev.notify_delay
+            if notified <= horizon:
+                notifications.setdefault(notified, []).append(
+                    ("fail_notify", notified, ev.edge, ev.round))
+        for edge in sorted(self.stalls):
+            for t in self.stalls[edge]:
+                stalled.setdefault(t, []).append(edge)
+        schedule = Schedule(net, self.policy.levels if isinstance(self.policy, Prioritized) else 1,
+                            *_fault_pairs(self.failures, self.recoveries, horizon), *tables)
         last = None
-        for rnd, path, priority, _ in self.injections:
+        for inj in self.injections:
+            rnd, path, priority, _ = inj
+            scripted.setdefault(rnd, []).append(inj)
             # A copy of the injection just checked passes as it did; its
             # priority must be an int, as False == 0 and 1.0 == 1.
             if (rnd, path, priority) == last and type(priority) is int:
@@ -312,67 +337,28 @@ class ScenarioConfig:
                 raise ScenarioError(f"injection round {rnd} outside horizon")
             schedule.admit(rnd, path, priority)
             last = rnd, path, priority
-        return schedule
-
-    @cached_property
-    def by_round(self) -> tuple[dict, dict, dict, dict]:
-        """The tables the engine's round loop reads, per round: the scripted
-        injections, the stalled edges in edge order, the recoveries and
-        failures (step 1) and the notifications (step 4), each a tuple. Built
-        once per config, by the first run, after the checks (``schedule``);
-        not with them, because a config that is checked and then replaced, as
-        ``aqsim run --horizon`` does, never runs. They live as long as the
-        config, so they are tuples: a round stalls few edges, and a tuple
-        holds them in less memory than a set."""
-        fault_events = self.schedule.fault_events
-        tables: tuple[dict, ...] = ({}, {}, {}, {})
-        injections, stalls, faults, notifications = tables
-        for inj in self.injections:
-            injections.setdefault(inj.round, []).append(inj)
-        for edge in sorted(self.stalls):
-            for t in self.stalls[edge]:
-                stalls.setdefault(t, []).append(edge)
-        for ev in fault_events:
-            by_kind = notifications if ev[0] == "fail_notify" else faults
-            by_kind.setdefault(ev[1], []).append(ev)
         for table in tables:
             for rnd, entries in table.items():
                 table[rnd] = tuple(entries)
-        return tables
+        return schedule
 
 
-def _fault_events(failures, recoveries, horizon: int) -> tuple[tuple, ...]:
-    """The fail, recover and fail_notify events a run writes, in the order
-    it writes them: per round, the recoveries, then the failures, each in
-    config order, then the notifications due that round, in the order of
-    their failures. Only notifications due by the horizon are listed; the
-    others are never delivered.
-
-    Each event is keyed 3 * round + kind, kind 0 for recover, 1 for fail
-    and 2 for fail_notify; the sort is stable, so events of one key keep
-    the config order they are listed in."""
-    keyed = [(3 * ev.round, ("recover", ev.round, ev.edge)) for ev in recoveries]
+def _fault_pairs(failures, recoveries, horizon: int):
+    """``{(edge, failure round): its recovery round, or None}``, and per
+    edge, in round order, the rounds [first, end) from each failure's
+    notification to its recovery, or to horizon + 1 without one, in which
+    the failure is visible. Only non-empty windows are listed: a failure
+    recovered by its notification is never seen. Per edge, failures and
+    recoveries alternate, a failure first, one a round."""
+    per_edge: dict[str, list[tuple[int, int, int]]] = {}
     for ev in failures:
-        keyed.append((3 * ev.round + 1, ("fail", ev.round, ev.edge)))
-        notified = ev.round + ev.notify_delay
-        if notified <= horizon:
-            keyed.append((3 * notified + 2, ("fail_notify", notified, ev.edge, ev.round)))
-    keyed.sort(key=itemgetter(0))
-    return tuple(ev for _, ev in keyed)
-
-
-def _fault_pairs(failures, recoveries) -> dict[tuple[str, int], int | None]:
-    """``{(edge, failure round): its recovery round, or None}``. Per edge,
-    failures and recoveries alternate, a failure first, one a round."""
-    per_edge: dict[str, list[tuple[int, int]]] = {}
-    for ev in failures:
-        per_edge.setdefault(ev.edge, []).append((ev.round, 0))
+        per_edge.setdefault(ev.edge, []).append((ev.round, 0, ev.notify_delay))
     for ev in recoveries:
-        per_edge.setdefault(ev.edge, []).append((ev.round, 1))
-    pairs = {}
+        per_edge.setdefault(ev.edge, []).append((ev.round, 1, 0))
+    pairs, windows = {}, {}
     for edge, marks in per_edge.items():
         marks.sort()
-        for i, (rnd, kind) in enumerate(marks):
+        for i, (rnd, kind, delay) in enumerate(marks):
             if i + 1 < len(marks) and marks[i + 1][0] == rnd:
                 raise ScenarioError(
                     f"edge {edge!r} has two fault events in round {rnd}")
@@ -380,21 +366,12 @@ def _fault_pairs(failures, recoveries) -> dict[tuple[str, int], int | None]:
                 raise ScenarioError(
                     f"edge {edge!r} fault events must alternate failure/recovery")
             if not kind:
-                pairs[edge, rnd] = marks[i + 1][0] if i + 1 < len(marks) else None
-    return pairs
-
-
-def _notified_windows(failures, pairs, horizon: int) -> dict[str, list[tuple[int, int]]]:
-    """Per edge, in round order, the rounds [first, end) from each failure's
-    notification to its recovery, or to horizon + 1 without one, in which
-    the failure is visible. Only non-empty windows are listed: a failure
-    recovered by its notification is never seen."""
-    per_edge: dict[str, list[tuple[int, int]]] = {}
-    for ev in sorted(failures, key=lambda ev: (ev.edge, ev.round)):
-        first, end = ev.round + ev.notify_delay, pairs[ev.edge, ev.round] or horizon + 1
-        if first < end:
-            per_edge.setdefault(ev.edge, []).append((first, end))
-    return per_edge
+                recovered = marks[i + 1][0] if i + 1 < len(marks) else None
+                pairs[edge, rnd] = recovered
+                first, end = rnd + delay, recovered or horizon + 1
+                if first < end:
+                    windows.setdefault(edge, []).append((first, end))
+    return pairs, windows
 
 
 @dataclass
@@ -571,7 +548,7 @@ class Engine:
 
     def __init__(self, config: ScenarioConfig, driver=None):
         self.config = config
-        self._by_round = config.by_round  # the first read checks the config
+        self._schedule = config.schedule  # the first read checks the config
         if driver is not None and config.injections and config.injections[0].id is not None:
             raise ScenarioError("a driver cannot add to a script whose injections carry ids")
         self.net = config.network
@@ -673,8 +650,10 @@ class Engine:
         tick, tick_antitokens, buy = buckets.tick, buckets.tick_antitokens, buckets.inject
         register_stall = buckets.register_stall
         append, total_of = self.trace.events.append, self.trace.q_totals.append
-        scripted, stalls, faults, notifications = self._by_round
-        driver, admit = self.driver, self.config.schedule.admit
+        schedule = self._schedule
+        scripted, stalls = schedule.scripted, schedule.stalled
+        faults, notifications = schedule.faults, schedule.notifications
+        driver, admit = self.driver, schedule.admit
         delays = self.config.annihilation_delays
         failed, visible, slowness = self.failed, self.visible_failed, self._slowness
         key = self._key

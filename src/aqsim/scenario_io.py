@@ -265,6 +265,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     pol_doc = _require(doc["policy"], "policy", _POLICY_KEYS)
     if pol_doc["name"] not in POLICY_NAMES:
         raise ParseError(f"policy: unknown name {pol_doc['name']!r}")
+    if pol_doc.get("priorities", 2) < 2:
+        raise ParseError(f"policy.priorities: must be at least 2, not {pol_doc['priorities']}")
     policy = parse_policy(pol_doc["name"], pol_doc.get("priorities"))
 
     sched = _require(doc["schedules"], "schedules", _SCHEDULES_KEYS)

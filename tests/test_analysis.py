@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -224,16 +225,24 @@ def test_gen_random_fails_at_most_every_edge():
                             horizon=40, nodes=(2, 2), failures=3)
 
 
-@pytest.mark.parametrize("kwargs", [dict(max_path_len=0), dict(max_path_len=-1),
-                                    dict(max_burst=0)],
-                         ids=["path-len-0", "path-len-negative", "burst-0"])
-def test_gen_refuses_empty_paths_and_bursts_before_the_first_draw(monkeypatch, kwargs):
-    # A walk of 0 hops drew getrandbits(0) == 0 forever, and the run hung.
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_path_len=0), "max_path_len and max_burst must be positive"),
+    (dict(max_path_len=-1), "max_path_len and max_burst must be positive"),
+    (dict(max_burst=0), "max_path_len and max_burst must be positive"),
+    (dict(nodes=(2, 1)), "node range (2, 1) must have 1 <= min <= max"),
+    (dict(nodes=(0, 0)), "node range (0, 0) must have 1 <= min <= max"),
+    (dict(nodes=(-3, -1)), "node range (-3, -1) must have 1 <= min <= max"),
+], ids=["path-len-0", "path-len-negative", "burst-0", "nodes-reversed", "nodes-0",
+        "nodes-negative"])
+def test_gen_refuses_empty_paths_and_bursts_before_the_first_draw(monkeypatch, kwargs,
+                                                                  message):
+    # A walk of 0 hops drew getrandbits(0) == 0 forever, and the run hung;
+    # an empty node range failed inside the draw.
     def drawn(*args):
         raise AssertionError("the network was drawn")
 
     monkeypatch.setattr(aqsim.analysis, "random_network", drawn)
-    with pytest.raises(ScenarioError, match="^max_path_len and max_burst must be positive$"):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         gen_random_scenario(1, rate=HALF, burst=2, delay=2, tau=1, policy="FIFO",
                             horizon=40, **kwargs)
 

@@ -314,41 +314,42 @@ def after_first(kind, make):
     return apply
 
 
-# Edits of the events of a run. A stall creates its antitoken group, so the
-# group cases edit a stall. None moves a total, so each saves to the run's
-# own file.
-@pytest.mark.parametrize("apply", [
-    edit_first("stall", lambda ev: ev[:2] + ("zz",) + ev[3:]),
-    edit_first("stall", lambda ev: ev[:4] + (ev[4] + 1,)),
-    edit_first("stall", lambda ev: ev[:4] + (None,)),
-    edit_first("annihilate", lambda ev: ev[:2] + (10 ** 6, ev[3])),
-    edit_first("annihilate", lambda ev: ev[:3] + ("eventually",)),
-    edit_first("fail", lambda ev: ev[:2] + ("zz",)),
-    edit_first("fail_notify", lambda ev: ev[:2] + ("zz", ev[3])),
-    edit_first("fail_notify", lambda ev: ev[:3] + (ev[1] + 1,)),
-    edit_first("inject", lambda ev: ev[:4] + ((7,),)),
-    edit_first("stall", lambda ev: ev[:3] + (999999, ev[4])),
-    drop_first("stall"),
-    edit_first("reroute", lambda ev: ev[:6] + ((("x",),),)),
-    edit_first("reroute", lambda ev: ev[:6] + (ev[6] - 1,)),
-    drop_first("fail"),
-    after_first("fail", lambda ev: ev),
-    after_first("fail", lambda ev: ("recover", ev[1], ev[2])),
-    edit_first("fail", lambda ev: ev[:2] + ("e000",)),
-    edit_first("fail_notify", lambda ev: ev[:3] + (ev[3] - 1,)),
-    after_first("fail_notify", lambda ev: ev),
-], ids=["group-edge", "group-id", "stall-group", "annihilate-unknown",
-        "annihilate-manner", "fail-edge", "fail-notify-edge", "fail-notify-round",
-        "inject-priority", "group-packet", "group-without-stall",
-        "reroute-failure-round-not-a-round",
-        "reroute-other-failure-round", "reroute-at-live-edge", "fail-of-failed-edge",
-        "recover-unscheduled", "fail-unscheduled", "fail-notify-other-failure",
-        "fail-notify-repeated"])
-def test_inconsistent_feedback_or_fault_event_is_a_parse_error(tmp_path, apply):
+# Edits of the events of a run, by name. A stall creates its antitoken
+# group, so the group cases edit a stall. None moves a total.
+RUN_EDITS = {
+    "group-edge": edit_first("stall", lambda ev: ev[:2] + ("zz",) + ev[3:]),
+    "group-id": edit_first("stall", lambda ev: ev[:4] + (ev[4] + 1,)),
+    "stall-group": edit_first("stall", lambda ev: ev[:4] + (None,)),
+    "annihilate-unknown": edit_first("annihilate", lambda ev: ev[:2] + (10 ** 6, ev[3])),
+    "annihilate-manner": edit_first("annihilate", lambda ev: ev[:3] + ("eventually",)),
+    "fail-edge": edit_first("fail", lambda ev: ev[:2] + ("zz",)),
+    "fail-notify-edge": edit_first("fail_notify", lambda ev: ev[:2] + ("zz", ev[3])),
+    "fail-notify-round": edit_first("fail_notify", lambda ev: ev[:3] + (ev[1] + 1,)),
+    "inject-priority": edit_first("inject", lambda ev: ev[:4] + ((7,),)),
+    "group-packet": edit_first("stall", lambda ev: ev[:3] + (999999, ev[4])),
+    "group-without-stall": drop_first("stall"),
+    "reroute-failure-round-not-a-round":
+        edit_first("reroute", lambda ev: ev[:6] + ((("x",),),)),
+    "reroute-other-failure-round": edit_first("reroute", lambda ev: ev[:6] + (ev[6] - 1,)),
+    "reroute-at-live-edge": drop_first("fail"),
+    "fail-of-failed-edge": after_first("fail", lambda ev: ev),
+    "recover-unscheduled": after_first("fail", lambda ev: ("recover", ev[1], ev[2])),
+    "fail-unscheduled": edit_first("fail", lambda ev: ev[:2] + ("e000",)),
+    "fail-notify-other-failure": edit_first("fail_notify", lambda ev: ev[:3] + (ev[3] - 1,)),
+    "fail-notify-repeated": after_first("fail_notify", lambda ev: ev),
+}
+
+
+def test_edited_feedback_and_fault_events_save_to_the_runs_own_file(tmp_path):
+    # A trace stores no events, so no edit of them that moves no total
+    # reaches a reader: each saves to the bytes of the run's own file.
     path = generated_trace(tmp_path, "--failures", "2")
-    events = list(load_trace(path).events)
-    apply(events)
-    assert_edit_is_the_run(path, events)
+    run_events = load_trace(path).events
+    for name, apply in RUN_EDITS.items():
+        events = list(run_events)
+        apply(events)
+        assert events != run_events, name
+        assert_edit_is_the_run(path, events)
 
 
 @pytest.mark.parametrize("make, edit, differs_from", SCHEDULE_EDITS)
@@ -606,8 +607,12 @@ def test_run_rejects_a_non_positive_probe_parameter(tmp_path, capsys, option, va
     (["--failures", "-1"], 3, "model violation: failures must be >= 0"),
     (["--nodes-min", "2", "--nodes-max", "2", "--failures", "3"], 3,
      "model violation: 3 failures asked of a network of 2 edges"),
+    (["--nodes-min", "-3", "--nodes-max", "-1"], 3,
+     "model violation: node range (-3, -1) must have 1 <= min <= max"),
+    (["--nodes-min", "0", "--nodes-max", "0"], 3,
+     "model violation: node range (0, 0) must have 1 <= min <= max"),
 ], ids=["node-range", "tau", "tau-prime", "horizon", "rate", "rate-zero-denominator",
-        "delta", "failures", "failures-beyond-edges"])
+        "delta", "failures", "failures-beyond-edges", "nodes-negative", "nodes-0"])
 def test_bad_gen_random_argument_exits_without_a_traceback(tmp_path, capsys, args, code,
                                                            message):
     out = tmp_path / "scenario.json"

@@ -666,9 +666,18 @@ def mixed_fault_schedule():
                       recoveries=(RecoveryEvent("bz", 3), RecoveryEvent("cz", 9)))
 
 
+def scheduled_fault_events(schedule):
+    """The schedule's fail, recover and fail_notify events, flattened in
+    round order: per round, step 1's, then step 4's."""
+    faults, notifications = schedule.faults, schedule.notifications
+    return tuple(ev for rnd in sorted({*faults, *notifications})
+                 for ev in (*faults.get(rnd, ()), *notifications.get(rnd, ())))
+
+
 def test_fault_events_are_listed_in_write_order():
     # Per round: recoveries, failures, then the notifications due.
-    assert mixed_fault_schedule().schedule.fault_events == (
+    schedule = mixed_fault_schedule().schedule
+    assert scheduled_fault_events(schedule) == (
         ("fail", 1, "bz"),
         ("recover", 3, "bz"), ("fail", 3, "cz"), ("fail_notify", 3, "bz", 1),
         ("fail_notify", 5, "cz", 3),
@@ -679,8 +688,8 @@ def test_fault_events_are_listed_in_write_order():
 
 
 def nested_key_fault_events(failures, recoveries, horizon):
-    """The oracle of ``_fault_events``: the same events sorted on (round,
-    kind, config index) keys."""
+    """The oracle of the schedule's fault tables: the events a run writes,
+    sorted on (round, kind, config index) keys."""
     keyed = [((ev.round, 0, i), ("recover", ev.round, ev.edge))
              for i, ev in enumerate(recoveries)]
     for i, ev in enumerate(failures):
@@ -692,16 +701,32 @@ def nested_key_fault_events(failures, recoveries, horizon):
     return tuple(ev for _, ev in keyed)
 
 
-fault_edges = st.sampled_from(("ab", "bz", "cz"))
+@st.composite
+def fault_schedules(draw):
+    """A horizon of 0..14 rounds and a valid fault schedule within it on
+    the edges ab, bz and cz: per edge, failures (notified after 0..4
+    rounds) and recoveries alternate, a failure first, one a round. Each
+    kind is listed in a drawn order."""
+    horizon = draw(st.integers(0, 14))
+    failures, recoveries = [], []
+    for edge in ("ab", "bz", "cz"):
+        rounds = draw(st.sets(st.integers(1, horizon), max_size=6)) if horizon else ()
+        for i, rnd in enumerate(sorted(rounds)):
+            if i % 2:
+                recoveries.append(RecoveryEvent(edge, rnd))
+            else:
+                failures.append(FailureEvent(edge, rnd, draw(st.integers(0, 4))))
+    return draw(st.permutations(failures)), draw(st.permutations(recoveries)), horizon
 
 
-@given(st.lists(st.builds(FailureEvent, fault_edges, st.integers(1, 12), st.integers(0, 4)),
-                max_size=12),
-       st.lists(st.builds(RecoveryEvent, fault_edges, st.integers(1, 12)), max_size=12),
-       st.integers(0, 14))
-def test_fault_events_match_the_nested_key_sort(failures, recoveries, horizon):
-    assert aqsim.engine._fault_events(failures, recoveries, horizon) == (
-        nested_key_fault_events(failures, recoveries, horizon))
+@given(fault_schedules())
+def test_fault_events_match_the_nested_key_sort(faults):
+    failures, recoveries, horizon = faults
+    cfg = detour_cfg(horizon=horizon, tau_prime=4, injections=(),
+                     failures=tuple(failures), recoveries=tuple(recoveries))
+    expected = nested_key_fault_events(failures, recoveries, horizon)
+    assert scheduled_fault_events(cfg.schedule) == expected
+    assert tuple(ev for ev in run(cfg).events if ev[0] in FAULT_KINDS) == expected
 
 
 def test_notified_windows_run_from_notification_to_recovery():
@@ -743,7 +768,8 @@ def test_fault_and_feedback_events_are_the_scenarios():
     for cfg in scheduled_runs():
         trace = run(cfg)
         faults = tuple(ev for ev in trace.events if ev[0] in FAULT_KINDS)
-        assert faults == cfg.schedule.fault_events
+        assert faults == scheduled_fault_events(cfg.schedule) == (
+            nested_key_fault_events(cfg.failures, cfg.recoveries, cfg.horizon))
         promoted_seen |= ("reroute", 6, 0, ("bz",), ("bc", "cz"), "bz", 4) in trace.events
         # A stall in round t with delay d annihilates in t + d, forced when
         # d is delta; each group once.
@@ -1372,8 +1398,7 @@ def test_config_keeps_its_own_copy_of_the_stall_and_delay_maps():
 
 def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
     cfg = failing_scenario()
-    counts = dict.fromkeys(("validate_path", "_fault_events", "_fault_pairs",
-                            "_notified_windows"), 0)
+    counts = dict.fromkeys(("validate_path", "_fault_pairs"), 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(aqsim.engine, name)):
             counts[_name] += 1
@@ -1382,18 +1407,17 @@ def test_a_config_is_checked_and_its_schedule_built_once(monkeypatch):
     assert cfg.validate() is cfg
     schedule = cfg.schedule
     distinct = {(inj.path, inj.priority) for inj in cfg.injections}
-    assert counts == {"validate_path": len(distinct), "_fault_events": 1,
-                      "_fault_pairs": 1, "_notified_windows": 1}
+    assert counts == {"validate_path": len(distinct), "_fault_pairs": 1}
     traces = [Engine(cfg).run(), Engine(cfg).run()]
-    by_round = cfg.by_round
     assert validate_recovery(traces[0]).ok and injections_after_notification(traces[1]) == []
     cfg.validate()
-    assert counts == {"validate_path": len(distinct), "_fault_events": 1,
-                      "_fault_pairs": 1, "_notified_windows": 1}
+    assert counts == {"validate_path": len(distinct), "_fault_pairs": 1}
     assert cfg.schedule is schedule and schedule.injectable == distinct
-    assert Engine(cfg)._by_round is by_round
-    assert all(type(entries) is tuple for table in by_round for entries in table.values())
-    assert all(list(edges) == sorted(edges) for edges in by_round[1].values())
+    assert Engine(cfg)._schedule is schedule
+    tables = (schedule.scripted, schedule.stalled, schedule.faults, schedule.notifications)
+    assert all(type(entries) is tuple for table in tables for entries in table.values())
+    assert all(list(edges) == sorted(edges) for edges in schedule.stalled.values())
+    assert sum(map(len, schedule.scripted.values())) == len(cfg.injections)
 
 
 def test_a_replaced_config_is_checked_on_its_own_first_use():
@@ -1421,7 +1445,9 @@ def test_a_checked_config_pickles_to_one_that_runs_alike():
     copied = pickle.loads(pickle.dumps(cfg))
     assert copied.network is not cfg.network
     assert copied == cfg and dumps_scenario(copied) == dumps_scenario(cfg)
-    assert copied.schedule.fault_events == cfg.schedule.fault_events
+    for name in ("fault_pairs", "edge_windows", "scripted", "stalled", "faults",
+                 "notifications"):
+        assert getattr(copied.schedule, name) == getattr(cfg.schedule, name), name
     assert trace_digest(run(copied)) == trace_digest(run(cfg))
 
 

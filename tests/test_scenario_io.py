@@ -268,6 +268,8 @@ V2_REFUSALS = [
                  "stalls[0].rounds: a round is listed twice", id="stall-round-twice"),
     pytest.param(lambda doc: doc["schedules"].update(annihilations=[]),
                  "schedules: unknown key 'annihilations'", id="annihilations"),
+    pytest.param(lambda doc: doc["policy"].update(priorities=1),
+                 "policy.priorities: must be at least 2, not 1", id="priorities-1"),
 ]
 
 
